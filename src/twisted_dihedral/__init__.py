@@ -7,14 +7,14 @@ rejection, and a desk-scale cryptanalysis toolkit.
 """
 
 from .errors import CapacityError, ParameterError
-from .field import (FieldElement, FieldParams, field_arith, get_lambda,
-                    is_square, mult_order)
+from .field import (FieldElement, FieldParams, get_lambda, is_square,
+                    mult_order)
 from .group import DihedralGroup
 from .cocycle import (BetaMap, Cocycle, CocycleCheck, coboundary_of,
                       equivalence_search, verify_cocycle)
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
                       alg_add, alg_product, in_gamma, index_h, index_h_inv,
-                      iter_gamma, phi, phi_inv, rep_deserialize,
+                      iter_gamma, phi, rep_deserialize,
                       rep_serialize, sample_gamma, sample_secret_pair,
                       sample_subspace)
 from .kex import (PublicParams, Session, derive_public, derive_shared,

@@ -1,9 +1,10 @@
 """Elements and arithmetic of the twisted dihedral group algebra.
 
-An algebra element is a vector of 2n field coefficients: coeffs[i] for
-i < n multiplies the rotation basis vector for x^i, coeffs[n+i] multiplies
-the reflection basis vector for x^i y. The product is twisted by the
-cocycle that takes the value lambda exactly on reflection pairs.
+An algebra element is a vector of 2n field coefficients, held as integer
+reps: coeffs[i] for i < n multiplies the rotation basis vector for x^i,
+coeffs[n+i] multiplies the reflection basis vector for x^i y. The product
+is twisted by the cocycle that takes the value lambda exactly on
+reflection pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class AlgebraParams:
         self.group = group
         self.lam = lam
         self.cocycle = Cocycle.alpha(lam, group.n)
+        self.lam_log = field.log[lam.rep]
 
     @property
     def n(self) -> int:
@@ -40,15 +42,13 @@ class AlgebraParams:
     def dim(self) -> int:
         return self.group.order
 
-    def element(self, coeffs) -> "AlgebraElement":
-        """Element from a sequence of field elements, digit tuples, or reps."""
-        elems = tuple(self.field.elem(c) for c in coeffs)
-        if len(elems) != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {len(elems)}")
-        return AlgebraElement(self, elems)
-
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(self.field.from_rep(r) for r in reps))
+        reps = tuple(reps)
+        if len(reps) != self.dim:
+            raise ValueError(f"expected {self.dim} coefficients, got {len(reps)}")
+        if min(reps) < 0 or max(reps) >= self.field.q:
+            raise ValueError(f"coefficient rep out of range for q={self.field.q}")
+        return AlgebraElement(self, reps)
 
     def zero(self) -> "AlgebraElement":
         return self.from_reps([0] * self.dim)
@@ -76,35 +76,36 @@ class AlgebraParams:
 
 
 class AlgebraElement:
-    """Immutable vector of 2n field coefficients."""
+    """Immutable vector of 2n field coefficients, as integer reps.
+
+    The constructor trusts its reps; `AlgebraParams.from_reps` checks them.
+    """
 
     __slots__ = ("params", "coeffs")
 
-    def __init__(self, params: AlgebraParams, coeffs: tuple[FieldElement, ...]):
+    def __init__(self, params: AlgebraParams, coeffs: tuple[int, ...]):
         self.params = params
         self.coeffs = coeffs
 
     def reps(self) -> tuple[int, ...]:
-        return tuple(c.rep for c in self.coeffs)
+        return self.coeffs
 
     def is_zero(self) -> bool:
-        return all(c.rep == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def rotation_part(self) -> "AlgebraElement":
         n = self.params.n
-        zero = self.params.field.zero()
-        return AlgebraElement(self.params, self.coeffs[:n] + (zero,) * n)
+        return AlgebraElement(self.params, self.coeffs[:n] + (0,) * n)
 
     def reflection_part(self) -> "AlgebraElement":
         n = self.params.n
-        zero = self.params.field.zero()
-        return AlgebraElement(self.params, (zero,) * n + self.coeffs[n:])
+        return AlgebraElement(self.params, (0,) * n + self.coeffs[n:])
 
     def in_rotation_subalgebra(self) -> bool:
-        return all(c.rep == 0 for c in self.coeffs[self.params.n:])
+        return not any(self.coeffs[self.params.n:])
 
     def in_reflection_subspace(self) -> bool:
-        return all(c.rep == 0 for c in self.coeffs[:self.params.n])
+        return not any(self.coeffs[:self.params.n])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_add(self, other)
@@ -113,25 +114,27 @@ class AlgebraElement:
         return alg_add(self, -other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.params, tuple(-c for c in self.coeffs))
+        neg = self.params.field.neg
+        return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_product(self, other, self.params)
 
     def scale(self, c: FieldElement) -> "AlgebraElement":
         """Coefficient-wise multiplication by a field scalar."""
-        return AlgebraElement(self.params, tuple(c * x for x in self.coeffs))
+        mul = self.params.field.mul_rep
+        return AlgebraElement(self.params, tuple([mul(c.rep, x) for x in self.coeffs]))
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
                 and self.params == other.params
-                and self.reps() == other.reps())
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(self.reps())
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"AlgebraElement({list(self.reps())})"
+        return f"AlgebraElement({list(self.coeffs)})"
 
 
 @dataclass(frozen=True)
@@ -161,54 +164,43 @@ def _check_same_params(a: AlgebraElement, b: AlgebraElement) -> None:
 
 def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_same_params(a, b)
-    return AlgebraElement(a.params, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    field = a.params.field
+    packed = field.packed
+    return AlgebraElement(a.params, field.reduce_all(
+        [packed[x] + packed[y] for x, y in zip(a.coeffs, b.coeffs)]))
 
 
 def alg_product(a: AlgebraElement, b: AlgebraElement,
                 params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """Schoolbook twisted product: c[table[i][j]] += a[i] b[j] alpha(i, j)."""
+    """Schoolbook twisted product: c[table[i][j]] += a[i] b[j] alpha(i, j).
+
+    Each term is an antilog lookup, packed so that the terms of an output
+    coefficient add without reduction; each coefficient is reduced once.
+    lambda = alpha(i, j) on reflection pairs is folded into the logs of
+    b's reflection coefficients.
+    """
     params = params or a.params
     _check_same_params(a, b)
     field = params.field
     n = params.n
+    q1 = field.q - 1
+    log = field.log
+    exp = field.packed_exp
     table = params.group.table
+    plain, twisted = [], []
+    for j, bj in enumerate(b.coeffs):
+        if bj:
+            lb = log[bj]
+            plain.append((j, lb))
+            twisted.append((j, (lb + params.lam_log) % q1 if j >= n else lb))
     out = [0] * params.dim
-
-    mul_t = field.mul_table
-    if mul_t is not None:
-        add_t = field.add_table
-        mul_lam = mul_t[params.lam.rep]
-        breps = b.reps()
-        for i, ai in enumerate(a.reps()):
-            if ai == 0:
-                continue
-            row_m = mul_t[ai]
-            row_t = table[i]
-            refl = i >= n
-            for j, bj in enumerate(breps):
-                if bj == 0:
-                    continue
-                v = row_m[bj]
-                if refl and j >= n:
-                    v = mul_lam[v]
-                k = row_t[j]
-                out[k] = add_t[out[k]][v]
-        return params.from_reps(out)
-
-    # fallback for fields too large to tabulate
-    lam = params.lam.rep
-    for i, ai in enumerate(a.reps()):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.reps()):
-            if bj == 0:
-                continue
-            v = field.mul_rep(ai, bj)
-            if i >= n and j >= n:
-                v = field.mul_rep(v, lam)
-            k = table[i][j]
-            out[k] = field.add_rep(out[k], v)
-    return params.from_reps(out)
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            la = log[ai]
+            row = table[i]
+            for j, lb in (twisted if i >= n else plain):
+                out[row[j]] += exp[la + lb]
+    return AlgebraElement(params, field.reduce_all(out))
 
 
 def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> AlgebraElement:
@@ -219,11 +211,11 @@ def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> Algebr
     n = params.n
     lam = params.lam.rep
     out = [0] * params.dim
-    for i, ai in enumerate(a.reps()):
+    for i, ai in enumerate(a.coeffs):
         j = group.inverse(i)
         # alpha(i, i^-1) is lambda exactly when i is a reflection (then i^-1 = i)
         out[j] = field.mul_rep(ai, lam) if i >= n else ai
-    return params.from_reps(out)
+    return AlgebraElement(params, tuple(out))
 
 
 def phi(a: AlgebraElement) -> AlgebraElement:
@@ -231,16 +223,7 @@ def phi(a: AlgebraElement) -> AlgebraElement:
     if not a.in_reflection_subspace():
         raise ValueError("phi expects an element of the reflection subspace")
     n = a.params.n
-    zero = a.params.field.zero()
-    return AlgebraElement(a.params, a.coeffs[n:] + (zero,) * n)
-
-def phi_inv(a: AlgebraElement) -> AlgebraElement:
-    """Inverse of phi: rotation coefficients moved to the reflection slots."""
-    if not a.in_rotation_subalgebra():
-        raise ValueError("phi_inv expects an element of the rotation subalgebra")
-    n = a.params.n
-    zero = a.params.field.zero()
-    return AlgebraElement(a.params, (zero,) * n + a.coeffs[:n])
+    return AlgebraElement(a.params, a.coeffs[n:] + (0,) * n)
 
 
 def in_gamma(a: AlgebraElement) -> bool:
@@ -248,7 +231,7 @@ def in_gamma(a: AlgebraElement) -> bool:
     n = a.params.n
     if not a.in_reflection_subspace():
         return False
-    reps = a.reps()
+    reps = a.coeffs
     return all(reps[n + i] == reps[n + (n - i) % n] for i in range(1, n))
 
 
@@ -256,10 +239,10 @@ def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
     """Uniform element of the reversible subspace (free coefficients mirrored)."""
     field = params.field
     n = params.n
-    coeffs = [field.zero()] * params.dim
-    coeffs[n] = field.random_element(rng)
+    coeffs = [0] * params.dim
+    coeffs[n] = field.random_rep(rng)
     for i in range(1, n // 2 + 1):
-        v = field.random_element(rng)
+        v = field.random_rep(rng)
         coeffs[n + i] = v
         coeffs[n + (n - i) % n] = v
     return AlgebraElement(params, tuple(coeffs))
@@ -270,16 +253,15 @@ def sample_subspace(which: str, params: AlgebraParams,
     """Uniform sample from C_n / C_n*y / the full algebra / the public-h shape."""
     field = params.field
     n = params.n
-    zero = field.zero()
     if which == "C_n":
         return AlgebraElement(params, tuple(
-            field.random_element(rng) for _ in range(n)) + (zero,) * n)
+            [field.random_rep(rng) for _ in range(n)]) + (0,) * n)
     if which == "C_n_y":
-        return AlgebraElement(params, (zero,) * n + tuple(
-            field.random_element(rng) for _ in range(n)))
+        return AlgebraElement(params, (0,) * n + tuple(
+            [field.random_rep(rng) for _ in range(n)]))
     if which == "full":
         return AlgebraElement(params, tuple(
-            field.random_element(rng) for _ in range(2 * n)))
+            [field.random_rep(rng) for _ in range(2 * n)]))
     if which == "h_element":
         while True:
             h1 = sample_subspace("C_n", params, rng)
@@ -321,7 +303,7 @@ def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
             reps[n + slot] = d
             if slot:
                 reps[n + (n - slot) % n] = d
-        yield params.from_reps(reps)
+        yield AlgebraElement(params, tuple(reps))
 
 
 def index_h(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> int:
@@ -329,7 +311,7 @@ def index_h(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> int:
     params = params or a.params
     q = params.field.q
     out = 0
-    for rep in reversed(a.reps()):
+    for rep in reversed(a.coeffs):
         out = out * q + rep
     return out
 
@@ -342,31 +324,13 @@ def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
     for _ in range(params.dim):
         reps.append(value % q)
         value //= q
-    return params.from_reps(reps)
-
-
-def digit_width_bytes(p: int) -> int:
-    """Bytes per base-p digit in the canonical serialization."""
-    bits = (p - 1).bit_length()
-    return (bits + 7) // 8
-
-
-def serialize_field_elements(elems: Sequence[FieldElement]) -> bytes:
-    """Canonical fixed-width bytes: digits ascending, big-endian per digit."""
-    out = bytearray()
-    for e in elems:
-        width = digit_width_bytes(e.field.p)
-        for d in e.digits:
-            out += d.to_bytes(width, "big")
-    return bytes(out)
+    return AlgebraElement(params, tuple(reps))
 
 
 def rep_serialize(x) -> bytes:
     """Canonical injective byte encoding of an algebra element (or a pair)."""
     if isinstance(x, AlgebraElement):
-        return serialize_field_elements(x.coeffs)
-    if isinstance(x, (tuple, list)) and x and isinstance(x[0], FieldElement):
-        return serialize_field_elements(x)
+        return b"".join([x.params.field.rep_bytes[c] for c in x.coeffs])
     # duck-typed two-component ciphertext
     if hasattr(x, "c1") and hasattr(x, "c2"):
         return rep_serialize(x.c1) + rep_serialize(x.c2)
@@ -375,19 +339,11 @@ def rep_serialize(x) -> bytes:
 
 def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
     field = params.field
-    width = digit_width_bytes(field.p)
-    expect = params.dim * field.m * width
+    chunk = len(field.rep_bytes[0])
+    expect = params.dim * chunk
     if len(data) != expect:
         raise ValueError(f"expected {expect} bytes, got {len(data)}")
-    coeffs = []
-    pos = 0
-    for _ in range(params.dim):
-        digits = []
-        for _ in range(field.m):
-            d = int.from_bytes(data[pos:pos + width], "big")
-            if d >= field.p:
-                raise ValueError("digit out of range in serialized element")
-            digits.append(d)
-            pos += width
-        coeffs.append(field.elem(digits))
-    return AlgebraElement(params, tuple(coeffs))
+    reps = [field.bytes_rep.get(data[pos:pos + chunk]) for pos in range(0, expect, chunk)]
+    if None in reps:
+        raise ValueError("digit out of range in serialized element")
+    return AlgebraElement(params, tuple(reps))

@@ -67,17 +67,19 @@ def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
 
     The rotation space is addressed through the index bijection as the
     integer range [0, q^n); partition_count tasks may each take one slice.
+    max_candidates bounds the whole q^n * |Gamma| space, not the slice, so
+    partitioning cannot get round it.
     """
     algebra = inst.pp.algebra
     total = _rotation_count(inst.pp)
     if not 0 <= partition_index < partition_count:
         raise ValueError("partition_index out of range")
+    gamma_count = algebra.field.q ** (algebra.n // 2 + 1)
+    if total * gamma_count > max_candidates:
+        raise CapacityError(
+            f"{total * gamma_count} candidates exceed the bound {max_candidates}")
     lo = total * partition_index // partition_count
     hi = total * (partition_index + 1) // partition_count
-    gamma_count = algebra.field.q ** (algebra.n // 2 + 1)
-    if (hi - lo) * gamma_count > max_candidates:
-        raise CapacityError(
-            f"{(hi - lo) * gamma_count} candidates exceed the bound {max_candidates}")
 
     gammas = list(iter_gamma(algebra))
     tested = 0

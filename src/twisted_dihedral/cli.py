@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _rng(seed):
     if seed is None:
         return random.SystemRandom()
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["exhaustive", "mitm"])
     p.add_argument("--t", type=int, default=1,
                    help="meet-in-the-middle split point")
-    p.add_argument("--partitions", type=int, default=1,
+    p.add_argument("--partitions", type=_positive_int, default=1,
                    help="number of exhaustive-search slices to run")
 
     return parser

@@ -1,9 +1,11 @@
 """Arithmetic in F_q with q = p^m, p an odd prime, in polynomial basis.
 
 Elements are vectors of m base-p digits (ascending degree) modulo a monic
-irreducible polynomial. For the small fields used throughout, full add/mul
-lookup tables are built lazily so that the algebra product loop runs on
-plain integer representations.
+irreducible polynomial, named by their integer representation
+rep = sum digit_i * p^i. Each field builds O(q) tables once, from the
+powers of a primitive element: log/antilog tables for multiplication, a
+packed form of each rep for addition, and the bytes of each rep. The
+algebra product loop runs on these tables and plain integer reps.
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -11,12 +13,14 @@ NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
 
-# Full q x q add/mul tables are built only when q is at most this.
-TABLE_LIMIT = 1024
+# A packed rep gives each base-p digit its own lane of bits, this many bits
+# wider than the digit, so that a sum of up to 2**LANE_HEADROOM_BITS packed
+# reps never carries from one lane into the next.
+LANE_HEADROOM_BITS = 32
 
 
 def is_prime(n: int) -> bool:
@@ -59,12 +63,6 @@ def _trim(a: Sequence[int]) -> tuple[int, ...]:
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return tuple(a[:i])
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
 
 
 def _poly_sub(a, b, p):
@@ -125,20 +123,6 @@ def _poly_powmod(a, e, f, p):
     return result
 
 
-def _poly_invmod(a, f, p):
-    """Inverse of a modulo f via extended Euclid."""
-    r0, r1 = _trim(f), _poly_mod(a, f, p)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible")
-    c = pow(r0[0], -1, p)
-    return _trim([x * c % p for x in s0])
-
-
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Check a monic polynomial over F_p for irreducibility.
 
@@ -178,11 +162,28 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise ParameterError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+def digit_width_bytes(p: int) -> int:
+    """Bytes per base-p digit in the canonical serialization."""
+    bits = (p - 1).bit_length()
+    return (bits + 7) // 8
+
+
 class FieldParams:
     """The field F_{p^m} with a fixed monic irreducible modulus polynomial.
 
-    Instances own lazily built add/mul/neg/inv tables (indexed by integer
-    representations rep = sum digit_i * p^i) when q <= TABLE_LIMIT.
+    Construction builds the O(q) tables that all arithmetic on integer reps
+    reads, indexed by rep or by the discrete logarithm k to a generator g
+    of F_q*:
+
+    - `exp[k]`: the rep of g^k, over two periods so that a sum of two logs
+      needs no reduction; `log[rep]`: its inverse (None at rep 0);
+    - `packed[rep]`: the rep with digit i in lane i (bits i*lane_bits up),
+      so that packed reps add digit-wise without carries (see
+      `reduce_all`); `packed_exp[k]` is `packed[exp[k]]`; for m=1 both are
+      the plain reps;
+    - `neg[rep]`: the rep of the negation;
+    - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
+      big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -200,12 +201,44 @@ class FieldParams:
         self.p = p
         self.m = m
         self.modulus = modulus
-        self.q = p ** m
-        self._elements: Optional[list["FieldElement"]] = None
-        self._mul: Optional[list[list[int]]] = None
-        self._add: Optional[list[list[int]]] = None
-        self._neg: Optional[list[int]] = None
-        self._inv: Optional[list[Optional[int]]] = None
+        self.q = q = p ** m
+        powers = self._primitive_powers()
+        self.exp = powers + powers
+        self.log: list[Optional[int]] = [None] * q
+        for k, rep in enumerate(powers):
+            self.log[rep] = k
+        digits = [self.digits_of(rep) for rep in range(q)]
+        self.neg = [self.rep_of([-d % p for d in ds]) for ds in digits]
+        self.lane_bits = (p - 1).bit_length() + LANE_HEADROOM_BITS
+        if m == 1:
+            self.packed = range(q)
+            self.packed_exp = self.exp
+        else:
+            self.packed = [sum(d << (i * self.lane_bits) for i, d in enumerate(ds))
+                           for ds in digits]
+            self.packed_exp = [self.packed[rep] for rep in self.exp]
+        width = digit_width_bytes(p)
+        self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
+                          for ds in digits]
+        self.bytes_rep = {data: rep for rep, data in enumerate(self.rep_bytes)}
+
+    def _primitive_powers(self) -> list[int]:
+        """Reps of g^0 .. g^(q-2) for the least rep g of order q - 1.
+
+        F_q* is cyclic, so such a g exists; g has order q - 1 iff
+        g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        """
+        p, q, f = self.p, self.q, self.modulus
+        primes = [r for r, _ in factorize(q - 1)]
+        for g in range(2, q):
+            g_digits = self.digits_of(g)
+            if all(_poly_powmod(g_digits, (q - 1) // r, f, p) != (1,) for r in primes):
+                break
+        powers, cur = [1], (1,)
+        for _ in range(q - 2):
+            cur = _poly_mod(_poly_mul(cur, g_digits, p), f, p)
+            powers.append(self.rep_of(cur))
+        return powers
 
     def __eq__(self, other):
         return (isinstance(other, FieldParams)
@@ -252,9 +285,6 @@ class FieldParams:
     def from_rep(self, rep: int) -> "FieldElement":
         if not 0 <= rep < self.q:
             raise ValueError(f"rep {rep} out of range for q={self.q}")
-        cache = self._element_cache()
-        if cache is not None:
-            return cache[rep]
         return FieldElement(self, rep)
 
     def zero(self) -> "FieldElement":
@@ -263,118 +293,59 @@ class FieldParams:
     def one(self) -> "FieldElement":
         return self.from_rep(1)
 
-    def _element_cache(self):
-        if self.q > TABLE_LIMIT:
-            return None
-        if self._elements is None:
-            self._elements = [FieldElement(self, r) for r in range(self.q)]
-        return self._elements
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements, in rep order (requires tabulable q)."""
-        for r in range(self.q):
-            yield self.from_rep(r)
-
     def units(self) -> Iterator["FieldElement"]:
         for r in range(1, self.q):
             yield self.from_rep(r)
 
     # --- arithmetic on integer representations ---
 
-    def _build_tables(self):
-        q, p = self.q, self.p
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        digs = [self.digits_of(r) for r in range(q)]
-        f = self.modulus
-        for a in range(q):
-            da = digs[a]
-            neg[a] = self.rep_of([(-d) % p for d in da])
-            for b in range(a, q):
-                db = digs[b]
-                s = self.rep_of([(x + y) % p for x, y in zip(da, db)])
-                add[a][b] = add[b][a] = s
-                if a == 0 or b == 0:
-                    continue
-                prod = _poly_mod(_poly_mul(da, db, p), f, p)
-                r = self.rep_of(prod + (0,) * (self.m - len(prod)))
-                mul[a][b] = mul[b][a] = r
-        inv: list[Optional[int]] = [None] * q
-        for a in range(1, q):
-            if inv[a] is None:
-                for b in range(1, q):
-                    if mul[a][b] == 1:
-                        inv[a] = b
-                        inv[b] = a
-                        break
-        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
+    def reduce_all(self, sums: Sequence[int]) -> tuple[int, ...]:
+        """Reps of sums of packed reps, at most 2**LANE_HEADROOM_BITS each.
 
-    @property
-    def add_table(self):
-        if self._add is None and self.q <= TABLE_LIMIT:
-            self._build_tables()
-        return self._add
-
-    @property
-    def mul_table(self):
-        if self._mul is None and self.q <= TABLE_LIMIT:
-            self._build_tables()
-        return self._mul
+        Each lane of a sum is taken mod p to give that digit of the rep.
+        """
+        p = self.p
+        if self.m == 1:
+            return tuple(v % p for v in sums)
+        mask = (1 << self.lane_bits) - 1
+        reps = [0] * len(sums)
+        for lane in reversed(range(self.m)):
+            shift = lane * self.lane_bits
+            reps = [r * p + ((v >> shift) & mask) % p for r, v in zip(reps, sums)]
+        return tuple(reps)
 
     def add_rep(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return self._add[a][b]
-        if self.m == 1:
-            return (a + b) % self.p
-        return self.rep_of([(x + y) % self.p
-                            for x, y in zip(self.digits_of(a), self.digits_of(b))])
+        return self.reduce_all((self.packed[a] + self.packed[b],))[0]
 
     def neg_rep(self, a: int) -> int:
-        if self.add_table is not None:
-            return self._neg[a]
-        if self.m == 1:
-            return (-a) % self.p
-        return self.rep_of([(-d) % self.p for d in self.digits_of(a)])
+        return self.neg[a]
 
     def sub_rep(self, a: int, b: int) -> int:
-        return self.add_rep(a, self.neg_rep(b))
+        return self.add_rep(a, self.neg[b])
 
     def mul_rep(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return self._mul[a][b]
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _poly_mod(_poly_mul(self.digits_of(a), self.digits_of(b), self.p),
-                         self.modulus, self.p)
-        return self.rep_of(prod + (0,) * (self.m - len(prod)))
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv_rep(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.mul_table is not None:
-            return self._inv[a]
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        invd = _poly_invmod(self.digits_of(a), self.modulus, self.p)
-        return self.rep_of(invd + (0,) * (self.m - len(invd)))
+        return self.exp[self.q - 1 - self.log[a]]
 
     def pow_rep(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv_rep(a), -e
-        if self.m == 1:
-            return pow(a, e, self.p)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul_rep(result, a)
-            a = self.mul_rep(a, a)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero field element")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+    def random_rep(self, rng: random.Random) -> int:
+        """Uniform rep via independent uniform digits, lowest digit first."""
+        return self.rep_of([rng.randrange(self.p) for _ in range(self.m)])
 
     def random_element(self, rng: random.Random) -> "FieldElement":
-        """Uniform element via independent uniform digits."""
-        return self.elem([rng.randrange(self.p) for _ in range(self.m)])
+        return self.from_rep(self.random_rep(rng))
 
     def random_unit(self, rng: random.Random) -> "FieldElement":
         while True:
@@ -432,23 +403,6 @@ class FieldElement:
         if self.field.m == 1:
             return f"F{self.field.p}({self.rep})"
         return f"F{self.field.p}^{self.field.m}({list(self.digits)})"
-
-
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch wrapper over the element operators (add/sub/mul/inv/pow)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        if b < 0:
-            raise ValueError("pow exponent must be non-negative")
-        return a ** b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_square(a: FieldElement, params: Optional[FieldParams] = None) -> bool:

@@ -119,20 +119,3 @@ def read_param_file(path) -> PublicParams:
     h = rep_deserialize(bytes.fromhex(h_hex), algebra)
     return PublicParams(algebra, h)
 
-
-def parse_field_params(text: str) -> FieldParams:
-    """Parse the inline form `p=<int> m=<int> modulus=<d0,...,dm>`."""
-    entries: dict[str, str] = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ParameterError(f"malformed token {token!r}")
-        key, value = token.split("=", 1)
-        entries[key] = value
-    p = int(entries["p"])
-    m = int(entries.get("m", "1"))
-    modulus = None
-    if "modulus" in entries:
-        modulus = [int(c) for c in entries["modulus"].split(",")]
-    elif m > 1:
-        raise ParameterError("modulus is required when m > 1")
-    return FieldParams(p, m, modulus)

@@ -10,6 +10,7 @@ key SHAKE256(rep(s) || rep(c)) - never an error signal.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import random
 from dataclasses import dataclass
 
@@ -78,22 +79,19 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     algebra = pp.algebra
     field = algebra.field
     n = algebra.n
+    m = field.m
     w = (field.p - 1).bit_length()
     free = n // 2 + 1
     reader = _BitReader(x)
     while True:
-        digits = [reader.take(w) % field.p for _ in range(field.m * (n + free))]
-        a_coeffs = [field.elem(digits[i * field.m:(i + 1) * field.m])
-                    for i in range(n)]
-        zero = field.zero()
-        a = algebra.element(a_coeffs + [zero] * n)
+        digits = [reader.take(w) % field.p for _ in range(m * (n + free))]
+        reps = [field.rep_of(digits[k * m:(k + 1) * m]) for k in range(n + free)]
+        a = algebra.from_reps(reps[:n] + [0] * n)
         g_reps = [0] * algebra.dim
         for slot in range(free):
-            lo = (n + slot) * field.m
-            rep = field.rep_of(digits[lo:lo + field.m])
-            g_reps[n + slot] = rep
+            g_reps[n + slot] = reps[n + slot]
             if slot:
-                g_reps[n + (n - slot) % n] = rep
+                g_reps[n + (n - slot) % n] = reps[n + slot]
         gamma = algebra.from_reps(g_reps)
         if not a.is_zero() and not gamma.is_zero():
             return SecretPair(a, gamma)
@@ -123,8 +121,9 @@ def kem_encaps(pk: AlgebraElement, pp: PublicParams,
 
 def kem_decaps(kp: KemKeyPair, c: PkeCiphertext, pp: PublicParams) -> bytes:
     m = pke_dec(c, kp.sk, pp)
-    r = hash_g1(rep_serialize(m) + rep_serialize(kp.pk), pp)
-    c2 = pke_enc(m, kp.pk, r, pp)
-    if rep_serialize(c2) == rep_serialize(c):
-        return hash_g2(rep_serialize(m) + rep_serialize(c))
-    return hash_g2(rep_serialize(kp.s) + rep_serialize(c))
+    m_bytes = rep_serialize(m)
+    r = hash_g1(m_bytes + rep_serialize(kp.pk), pp)
+    c_bytes = rep_serialize(c)
+    if hmac.compare_digest(rep_serialize(pke_enc(m, kp.pk, r, pp)), c_bytes):
+        return hash_g2(m_bytes + c_bytes)
+    return hash_g2(rep_serialize(kp.s) + c_bytes)

@@ -7,7 +7,7 @@ import pytest
 
 from twisted_dihedral.algebra import (AlgebraParams, SecretPair, adjunct,
                                       in_gamma, index_h, index_h_inv,
-                                      iter_gamma, phi, phi_inv,
+                                      iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
                                       sample_gamma, sample_secret_pair,
                                       sample_subspace)
@@ -63,6 +63,12 @@ def test_add_mismatched_params_rejected(alg33, alg34):
         alg33.one() + alg34.one()
 
 
+def test_from_reps_validates(alg33):
+    for bad in ([3, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            alg33.from_reps(bad)
+
+
 # --- product ---
 
 def test_product_y_squared(alg33):
@@ -81,35 +87,6 @@ def test_identity_is_two_sided(alg33, rng):
         a = sample_subspace("full", alg33, rng)
         assert one * a == a
         assert a * one == a
-
-
-def test_product_matches_slow_path():
-    # same product with and without lookup tables (fallback forced)
-    field_fast = FieldParams(3, 2)
-    field_slow = FieldParams(3, 2)
-    field_slow._add = field_slow._mul = None
-
-    def products(field):
-        group = DihedralGroup(3)
-        alg = AlgebraParams(field, group, field.elem([2, 1]))
-        rng = random.Random(5)
-        out = []
-        for _ in range(30):
-            a = sample_subspace("full", alg, rng)
-            b = sample_subspace("full", alg, rng)
-            out.append((a * b).reps())
-        return out
-
-    fast = products(field_fast)
-
-    import twisted_dihedral.field as field_mod
-    saved = field_mod.TABLE_LIMIT
-    field_mod.TABLE_LIMIT = 0
-    try:
-        slow = products(field_slow)
-    finally:
-        field_mod.TABLE_LIMIT = saved
-    assert fast == slow
 
 
 @pytest.mark.parametrize("triple_index", range(3))
@@ -193,14 +170,11 @@ def test_phi_examples(alg33):
     assert phi(alg33.zero()).is_zero()
     a = alg33.from_reps([0, 0, 0, 1, 2, 2])
     assert phi(a).reps() == (1, 2, 2, 0, 0, 0)
-    assert phi_inv(phi(a)) == a
 
 
 def test_phi_domain_checks(alg33):
     with pytest.raises(ValueError):
         phi(alg33.one())
-    with pytest.raises(ValueError):
-        phi_inv(alg33.basis(3))
 
 
 def test_in_gamma_examples(alg33):

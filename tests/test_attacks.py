@@ -103,6 +103,11 @@ def test_exhaustive_capacity_guard(pp333):
     _, inst = _instance(pp333, 10)
     with pytest.raises(CapacityError):
         exhaustive_dpd(inst, max_candidates=100)
+    # the bound covers the whole 243-candidate space, so slicing it into
+    # 27 parts of 9 candidates each does not get round it
+    for part in range(27):
+        with pytest.raises(CapacityError):
+            exhaustive_dpd(inst, part, 27, max_candidates=100)
 
 
 # --- meet in the middle ---

@@ -144,6 +144,19 @@ def test_attack_mitm(tmp_path, params_file, capsys):
     assert "verification: ok" in out
 
 
+def test_attack_partitions_must_be_positive(tmp_path, params_file, capsys):
+    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
+    run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
+        "--seed", 4)
+    capsys.readouterr()
+    for count in (0, -1):
+        assert run("attack", "--params", params_file, "--pk", pk,
+                   "exhaustive", "--partitions", count) == 1
+        captured = capsys.readouterr()
+        assert "--partitions" in captured.err
+        assert "no pair found" not in captured.out
+
+
 def test_attack_capacity_exit_code(tmp_path, capsys):
     params = tmp_path / "big.txt"
     pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral.errors import ParameterError
-from twisted_dihedral.field import (FieldParams, factorize, field_arith,
-                                    find_irreducible, get_lambda, is_prime,
-                                    is_square, mult_order)
-from twisted_dihedral.formats import parse_field_params
+from twisted_dihedral.field import (FieldParams, factorize, find_irreducible,
+                                    get_lambda, is_prime, is_square,
+                                    mult_order)
 
 
 # --- exact values in F_7 ---
@@ -59,21 +58,6 @@ def test_inversion_of_zero(f7, f9):
     for field in (f7, f9):
         with pytest.raises(ZeroDivisionError):
             field.zero().inverse()
-
-
-# --- field_arith dispatch ---
-
-def test_field_arith_ops(f7):
-    a, b = f7.elem(3), f7.elem(5)
-    assert field_arith(a, b, "add").rep == 1
-    assert field_arith(a, b, "sub").rep == 5
-    assert field_arith(a, b, "mul").rep == 1
-    assert field_arith(a, None, "inv").rep == 5
-    assert field_arith(a, 3, "pow").rep == 6
-    with pytest.raises(ValueError):
-        field_arith(a, -1, "pow")
-    with pytest.raises(ValueError):
-        field_arith(a, b, "frobnicate")
 
 
 # --- ring axioms ---
@@ -206,11 +190,3 @@ def test_is_prime_and_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]
 
-
-def test_parse_field_params_inline():
-    f = parse_field_params("p=3 m=2 modulus=1,0,1")
-    assert (f.p, f.m, f.modulus) == (3, 2, (1, 0, 1))
-    f = parse_field_params("p=7")
-    assert (f.p, f.m) == (7, 1)
-    with pytest.raises(ParameterError):
-        parse_field_params("p=3 m=2")  # modulus required for m > 1

@@ -1,0 +1,76 @@
+"""Golden outputs: the seeded CLI pipeline writes the same bytes as the
+reference run, file by file, pinned by SHA-256.
+
+A refactor that keeps behaviour must keep these digests; a change that
+alters outputs on purpose (a new encoding, a new hash layout) must say so
+and record new ones.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from twisted_dihedral.cli import main
+
+GOLDEN = {
+    (3, 1, 3): {
+        "params": "20d5060f959430cfedacb0f81ad16cfe1aa1f2277ddbb48a86333ca81e626bfc",
+        "pk": "2aac548348006f92dbdc5351a46927155d69e3c0664303a25ad6a5aa402d7e9f",
+        "sk": "336595b87cc6a91dece386d78b7d5fe83c109824f6b2342936a65f969b0a5831",
+        "ct": "937affa14bc7e9c84894f94e629fadc223e9e90dce615f7964ac8d2ebef984ee",
+        "key_enc": "2efc5e7cc8b6d33e170bfa445ef069a70d2df7aeaa9abf32be341a9f7d02c5f6",
+        "key_dec": "2efc5e7cc8b6d33e170bfa445ef069a70d2df7aeaa9abf32be341a9f7d02c5f6",
+        "kex-demo": "02cdad77e15438b24646b39a99782587ab9da8c98221fe581691d4b1315b6814",
+    },
+    (3, 2, 9): {
+        "params": "efa683acc19364114def8c6a3fc6952de29d12f157baea0341f6ebd938a14cc5",
+        "pk": "e1a5d422810d5d03e4372a45766b93376f0635f9fccfce6cca75c1dadeb80a98",
+        "sk": "4e03d04ec7555f104bd0e46fc0b4e27554936acdc7708a08a0996ef22b0b55ee",
+        "ct": "660b1453fe75608395b9e4817f31af4d28a98ee9a4cfa2a10937e2bd5baac38c",
+        "key_enc": "1f481acdcfe8bea321882ec7544fda0d95972e0c767b5d3a2f3659263d060bf6",
+        "key_dec": "1f481acdcfe8bea321882ec7544fda0d95972e0c767b5d3a2f3659263d060bf6",
+        "kex-demo": "cc3147e063ba13cd2fd0ae7f008ee537ca8c2193a33666d03cd495d66bb5a64a",
+    },
+    (3, 7, 9): {
+        "params": "15bdda2ae36e084a1b35971e50184e889494d26e33178d82bd8562cf83355fd8",
+        "pk": "f4cf0b33420654e668998e90f36e4c1abd149816f5670e58ed620f0a9d64775a",
+        "sk": "5a96b2b68a318d4bc540249f130f69a65ccbd70c18d69d40b1ccf31916b2da99",
+        "ct": "1a170bd3e1bd8e49ed2dfb27eac263cb9d158983719a4e533fe7121231495bb2",
+        "key_enc": "8b9dc69a98338b46a46769fa579201ecd8d1b07483afe89f1cf33e697a8c5f4e",
+        "key_dec": "8b9dc69a98338b46a46769fa579201ecd8d1b07483afe89f1cf33e697a8c5f4e",
+        "kex-demo": "4bc9f4fbf139a329102a480a514c7ea48793383d55d91e172ebba9e83d672fbc",
+    },
+}
+
+
+def pipeline_digests(d, p, m, n):
+    """Run param-gen, keygen, encaps, decaps and kex-demo with fixed seeds;
+    return the SHA-256 of each file written and of kex-demo's stdout."""
+    f = {k: d / f"{k}.txt"
+         for k in ("params", "pk", "sk", "ct", "key_enc", "key_dec")}
+    commands = [
+        ["param-gen", "--p", p, "--m", m, "--n", n, "--out", f["params"],
+         "--seed", 41],
+        ["keygen", "--params", f["params"], "--out-pk", f["pk"],
+         "--out-sk", f["sk"], "--seed", 42],
+        ["encaps", "--params", f["params"], "--pk", f["pk"],
+         "--out-ct", f["ct"], "--out-key", f["key_enc"], "--seed", 43],
+        ["decaps", "--params", f["params"], "--sk", f["sk"],
+         "--ct", f["ct"], "--out-key", f["key_dec"]],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(a) for a in argv]) == 0, argv[0]
+    kex_out = io.StringIO()
+    with contextlib.redirect_stdout(kex_out):
+        assert main(["kex-demo", "--params", str(f["params"]), "--seed", "44"]) == 0
+    data = {k: path.read_bytes() for k, path in f.items()}
+    data["kex-demo"] = kex_out.getvalue().encode()
+    return {k: hashlib.sha256(v).hexdigest() for k, v in data.items()}
+
+
+@pytest.mark.parametrize("triple", sorted(GOLDEN))
+def test_cli_outputs_match_golden(tmp_path, triple):
+    assert pipeline_digests(tmp_path, *triple) == GOLDEN[triple]
