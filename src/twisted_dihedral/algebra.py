@@ -5,11 +5,33 @@ reps: coeffs[i] for i < n multiplies the rotation basis vector for x^i,
 coeffs[n+i] multiplies the reflection basis vector for x^i y. The product
 is twisted by the cocycle that takes the value lambda exactly on
 reflection pairs.
+
+Writing a = a0 + a1*y with a0, a1 in F_q[x]/(x^n - 1), the twisted product
+is exactly
+
+    c0 = a0*b0 + lambda * a1*rev(b1),    c1 = a0*b1 + a1*rev(b0),
+
+where * is cyclic convolution and rev(b)_j = b_{-j mod n}. `alg_product`
+computes all four convolutions with one big-integer multiplication
+(Kronecker substitution). Each coefficient is a position of 2m - 1 slots
+of W bits that holds its base-p digits in the low m slots; a block is
+2n - 1 positions, the length of a product of two n-position operands.
+With Y = 2^(block bits) the operands are packed as
+
+    A = a0 + a1*Y,    B = lambda*rev(b1) + b0*Y + rev(b0)*Y^2 + b1*Y^3,
+
+so that, before reduction mod x^n - 1, block 1 of A*B is c0 and block 3
+is c1; blocks 0, 2 and 4 hold cross terms. Every slot of the product, and
+of its fold mod x^n - 1 and reduction mod f(t), stays below
+2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest of 8/16/32/64 bits
+above that bound (`kernel_slot_width`), so no slot ever carries into the
+next.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -18,9 +40,38 @@ from .errors import ParameterError
 from .field import FieldElement, FieldParams, is_square
 from .group import DihedralGroup
 
+# Slot widths the product kernel can unpack, with their memoryview typecodes.
+SLOT_TYPES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def kernel_slot_width(p: int, m: int, n: int) -> tuple[int, str]:
+    """Slot width in bits, and its typecode, for the product kernel at (p, m, n).
+
+    The smallest width in SLOT_TYPES above the largest slot value the
+    product can hold, 2n * m * (p-1)^2 * (1 + (m-1)(p-1)): two products of
+    n terms of m digit products each, plus the reduction of m - 1 high
+    digits by multiples of digits below p. Raises ParameterError when not
+    even 64 bits suffice.
+    """
+    bound = 2 * n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+    for bits, code in SLOT_TYPES:
+        if bound < 1 << bits:
+            return bits, code
+    raise ParameterError(
+        f"product slots need more than 64 bits at p={p}, m={m}, n={n}")
+
 
 class AlgebraParams:
-    """Field, group, and the twisting non-square lambda, bundled."""
+    """Field, group, and the twisting non-square lambda, bundled.
+
+    Construction also builds the O(q + n) tables of the product kernel:
+
+    - `lam_mul[rep]`: the rep of lambda * rep;
+    - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
+      rep in little-endian slots of `slot_bits` bits, then m - 1 zero
+      slots; `lam_slot_bytes[rep]` is `slot_bytes[lam_mul[rep]]`;
+    - the masks and constants that fold and reduce the product.
+    """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
                  lam: FieldElement):
@@ -28,11 +79,38 @@ class AlgebraParams:
             raise ParameterError("lambda must live in the given field")
         if lam.is_zero() or is_square(lam, field):
             raise ParameterError("lambda must be a non-square in F_q*")
+        p, m, n = field.p, field.m, group.n
+        self.slot_bits, self.slot_code = kernel_slot_width(p, m, n)
         self.field = field
         self.group = group
         self.lam = lam
-        self.cocycle = Cocycle.alpha(lam, group.n)
-        self.lam_log = field.log[lam.rep]
+        self.cocycle = Cocycle.alpha(lam, n)
+        self.lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
+        bits = self.slot_bits
+        width = 2 * m - 1
+        pos = width * bits
+        self.slot_bytes = [
+            b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
+            .ljust(pos // 8, b"\0") for r in range(field.q)]
+        self.lam_slot_bytes = [self.slot_bytes[r] for r in self.lam_mul]
+        self._pad = bytes((n - 1) * pos // 8)  # fills a block after n positions
+        self._block = (2 * n - 1) * pos
+        self._npos = n * pos
+        self._out_bytes = 2 * n * pos // 8
+        # The product is unpacked in native byte order; on a big-endian
+        # host that lists the slots last first.
+        self._slot_step = 1 if sys.byteorder == "little" else -1
+        self._low_mask = (1 << n * pos) - 1
+        self._low1_mask = (1 << (n - 1) * pos) - 1
+        # m > 1: slot 0 of every position, the low m slots of every
+        # position, and t^k mod f(t) in slots for k = m .. 2m-2.
+        ones = sum(1 << (i * pos) for i in range(2 * n))
+        self._slot0_mask = ones * ((1 << bits) - 1)
+        self._digit_mask = ones * ((1 << (m * bits)) - 1)
+        self._fold_t = [
+            (k * bits, sum(d << (i * bits) for i, d in
+                           enumerate(field.digits_of(field.pow_rep(p, k)))))
+            for k in range(m, 2 * m - 1)]
 
     @property
     def n(self) -> int:
@@ -158,6 +236,8 @@ class SecretPair:
 
 
 def _check_same_params(a: AlgebraElement, b: AlgebraElement) -> None:
+    if a.params is b.params:
+        return
     if a.params != b.params or len(a.coeffs) != len(b.coeffs):
         raise ValueError("algebra elements have mismatched parameters")
 
@@ -172,50 +252,65 @@ def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def alg_product(a: AlgebraElement, b: AlgebraElement,
                 params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """Schoolbook twisted product: c[table[i][j]] += a[i] b[j] alpha(i, j).
+    """Twisted product by Kronecker substitution: one big-integer multiply.
 
-    Each term is an antilog lookup, packed so that the terms of an output
-    coefficient add without reduction; each coefficient is reduced once.
-    lambda = alpha(i, j) on reflection pairs is folded into the logs of
-    b's reflection coefficients.
+    Multiplies the packed A and B of the module docstring and keeps blocks
+    1 and 3 (c0, c1). Adding each block's high n - 1 positions to its low
+    n folds both mod x^n - 1; for m > 1 the slots of t^m .. t^(2m-2) are
+    then replaced by their multiples of t^k mod f(t). No slot passes the
+    bound that sets the slot width; each digit is taken mod p once, on
+    unpacking.
     """
     params = params or a.params
     _check_same_params(a, b)
-    field = params.field
     n = params.n
-    q1 = field.q - 1
-    log = field.log
-    exp = field.packed_exp
-    table = params.group.table
-    plain, twisted = [], []
-    for j, bj in enumerate(b.coeffs):
-        if bj:
-            lb = log[bj]
-            plain.append((j, lb))
-            twisted.append((j, (lb + params.lam_log) % q1 if j >= n else lb))
-    out = [0] * params.dim
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            la = log[ai]
-            row = table[i]
-            for j, lb in (twisted if i >= n else plain):
-                out[row[j]] += exp[la + lb]
-    return AlgebraElement(params, field.reduce_all(out))
+    sb = params.slot_bytes.__getitem__
+    lsb = params.lam_slot_bytes.__getitem__
+    pad = params._pad
+    ac, bc = a.coeffs, b.coeffs
+    packed_a = int.from_bytes(b"".join(
+        [*map(sb, ac[:n]), pad, *map(sb, ac[n:])]), "little")
+    packed_b = int.from_bytes(b"".join(
+        [lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, *map(sb, bc[:n]), pad,
+         sb(bc[0]), *map(sb, bc[n - 1:0:-1]), pad, *map(sb, bc[n:])]), "little")
+    block, npos = params._block, params._npos
+    low, low1 = params._low_mask, params._low1_mask
+    # c0 and c1 are the low blocks of these
+    c0 = (packed_a * packed_b) >> block
+    c1 = c0 >> 2 * block
+    folded = ((c0 & low) + ((c0 >> npos) & low1)
+              + (((c1 & low) + ((c1 >> npos) & low1)) << npos))
+    if params._fold_t:
+        slot0 = params._slot0_mask
+        reduced = folded & params._digit_mask
+        for shift, t_k in params._fold_t:
+            reduced += ((folded >> shift) & slot0) * t_k
+        folded = reduced
+    slots = memoryview(folded.to_bytes(params._out_bytes, sys.byteorder)).cast(
+        params.slot_code)[::params._slot_step]
+    p = params.field.p
+    m = params.field.m
+    if m == 1:
+        return AlgebraElement(params, tuple([v % p for v in slots]))
+    width = 2 * m - 1
+    reps = [0] * (2 * n)
+    for d in reversed(range(m)):
+        reps = [r * p + v % p for r, v in zip(reps, slots[d::width])]
+    return AlgebraElement(params, tuple(reps))
 
 
 def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """c[inverse(i)] = a[i] * alpha(i, inverse(i)): 2n multiplications."""
+    """c[inverse(i)] = a[i] * alpha(i, inverse(i)).
+
+    The inverse of rotation x^i is x^(n-i), with alpha 1; a reflection is
+    its own inverse, with alpha lambda.
+    """
     params = params or a.params
-    field = params.field
-    group = params.group
     n = params.n
-    lam = params.lam.rep
-    out = [0] * params.dim
-    for i, ai in enumerate(a.coeffs):
-        j = group.inverse(i)
-        # alpha(i, i^-1) is lambda exactly when i is a reflection (then i^-1 = i)
-        out[j] = field.mul_rep(ai, lam) if i >= n else ai
-    return AlgebraElement(params, tuple(out))
+    coeffs = a.coeffs
+    lam_mul = params.lam_mul
+    return AlgebraElement(params, coeffs[:1] + coeffs[n - 1:0:-1]
+                          + tuple([lam_mul[c] for c in coeffs[n:]]))
 
 
 def phi(a: AlgebraElement) -> AlgebraElement:

@@ -4,8 +4,7 @@ Elements are vectors of m base-p digits (ascending degree) modulo a monic
 irreducible polynomial, named by their integer representation
 rep = sum digit_i * p^i. Each field builds O(q) tables once, from the
 powers of a primitive element: log/antilog tables for multiplication, a
-packed form of each rep for addition, and the bytes of each rep. The
-algebra product loop runs on these tables and plain integer reps.
+packed form of each rep for addition, and the bytes of each rep.
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -179,8 +178,7 @@ class FieldParams:
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
     - `packed[rep]`: the rep with digit i in lane i (bits i*lane_bits up),
       so that packed reps add digit-wise without carries (see
-      `reduce_all`); `packed_exp[k]` is `packed[exp[k]]`; for m=1 both are
-      the plain reps;
+      `reduce_all`); for m=1 it is the plain rep;
     - `neg[rep]`: the rep of the negation;
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
       big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
@@ -212,11 +210,9 @@ class FieldParams:
         self.lane_bits = (p - 1).bit_length() + LANE_HEADROOM_BITS
         if m == 1:
             self.packed = range(q)
-            self.packed_exp = self.exp
         else:
             self.packed = [sum(d << (i * self.lane_bits) for i, d in enumerate(ds))
                            for ds in digits]
-            self.packed_exp = [self.packed[rep] for rep in self.exp]
         width = digit_width_bytes(p)
         self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
                           for ds in digits]

@@ -36,28 +36,6 @@ def shake256(data: bytes, out_bytes: int) -> bytes:
     return hashlib.shake_256(data).digest(out_bytes)
 
 
-class _BitReader:
-    """Big-endian bit stream over the SHAKE256 output of a fixed input."""
-
-    def __init__(self, data: bytes):
-        self._xof = hashlib.shake_256(data)
-        self._buf = b""
-        self._bitpos = 0
-
-    def take(self, nbits: int) -> int:
-        end_byte = (self._bitpos + nbits + 7) // 8
-        if end_byte > len(self._buf):
-            # SHAKE output prefixes are consistent, so re-squeezing a longer
-            # digest extends the same stream.
-            self._buf = self._xof.digest(max(end_byte, 2 * len(self._buf) + 8))
-        out = 0
-        for _ in range(nbits):
-            byte = self._buf[self._bitpos >> 3]
-            out = (out << 1) | ((byte >> (7 - (self._bitpos & 7))) & 1)
-            self._bitpos += 1
-        return out
-
-
 def g1_output_bits(pp: PublicParams) -> int:
     """ceil(log2 p) * m * (n + ceil((n+1)/2)) bits per squeezed block."""
     field = pp.algebra.field
@@ -69,32 +47,38 @@ def g1_output_bits(pp: PublicParams) -> int:
 def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     """Map a byte string to a secret pair via SHAKE256.
 
-    The output block is split into ceil(log2 p)-bit big-endian chunks, each
-    reduced mod p (a small documented bias when p is not a power of two).
-    The first m*n digits build the rotation component, the remaining
-    m*ceil((n+1)/2) digits the free coefficients of the mirrored gamma.
-    On a zero component the next block of the same stream is parsed instead,
+    The SHAKE256 output of x is read as a big-endian bit stream in blocks
+    of `g1_output_bits` bits. A block is split into ceil(log2 p)-bit
+    big-endian chunks, each reduced mod p (a small documented bias when p
+    is not a power of two). The first m*n digits build the rotation
+    component, the remaining m*ceil((n+1)/2) digits the free coefficients
+    of the mirrored gamma, each m consecutive digits lowest first. On a
+    zero component the next block of the same stream is parsed instead,
     keeping the derivation deterministic.
     """
     algebra = pp.algebra
     field = algebra.field
-    n = algebra.n
-    m = field.m
-    w = (field.p - 1).bit_length()
+    n, m, p = algebra.n, field.m, field.p
+    w = (p - 1).bit_length()
+    mask = (1 << w) - 1
     free = n // 2 + 1
-    reader = _BitReader(x)
+    bits = g1_output_bits(pp)
+    xof = hashlib.shake_256(x)
+    start = 0
     while True:
-        digits = [reader.take(w) % field.p for _ in range(m * (n + free))]
-        reps = [field.rep_of(digits[k * m:(k + 1) * m]) for k in range(n + free)]
-        a = algebra.from_reps(reps[:n] + [0] * n)
-        g_reps = [0] * algebra.dim
-        for slot in range(free):
-            g_reps[n + slot] = reps[n + slot]
-            if slot:
-                g_reps[n + (n - slot) % n] = reps[n + slot]
-        gamma = algebra.from_reps(g_reps)
-        if not a.is_zero() and not gamma.is_zero():
-            return SecretPair(a, gamma)
+        # SHAKE output prefixes are consistent, so a longer squeeze extends
+        # the same stream.
+        end = start + bits
+        first, last = start // 8, (end + 7) // 8
+        block = int.from_bytes(xof.digest(last)[first:], "big") >> (8 * last - end)
+        digits = tuple([((block >> s) & mask) % p for s in range(bits - w, -1, -w)])
+        reps = digits if m == 1 else tuple([field.rep_of(digits[k:k + m])
+                                            for k in range(0, len(digits), m)])
+        a, g = reps[:n], reps[n:]
+        if any(a) and any(g):
+            return SecretPair(AlgebraElement(algebra, a + (0,) * n),
+                              AlgebraElement(algebra, (0,) * n + g + g[n - free:0:-1]))
+        start = end
 
 
 def hash_g2(x: bytes, l1: int = SHARED_KEY_BITS) -> bytes:

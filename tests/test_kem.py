@@ -1,11 +1,15 @@
 """KEM: hash derivations, FIPS 202 known-answer vectors, round trips, and
 implicit rejection."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twisted_dihedral.algebra import in_gamma, rep_serialize, sample_subspace
+from twisted_dihedral.algebra import (SecretPair, in_gamma, rep_serialize,
+                                      sample_subspace)
 from twisted_dihedral.kem import (G2_PREFIX, SHARED_KEY_BITS, g1_output_bits,
                                   hash_g1, hash_g2, kem_decaps, kem_encaps,
                                   kem_keygen, shake256)
@@ -55,6 +59,74 @@ def test_hash_g1_deterministic(pp333):
     assert a == b
     c = hash_g1(b"other input", pp333)
     assert a != c
+
+
+class BitReader:
+    """Big-endian bit stream over the SHAKE256 output of a fixed input."""
+
+    def __init__(self, data: bytes):
+        self._xof = hashlib.shake_256(data)
+        self._buf = b""
+        self.bitpos = 0
+
+    def take(self, nbits: int) -> int:
+        end_byte = (self.bitpos + nbits + 7) // 8
+        if end_byte > len(self._buf):
+            self._buf = self._xof.digest(max(end_byte, 2 * len(self._buf) + 8))
+        out = 0
+        for _ in range(nbits):
+            byte = self._buf[self.bitpos >> 3]
+            out = (out << 1) | ((byte >> (7 - (self.bitpos & 7))) & 1)
+            self.bitpos += 1
+        return out
+
+
+def hash_g1_bitwise(x, pp):
+    """hash_g1 read bit by bit from the stream; also returns the blocks read."""
+    algebra = pp.algebra
+    field = algebra.field
+    n, m = algebra.n, field.m
+    w = (field.p - 1).bit_length()
+    free = n // 2 + 1
+    reader = BitReader(x)
+    while True:
+        digits = [reader.take(w) % field.p for _ in range(m * (n + free))]
+        reps = [field.rep_of(digits[k * m:(k + 1) * m]) for k in range(n + free)]
+        a = algebra.from_reps(reps[:n] + [0] * n)
+        g_reps = [0] * algebra.dim
+        for slot in range(free):
+            g_reps[n + slot] = reps[n + slot]
+            if slot:
+                g_reps[n + (n - slot) % n] = reps[n + slot]
+        gamma = algebra.from_reps(g_reps)
+        if not a.is_zero() and not gamma.is_zero():
+            return SecretPair(a, gamma), reader.bitpos // g1_output_bits(pp)
+
+
+# At (3,1,3) these inputs parse 3, 2 and 5 blocks before both components
+# are nonzero.
+RETRY_INPUTS_333 = [(b"\x00\x00", 3), (b"\x00\t", 2), (b"\x00\x1a", 5)]
+
+
+def test_hash_g1_retry_inputs(pp333):
+    for x, blocks in RETRY_INPUTS_333:
+        pair, read = hash_g1_bitwise(x, pp333)
+        assert read == blocks
+        assert hash_g1(x, pp333) == pair
+
+
+@pytest.mark.parametrize("name", ["pp333", "pp515", "pp329"])
+def test_hash_g1_matches_bit_reader(name, request):
+    pp = request.getfixturevalue(name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.binary(max_size=40))
+    @example(x=RETRY_INPUTS_333[0][0])
+    @example(x=RETRY_INPUTS_333[2][0])
+    def check(x):
+        assert hash_g1(x, pp) == hash_g1_bitwise(x, pp)[0]
+
+    check()
 
 
 def test_hash_g2_contract():

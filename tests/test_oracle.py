@@ -2,7 +2,8 @@
 
 The oracle works on digit vectors with the polynomial helpers and never
 calls the rep arithmetic of `FieldParams`, so it shares no code with the
-log/antilog tables or the packed sums it checks. Fields run up to q=2187.
+log/antilog tables or the packed big-integer product it checks. Fields
+run up to q=10201.
 """
 
 import functools
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_dihedral.algebra import AlgebraParams, alg_product
+from twisted_dihedral.algebra import (AlgebraParams, adjunct, alg_product,
+                                      kernel_slot_width)
+from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
                                     _poly_powmod, get_lambda)
 from twisted_dihedral.group import DihedralGroup
@@ -76,6 +79,58 @@ def test_product_matches_schoolbook(p, m, n, examples):
     @given(a=elements(alg), b=elements(alg))
     def check(a, b):
         assert alg_product(a, b).reps() == schoolbook_product(a, b)
+
+    check()
+
+
+# (3,1,31) and (3,1,32) sit on either side of the 8/16-bit slot boundary;
+# (101,1,101) and (101,2,6) take 32-bit slots.
+@pytest.mark.parametrize("p,m,n,bits,examples", [
+    (3, 1, 31, 8, 10), (3, 1, 32, 16, 10), (101, 1, 101, 32, 1),
+    (101, 2, 6, 32, 10), (3, 7, 3, 16, 10)])
+def test_kernel_at_slot_widths(p, m, n, bits, examples):
+    alg = algebra_of(p, m, n)
+    assert alg.slot_bits == bits
+    top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
+    assert alg_product(top, top).reps() == schoolbook_product(top, top)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(a=elements(alg), b=elements(alg))
+    def check(a, b):
+        assert alg_product(a, b).reps() == schoolbook_product(a, b)
+        assert alg_product(b, a).reps() == schoolbook_product(b, a)
+        assert alg_product(top, b).reps() == schoolbook_product(top, b)
+        assert alg_product(a, top).reps() == schoolbook_product(a, top)
+
+    check()
+
+
+def test_kernel_slot_width_bounds():
+    # the bound is 2n * m * (p-1)^2 * (1 + (m-1)(p-1))
+    assert kernel_slot_width(3, 1, 31) == (8, "B")  # bound 248
+    assert kernel_slot_width(3, 1, 32) == (16, "H")  # bound 256
+    assert kernel_slot_width(101, 1, 101) == (32, "I")
+    assert kernel_slot_width(2 ** 31 + 1, 1, 1) == (64, "Q")  # bound 2^63
+    with pytest.raises(ParameterError):
+        kernel_slot_width(2 ** 31 + 1, 1, 2)  # bound 2^64
+    with pytest.raises(ParameterError):
+        kernel_slot_width(10 ** 6 + 3, 3, 50)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (3, 7, 3),
+                                   (101, 1, 101)])
+def test_adjunct_matches_definition(p, m, n):
+    alg = algebra_of(p, m, n)
+    group = alg.group
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=elements(alg))
+    def check(a):
+        out = [0] * alg.dim
+        for i, ai in enumerate(a.reps()):
+            j = group.inverse(i)
+            out[j] = poly_mul_rep(alg.field, ai, alg.cocycle(i, j).rep)
+        assert adjunct(a).reps() == tuple(out)
 
     check()
 
