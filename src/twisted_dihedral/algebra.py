@@ -12,20 +12,20 @@ is exactly
     c0 = a0*b0 + lambda * a1*rev(b1),    c1 = a0*b1 + a1*rev(b0),
 
 where * is cyclic convolution and rev(b)_j = b_{-j mod n}. `alg_product`
-computes all four convolutions with one big-integer multiplication
+computes the four convolutions with two big-integer multiplications
 (Kronecker substitution). Each coefficient is a position of 2m - 1 slots
 of W bits that holds its base-p digits in the low m slots; a block is
-2n - 1 positions, the length of a product of two n-position operands.
+2n positions, one more than a product of two n-position operands needs.
 With Y = 2^(block bits) the operands are packed as
 
-    A = a0 + a1*Y,    B = lambda*rev(b1) + b0*Y + rev(b0)*Y^2 + b1*Y^3,
+    A = a0 + a1*Y,    B_lo = b0 + b1*Y,    B_hi = lambda*rev(b1) + rev(b0)*Y,
 
-so that, before reduction mod x^n - 1, block 1 of A*B is c0 and block 3
-is c1; blocks 0, 2 and 4 hold cross terms. Every slot of the product, and
-of its fold mod x^n - 1 and reduction mod f(t), stays below
-2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest of 8/16/32/64 bits
-above that bound (`kernel_slot_width`), so no slot ever carries into the
-next.
+and S = a0*B_lo + a1*B_hi holds, before reduction mod x^n - 1, c0 in
+block 0 and c1 in block 1: exactly the four convolutions, no cross
+terms. Every slot of S, and of its fold mod x^n - 1 and reduction mod
+f(t), stays below 2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest
+of 8/16/32/64 bits above that bound (`kernel_slot_width`), so no slot
+ever carries into the next.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle
 from .errors import ParameterError
-from .field import FieldElement, FieldParams, is_square
+from .field import NATIVE_STEP, FieldElement, FieldParams, is_square
 from .group import DihedralGroup
 
 # Slot widths the product kernel can unpack, with their memoryview typecodes.
@@ -93,15 +93,14 @@ class AlgebraParams:
             b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
             .ljust(pos // 8, b"\0") for r in range(field.q)]
         self.lam_slot_bytes = [self.slot_bytes[r] for r in self.lam_mul]
-        self._pad = bytes((n - 1) * pos // 8)  # fills a block after n positions
-        self._block = (2 * n - 1) * pos
+        self._pad = bytes(n * pos // 8)  # fills a block after n positions
+        self._block = block = 2 * n * pos
+        self._block_mask = (1 << block) - 1
+        self._pair_mask = (1 << 2 * block) - 1
         self._npos = n * pos
-        self._out_bytes = 2 * n * pos // 8
-        # The product is unpacked in native byte order; on a big-endian
-        # host that lists the slots last first.
-        self._slot_step = 1 if sys.byteorder == "little" else -1
         self._low_mask = (1 << n * pos) - 1
-        self._low1_mask = (1 << (n - 1) * pos) - 1
+        # the low n positions of blocks 0 and 1
+        self._even_mask = self._low_mask | (self._low_mask << block)
         # m > 1: slot 0 of every position, the low m slots of every
         # position, and t^k mod f(t) in slots for k = m .. 2m-2.
         ones = sum(1 << (i * pos) for i in range(2 * n))
@@ -189,7 +188,11 @@ class AlgebraElement:
         return alg_add(self, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return alg_add(self, -other)
+        _check_same_params(self, other)
+        field = self.params.field
+        packed, neg = field.packed, field.neg
+        return AlgebraElement(self.params, field.reduce_all(
+            [packed[x] + packed[neg[y]] for x, y in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "AlgebraElement":
         neg = self.params.field.neg
@@ -252,11 +255,12 @@ def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def alg_product(a: AlgebraElement, b: AlgebraElement,
                 params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """Twisted product by Kronecker substitution: one big-integer multiply.
+    """Twisted product by Kronecker substitution: two big-integer multiplies.
 
-    Multiplies the packed A and B of the module docstring and keeps blocks
-    1 and 3 (c0, c1). Adding each block's high n - 1 positions to its low
-    n folds both mod x^n - 1; for m > 1 the slots of t^m .. t^(2m-2) are
+    Packs A, B_lo and B_hi of the module docstring (B_lo and B_hi from one
+    integer) and forms S = a0*B_lo + a1*B_hi, whose blocks 0 and 1 are c0
+    and c1. Adding each block's high n positions to its low n folds both
+    mod x^n - 1 at once; for m > 1 the slots of t^m .. t^(2m-2) are
     then replaced by their multiples of t^k mod f(t). No slot passes the
     bound that sets the slot width; each digit is taken mod p once, on
     unpacking.
@@ -271,23 +275,24 @@ def alg_product(a: AlgebraElement, b: AlgebraElement,
     packed_a = int.from_bytes(b"".join(
         [*map(sb, ac[:n]), pad, *map(sb, ac[n:])]), "little")
     packed_b = int.from_bytes(b"".join(
-        [lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, *map(sb, bc[:n]), pad,
-         sb(bc[0]), *map(sb, bc[n - 1:0:-1]), pad, *map(sb, bc[n:])]), "little")
-    block, npos = params._block, params._npos
-    low, low1 = params._low_mask, params._low1_mask
-    # c0 and c1 are the low blocks of these
-    c0 = (packed_a * packed_b) >> block
-    c1 = c0 >> 2 * block
-    folded = ((c0 & low) + ((c0 >> npos) & low1)
-              + (((c1 & low) + ((c1 >> npos) & low1)) << npos))
+        [*map(sb, bc[:n]), pad, *map(sb, bc[n:]), pad,
+         lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, sb(bc[0]), *map(sb, bc[n - 1:0:-1])]),
+        "little")
+    block, npos, even = params._block, params._npos, params._even_mask
+    s = ((packed_a & params._block_mask) * (packed_b & params._pair_mask)
+         + (packed_a >> block) * (packed_b >> 2 * block))
+    # c0 folded in the low half of block 0 and c1 in that of block 1,
+    # then c1 moved down next to c0: the two fill block 0
+    t = (s & even) + ((s >> npos) & even)
+    folded = (t & params._low_mask) + (t >> npos)
     if params._fold_t:
         slot0 = params._slot0_mask
         reduced = folded & params._digit_mask
         for shift, t_k in params._fold_t:
             reduced += ((folded >> shift) & slot0) * t_k
         folded = reduced
-    slots = memoryview(folded.to_bytes(params._out_bytes, sys.byteorder)).cast(
-        params.slot_code)[::params._slot_step]
+    slots = memoryview(folded.to_bytes(block // 8, sys.byteorder)).cast(
+        params.slot_code)[::NATIVE_STEP]
     p = params.field.p
     m = params.field.m
     if m == 1:
@@ -332,15 +337,10 @@ def in_gamma(a: AlgebraElement) -> bool:
 
 def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
     """Uniform element of the reversible subspace (free coefficients mirrored)."""
-    field = params.field
     n = params.n
-    coeffs = [0] * params.dim
-    coeffs[n] = field.random_rep(rng)
-    for i in range(1, n // 2 + 1):
-        v = field.random_rep(rng)
-        coeffs[n + i] = v
-        coeffs[n + (n - i) % n] = v
-    return AlgebraElement(params, tuple(coeffs))
+    free = n // 2 + 1
+    g = tuple(params.field.random_reps(rng, free))
+    return AlgebraElement(params, (0,) * n + g + g[n - free:0:-1])
 
 
 def sample_subspace(which: str, params: AlgebraParams,
@@ -349,38 +349,29 @@ def sample_subspace(which: str, params: AlgebraParams,
     field = params.field
     n = params.n
     if which == "C_n":
-        return AlgebraElement(params, tuple(
-            [field.random_rep(rng) for _ in range(n)]) + (0,) * n)
+        return AlgebraElement(params, tuple(field.random_reps(rng, n)) + (0,) * n)
     if which == "C_n_y":
-        return AlgebraElement(params, (0,) * n + tuple(
-            [field.random_rep(rng) for _ in range(n)]))
+        return AlgebraElement(params, (0,) * n + tuple(field.random_reps(rng, n)))
     if which == "full":
-        return AlgebraElement(params, tuple(
-            [field.random_rep(rng) for _ in range(2 * n)]))
+        return AlgebraElement(params, tuple(field.random_reps(rng, 2 * n)))
     if which == "h_element":
-        while True:
-            h1 = sample_subspace("C_n", params, rng)
-            if not h1.is_zero():
-                break
-        while True:
-            h2 = sample_subspace("C_n_y", params, rng)
-            if not h2.is_zero():
-                break
-        return h1 + h2
+        return (_nonzero(lambda: sample_subspace("C_n", params, rng))
+                + _nonzero(lambda: sample_subspace("C_n_y", params, rng)))
     raise ValueError(f"unknown subspace {which!r}")
+
+
+def _nonzero(draw) -> AlgebraElement:
+    """The first nonzero element that `draw()` returns."""
+    while True:
+        x = draw()
+        if not x.is_zero():
+            return x
 
 
 def sample_secret_pair(params: AlgebraParams, rng: random.Random) -> SecretPair:
     """Uniform nonzero (a, gamma) secret pair."""
-    while True:
-        a = sample_subspace("C_n", params, rng)
-        if not a.is_zero():
-            break
-    while True:
-        g = sample_gamma(params, rng)
-        if not g.is_zero():
-            break
-    return SecretPair(a, g)
+    return SecretPair(_nonzero(lambda: sample_subspace("C_n", params, rng)),
+                      _nonzero(lambda: sample_gamma(params, rng)))
 
 
 def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:

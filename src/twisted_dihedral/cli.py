@@ -20,7 +20,7 @@ from .cocycle import Cocycle, verify_cocycle
 from .errors import CapacityError, ParameterError
 from .formats import (read_element_file, read_param_file, write_element_file,
                       write_param_file)
-from .kex import Session, setup_public_params
+from .kex import Session, derive_public, setup_public_params
 from .pke import PkeCiphertext
 
 
@@ -122,7 +122,10 @@ def _cmd_keygen(args) -> int:
 
 def _read_kem_sk(path, pp) -> kem.KemKeyPair:
     a, gamma, s, pk = read_element_file(path, pp.algebra, expect=4)
-    return kem.KemKeyPair(pk=pk, sk=SecretPair(a, gamma), s=s)
+    sk = SecretPair(a, gamma)
+    if derive_public(sk, pp) != pk:
+        raise ParameterError(f"{path}: stored public key does not match (a, gamma)")
+    return kem.KemKeyPair(pk=pk, sk=sk, s=s)
 
 
 def _cmd_encaps(args) -> int:

@@ -12,6 +12,7 @@ NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
@@ -20,6 +21,10 @@ from .errors import ParameterError
 # wider than the digit, so that a sum of up to 2**LANE_HEADROOM_BITS packed
 # reps never carries from one lane into the next.
 LANE_HEADROOM_BITS = 32
+
+# Sampler words and product-kernel slots are unpacked in native byte
+# order; on a big-endian host that lists them last first.
+NATIVE_STEP = 1 if sys.byteorder == "little" else -1
 
 
 def is_prime(n: int) -> bool:
@@ -185,6 +190,9 @@ class FieldParams:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
+        # the sampler's precondition; checked first, it also bounds is_prime
+        if p.bit_length() > 32:
+            raise ParameterError(f"p={p} must be below 2**32")
         if not is_prime(p) or p == 2:
             raise ParameterError(f"p={p} must be an odd prime")
         if m < 1:
@@ -200,6 +208,7 @@ class FieldParams:
         self.m = m
         self.modulus = modulus
         self.q = q = p ** m
+        self._sample_shift = 32 - p.bit_length()
         powers = self._primitive_powers()
         self.exp = powers + powers
         self.log: list[Optional[int]] = [None] * q
@@ -302,7 +311,7 @@ class FieldParams:
         """
         p = self.p
         if self.m == 1:
-            return tuple(v % p for v in sums)
+            return tuple([v % p for v in sums])
         mask = (1 << self.lane_bits) - 1
         reps = [0] * len(sums)
         for lane in reversed(range(self.m)):
@@ -336,12 +345,34 @@ class FieldParams:
             return 0 if e else 1
         return self.exp[self.log[a] * e % (self.q - 1)]
 
-    def random_rep(self, rng: random.Random) -> int:
-        """Uniform rep via independent uniform digits, lowest digit first."""
-        return self.rep_of([rng.randrange(self.p) for _ in range(self.m)])
+    def random_reps(self, rng: random.Random, count: int) -> list[int]:
+        """`count` uniform reps, as count * m `rng.randrange(p)` calls draw them.
+
+        randrange(p) keeps the top p.bit_length() bits of one 32-bit word per
+        attempt and rejects values >= p; getrandbits(32 * k) returns k such
+        words, first lowest. Each refill asks only for the digits still
+        missing, so the reps (m digits each, lowest first) and the state of
+        `rng` afterwards equal those of the randrange calls. Needs p < 2**32,
+        checked on construction. SystemRandom words are uniform, so its reps
+        are too.
+        """
+        p, m, shift = self.p, self.m, self._sample_shift
+        need = count * m
+        digits: list[int] = []
+        while len(digits) < need:
+            k = need - len(digits)
+            words = rng.getrandbits(32 * k).to_bytes(4 * k, sys.byteorder)
+            digits += [d for w in memoryview(words).cast("I")[::NATIVE_STEP]
+                       if (d := w >> shift) < p]
+        if m == 1:
+            return digits
+        reps = [0] * count
+        for d in reversed(range(m)):
+            reps = [r * p + v for r, v in zip(reps, digits[d::m])]
+        return reps
 
     def random_element(self, rng: random.Random) -> "FieldElement":
-        return self.from_rep(self.random_rep(rng))
+        return self.from_rep(self.random_reps(rng, 1)[0])
 
     def random_unit(self, rng: random.Random) -> "FieldElement":
         while True:

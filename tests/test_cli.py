@@ -214,3 +214,24 @@ def test_seeded_determinism(tmp_path, capsys):
         outputs.append(tuple(f.read_bytes() for f in (params, pk, sk, ct, key)))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+def test_decaps_rejects_sk_with_foreign_pk(tmp_path, params_file, capsys):
+    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
+    other_pk, other_sk = tmp_path / "pk2.txt", tmp_path / "sk2.txt"
+    ct, key = tmp_path / "ct.txt", tmp_path / "k.txt"
+    run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
+        "--seed", 2)
+    run("keygen", "--params", params_file, "--out-pk", other_pk,
+        "--out-sk", other_sk, "--seed", 5)
+    run("encaps", "--params", params_file, "--pk", pk, "--out-ct", ct,
+        "--out-key", key, "--seed", 3)
+    # the sk file ends with its pk line; swap in the other key's pk
+    lines = sk.read_text().splitlines()
+    foreign = other_pk.read_text().splitlines()[-1]
+    assert lines[-1] != foreign
+    sk.write_text("\n".join(lines[:-1] + [foreign]) + "\n")
+    capsys.readouterr()
+    assert run("decaps", "--params", params_file, "--sk", sk, "--ct", ct,
+               "--out-key", key) == 1
+    assert "public key" in capsys.readouterr().err

@@ -154,6 +154,12 @@ def test_p_must_be_odd_prime():
             FieldParams(p)
 
 
+def test_p_must_fit_a_sampler_word():
+    # 2**61 - 1 is prime; the width check runs before trial division
+    with pytest.raises(ParameterError):
+        FieldParams(2 ** 61 - 1)
+
+
 def test_modulus_must_be_irreducible():
     # x^2 - 1 = (x-1)(x+1) over F_7
     with pytest.raises(ParameterError):

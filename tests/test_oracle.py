@@ -1,9 +1,9 @@
-"""The table-driven field core and product kernel against a polynomial oracle.
+"""The table-driven field core, product kernel and sampler against oracles.
 
-The oracle works on digit vectors with the polynomial helpers and never
-calls the rep arithmetic of `FieldParams`, so it shares no code with the
-log/antilog tables or the packed big-integer product it checks. Fields
-run up to q=10201.
+The product oracle works on digit vectors with the polynomial helpers and
+never calls the rep arithmetic of `FieldParams`, so it shares no code with
+the log/antilog tables or the packed big-integer product it checks. Fields
+run up to q=10201. The sampler oracle draws one `randrange(p)` per digit.
 """
 
 import functools
@@ -36,6 +36,11 @@ def poly_mul_rep(field, *reps):
     for r in reps:
         acc = _poly_mod(_poly_mul(acc, digits(r, p, m), p), field.modulus, p)
     return rep_of(acc, p)
+
+
+def oracle_rep(p, m, rng):
+    """One uniform rep from m randrange(p) calls, lowest digit first."""
+    return rep_of([rng.randrange(p) for _ in range(m)], p)
 
 
 def schoolbook_product(a, b):
@@ -92,15 +97,19 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     alg = algebra_of(p, m, n)
     assert alg.slot_bits == bits
     top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
-    assert alg_product(top, top).reps() == schoolbook_product(top, top)
+    zero = alg.zero()
+    for x, y in [(top, top), (zero, top), (top, zero)]:
+        assert alg_product(x, y).reps() == schoolbook_product(x, y)
 
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
     def check(a, b):
-        assert alg_product(a, b).reps() == schoolbook_product(a, b)
-        assert alg_product(b, a).reps() == schoolbook_product(b, a)
-        assert alg_product(top, b).reps() == schoolbook_product(top, b)
-        assert alg_product(a, top).reps() == schoolbook_product(a, top)
+        # the half-empty shapes leave one of the kernel's two multiplies
+        # with a zero operand: a1 = 0 (rotation times full, as in a*h and
+        # a*pk), b0 = 0 (full times gamma) and a0 = 0
+        for x, y in [(a, b), (b, a), (top, b), (a, top), (a.rotation_part(), b),
+                     (a, b.reflection_part()), (a.reflection_part(), b)]:
+            assert alg_product(x, y).reps() == schoolbook_product(x, y)
 
     check()
 
@@ -115,6 +124,18 @@ def test_kernel_slot_width_bounds():
         kernel_slot_width(2 ** 31 + 1, 1, 2)  # bound 2^64
     with pytest.raises(ParameterError):
         kernel_slot_width(10 ** 6 + 3, 3, 50)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 7, 3)])
+def test_subtraction_is_adding_the_negation(p, m, n):
+    alg = algebra_of(p, m, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=elements(alg), b=elements(alg))
+    def check(a, b):
+        assert a - b == a + (-b)
+
+    check()
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (3, 7, 3),
@@ -166,3 +187,41 @@ def test_field_ops_match_polynomials(p, m):
             assert field.pow_rep(a, e) == power
 
     check()
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (101, 1), (3, 2), (3, 7)])
+def test_random_reps_match_randrange(p, m):
+    field = field_of(p, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64), count=st.integers(0, 300))
+    def check(seed, count):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert field.random_reps(rng, count) == [
+            oracle_rep(p, m, oracle_rng) for _ in range(count)]
+        # the generator is left exactly where randrange leaves it
+        assert rng.getrandbits(64) == oracle_rng.getrandbits(64)
+
+    check()
+    # at these sizes every seed rejects some digit, so the refill path runs
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        field.random_reps(rng, 100)
+        assert rng.calls > 1
+
+
+def test_random_reps_from_system_random():
+    field = field_of(101, 1)
+    reps = field.random_reps(random.SystemRandom(), 500)
+    assert len(reps) == 500 and all(0 <= r < 101 for r in reps)
+    assert len(set(reps)) > 50
