@@ -18,8 +18,8 @@ from .attacks import (DpdInstance, dpd_verify, exhaustive_dpd, mitm_offline,
                       mitm_online)
 from .cocycle import Cocycle, verify_cocycle
 from .errors import CapacityError, ParameterError
-from .formats import (read_element_file, read_param_file, write_element_file,
-                      write_param_file)
+from .formats import (check_field_size, read_element_file, read_param_file,
+                      write_element_file, write_param_file)
 from .kex import Session, derive_public, setup_public_params
 from .pke import PkeCiphertext
 
@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_param_gen(args) -> int:
+    check_field_size(args.p, args.m)
     pp = setup_public_params(args.p, args.m, args.n, _rng(args.seed))
     write_param_file(args.out, pp)
     print(f"wrote parameters to {args.out}")

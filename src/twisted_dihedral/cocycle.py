@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
-
-import numpy as np
 
 from .errors import CapacityError
 from .field import FieldElement, FieldParams
@@ -39,8 +38,13 @@ class Cocycle:
             if lam is None or lam.is_zero():
                 raise ValueError("lambda must be a nonzero field element")
         elif kind == TABULATED:
-            if table is None or len(table) != 2 * n:
-                raise ValueError("tabulated cocycle needs a (2n) x (2n) table")
+            # values lie in F_q*, which the log-domain verifier relies on
+            if (table is None or len(table) != 2 * n
+                    or any(len(row) != 2 * n for row in table)
+                    or not all(isinstance(v, FieldElement) and v.field == field
+                               and v.rep != 0 for row in table for v in row)):
+                raise ValueError("tabulated cocycle needs a (2n) x (2n) table "
+                                 "of nonzero elements of its field")
         else:
             raise ValueError(f"unknown cocycle kind {kind!r}")
 
@@ -116,71 +120,52 @@ class CocycleCheck:
     reflection_identity: bool
 
 
-def _value_id_tables(values, field):
-    """Map a (2n)x(2n) grid of field elements to small ids plus a product-id table."""
-    n2 = len(values)
-    ids: dict[int, int] = {}
-    for row in values:
-        for v in row:
-            ids.setdefault(v.rep, len(ids))
-    distinct = sorted(ids, key=ids.get)
-    k = len(distinct)
-    prod_ids: dict[int, int] = {}
-    prod = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(distinct):
-        for j, b in enumerate(distinct):
-            r = field.mul_rep(a, b)
-            prod[i, j] = prod_ids.setdefault(r, len(prod_ids))
-    grid = np.array([[ids[v.rep] for v in row] for row in values], dtype=np.int64)
-    return grid, prod
+def _first_failure(logs, group, exp) -> Optional[tuple[int, int, int]]:
+    """The least (g, h, k) with c(g, hk) c(h, k) != c(gh, k) c(g, h), or None.
+
+    `logs[g][h]` is the discrete log of c(g, h); each (g, h) row compares
+    the two sides over all k through the antilog table.
+    """
+    n2 = group.order
+    law = [[group.op(h, k) for k in range(n2)] for h in range(n2)]
+    # at_hk[h](row) lists row[hk] for k = 0 .. 2n-1
+    at_hk = [itemgetter(*row) for row in law]
+    for g, log_g in enumerate(logs):
+        for h, log_h in enumerate(logs):
+            lhs = [exp[a + b] for a, b in zip(at_hk[h](log_g), log_h)]
+            c_gh = log_g[h]
+            rhs = [exp[a + c_gh] for a in logs[law[g][h]]]
+            if lhs != rhs:
+                k = next(k for k, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                return g, h, k
+    return None
 
 
 def verify_cocycle(c: Cocycle, group: DihedralGroup) -> CocycleCheck:
     """Check the cocycle equation over all (2n)^3 triples.
 
-    Also evaluates the two pair predicates that license the protocol
-    algebra: symmetry of c on rotation pairs (i, j-i) vs (j-i, i), and the
-    literal reflection-pair identity over all i, j.
+    Works on the discrete logs of the (2n)^2 values, so its memory is
+    O(n^2). Also evaluates the two pair predicates that license the
+    protocol algebra: symmetry of c on rotation pairs (i, j-i) vs (j-i, i),
+    and the literal reflection-pair identity over all i, j.
     """
+    if c.n != group.n:
+        raise ValueError(f"cocycle on D_{2 * c.n} checked against {group!r}")
     n = group.n
     n2 = group.order
-    values = c.tabulate()
-    grid, prod = _value_id_tables(values, c.field)
-    T = np.array(group.table, dtype=np.int64)
+    log, exp = c.field.log, c.field.exp
+    logs = [[log[c(g, h).rep] for h in range(n2)] for g in range(n2)]
+    counterexample = _first_failure(logs, group, exp)
+    identity_ok = logs[0][0] == 0
 
-    g = np.arange(n2)
-    # lhs: c(g, hk) * c(h, k); rhs: c(gh, k) * c(g, h)
-    c_g_hk = grid[g[:, None, None], T[None, :, :]]
-    c_h_k = grid[None, :, :]
-    lhs = prod[c_g_hk, np.broadcast_to(c_h_k, c_g_hk.shape)]
-    c_gh_k = grid[T[:, :, None], g[None, None, :]]
-    c_g_h = grid[:, :, None]
-    rhs = prod[c_gh_k, np.broadcast_to(c_g_h, c_gh_k.shape)]
+    def r(t):  # the reflection x^t y
+        return n + t % n
 
-    mismatch = lhs != rhs
-    counterexample = None
-    if mismatch.any():
-        idx = np.argwhere(mismatch)[0]
-        counterexample = (int(idx[0]), int(idx[1]), int(idx[2]))
-
-    identity_ok = values[0][0].rep == 1
-
-    eq1 = all(values[i][(j - i) % n] == values[(j - i) % n][i]
+    eq1 = all(logs[i][(j - i) % n] == logs[(j - i) % n][i]
               for i in range(n) for j in range(n))
-    eq2 = True
-    for i in range(n):
-        for j in range(n):
-            rij = n + (i - j) % n
-            ri = n + i
-            rni = n + (n - i) % n
-            rji = n + (j - i) % n
-            left = values[rij][rij] * values[ri][rij]
-            right = values[rni][rni] * values[rji][rni]
-            if left != right:
-                eq2 = False
-                break
-        if not eq2:
-            break
+    eq2 = all(exp[logs[r(i - j)][r(i - j)] + logs[r(i)][r(i - j)]]
+              == exp[logs[r(-i)][r(-i)] + logs[r(j - i)][r(-i)]]
+              for i in range(n) for j in range(n))
 
     return CocycleCheck(valid=(counterexample is None and identity_ok),
                         counterexample=counterexample,
@@ -196,7 +181,7 @@ def coboundary_of(beta: BetaMap, group: DihedralGroup) -> Cocycle:
     for g in range(group.order):
         row = []
         for h in range(group.order):
-            row.append(inv[g] * inv[h] * beta.values[group.table[g][h]])
+            row.append(inv[g] * inv[h] * beta.values[group.op(g, h)])
         rows.append(tuple(row))
     return Cocycle(TABULATED, group.n, field, table=tuple(rows))
 
@@ -221,10 +206,9 @@ def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
     v1 = [[e.rep for e in row] for row in c1.tabulate()]
     v2 = [[e.rep for e in row] for row in c2.tabulate()]
     inv = [0] + [params.inv_rep(u) for u in range(1, params.q)]
-    T = group.table
     mul = params.mul_rep
 
-    pairs = [(g, h) for g in range(n2) for h in range(n2)]
+    triples = [(g, h, group.op(g, h)) for g in range(n2) for h in range(n2)]
     theta = [1] * n2
     for counter in range(total):
         v = counter
@@ -232,8 +216,8 @@ def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
             theta[slot] = units[v % len(units)]
             v //= len(units)
         ok = True
-        for g, h in pairs:
-            rhs = mul(mul(v2[g][h], mul(theta[g], theta[h])), inv[theta[T[g][h]]])
+        for g, h, gh in triples:
+            rhs = mul(mul(v2[g][h], mul(theta[g], theta[h])), inv[theta[gh]])
             if rhs != v1[g][h]:
                 ok = False
                 break

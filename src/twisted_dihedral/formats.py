@@ -14,12 +14,24 @@ from typing import Sequence
 from .algebra import (AlgebraElement, AlgebraParams, rep_deserialize,
                       rep_serialize)
 from .errors import ParameterError
-from .field import FieldParams
+from .field import FieldParams, digit_width_bytes
 from .group import DihedralGroup
 from .kex import PublicParams
 
 HEADER_PREFIX = "twisted-dihedral v1"
 SECRET_MARKER = "SECRET"
+
+# The largest field order q = p^m a parameter file (or param-gen) may ask
+# for: each field builds O(q) tables. The largest q that any test, golden
+# file or benchmark uses is 3^7 = 2187.
+MAX_Q = 2 ** 16
+
+
+def check_field_size(p: int, m: int) -> None:
+    """Refuse q = p^m above MAX_Q, before any field table is built."""
+    # q >= 2^m for any p > 1, so a long m is refused without computing p^m
+    if p > 1 and m > 0 and (m >= MAX_Q.bit_length() or p ** m > MAX_Q):
+        raise ParameterError(f"q={p}^{m} exceeds the bound {MAX_Q}")
 
 
 def _lambda_digits(algebra: AlgebraParams) -> str:
@@ -110,10 +122,16 @@ def read_param_file(path) -> PublicParams:
         modulus = [int(c) for c in entries["modulus"].split(",")]
     elif m > 1:
         raise ParameterError(f"{path}: modulus is required when m > 1")
-    field = FieldParams(p, m, modulus)
-    if (2 * n) % p != 0:
-        raise ParameterError(f"p={p} must divide 2n={2 * n}")
+    # checks on the text alone, before the field builds its tables
     group = DihedralGroup(n)
+    check_field_size(p, m)
+    if p and (2 * n) % p != 0:  # FieldParams refuses p = 0
+        raise ParameterError(f"p={p} must divide 2n={2 * n}")
+    h_digits = 2 * (2 * n) * m * digit_width_bytes(p)
+    if len(h_hex) != h_digits:
+        raise ParameterError(
+            f"{path}: h has {len(h_hex)} hex digits, expected {h_digits}")
+    field = FieldParams(p, m, modulus)
     lam = field.elem(lam_digits)
     algebra = AlgebraParams(field, group, lam)
     h = rep_deserialize(bytes.fromhex(h_hex), algebra)

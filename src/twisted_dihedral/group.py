@@ -1,8 +1,9 @@
 """The dihedral group D_2n = <x, y | x^n = y^2 = 1, yxy^-1 = x^-1>.
 
 Elements x^i y^j are encoded as the integer k = j*n + i, so rotations
-occupy indices [0, n) and reflections [n, 2n). Multiplication is a lookup
-in a precomputed (2n) x (2n) table.
+occupy indices [0, n) and reflections [n, 2n). Since yx = x^-1 y, the law
+is x^i1 y^j1 * x^i2 y^j2 = x^(i1 + (-1)^j1 i2) y^(j1 + j2), computed in
+closed form; a group costs O(1) to build whatever n is.
 """
 
 from __future__ import annotations
@@ -11,43 +12,20 @@ from .errors import ParameterError
 
 
 class DihedralGroup:
-    """Group parameters: n, the Cayley table, and the index encoding."""
+    """Group parameters: n, the order 2n, and the law on indices."""
 
     def __init__(self, n: int):
         if n < 3:
             raise ParameterError(f"n={n} must be >= 3")
         self.n = n
         self.order = 2 * n
-        self.table = self._build_table(n)
-
-    @staticmethod
-    def _build_table(n: int) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for k1 in range(2 * n):
-            i1, j1 = k1 % n, k1 // n
-            row = []
-            for k2 in range(2 * n):
-                i2, j2 = k2 % n, k2 // n
-                if j1 == 0:
-                    i, j = (i1 + i2) % n, j2
-                else:
-                    # x^i1 y x^i2 y^j2 = x^(i1-i2) y^(1+j2)
-                    i, j = (i1 - i2) % n, 1 - j2
-                row.append(j * n + i)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def encode(self, i: int, j: int) -> int:
-        return (j % 2) * self.n + (i % self.n)
-
-    def decode(self, k: int) -> tuple[int, int]:
-        self._check(k)
-        return k % self.n, k // self.n
 
     def op(self, g: int, h: int) -> int:
         self._check(g)
         self._check(h)
-        return self.table[g][h]
+        (j1, i1), (j2, i2) = divmod(g, self.n), divmod(h, self.n)
+        i = i1 - i2 if j1 else i1 + i2
+        return (j1 ^ j2) * self.n + i % self.n
 
     def inverse(self, g: int) -> int:
         self._check(g)
@@ -56,13 +34,6 @@ class DihedralGroup:
         if g < self.n:
             return self.n - g
         return g
-
-    def is_reflection(self, g: int) -> bool:
-        self._check(g)
-        return g >= self.n
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def _check(self, k: int) -> None:
         if not 0 <= k < self.order:

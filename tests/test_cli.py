@@ -1,8 +1,15 @@
-"""CLI: full command-graph round trips, exit codes, determinism, and
-secret-file handling."""
+"""CLI: full command-graph round trips, exit codes, determinism,
+secret-file handling, parameter-file bounds and the stdlib-only import."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import twisted_dihedral
 from twisted_dihedral.cli import main
 from twisted_dihedral.formats import (is_secret_file, read_param_file)
 
@@ -181,6 +188,48 @@ def test_malformed_param_file(tmp_path, capsys):
     bad.write_text("p=3\nn=3\n")  # missing lambda and h
     assert run("kex-demo", "--params", bad) == 1
     assert "error" in capsys.readouterr().err
+
+
+# Each file would build a huge group or field table if it were loaded; the
+# bounds must refuse it from its text alone.
+OVERSIZED = {
+    "long n, short h": ("p=3\nn=999999\nlambda=2\nh=00\n", "hex digits"),
+    "huge p": ("p=2147483647\nn=2147483647\nlambda=2\nh=00\n",
+               "exceeds the bound"),
+    # x^40 + x + 2 is irreducible over F_3
+    "huge m": ("p=3\nm=40\nmodulus=2,1," + "0," * 38 + "1\nn=3\nlambda="
+               + ",".join(["1"] * 40) + "\nh=" + "00" * 6 * 40 + "\n",
+               "exceeds the bound"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_param_file_refused(tmp_path, capsys, case):
+    text, reason = OVERSIZED[case]
+    path = tmp_path / "params.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run("kex-demo", "--params", path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert reason in capsys.readouterr().err
+
+
+def test_param_gen_refuses_oversized_field(tmp_path, capsys):
+    out = tmp_path / "params.txt"
+    for p, m, n in [(3, 40, 3), (65537, 1, 65537), (3, 11, 3)]:
+        assert run("param-gen", "--p", p, "--m", m, "--n", n, "--out", out) == 1
+        assert "exceeds the bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(twisted_dihedral.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, twisted_dihedral.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_header_mismatch_rejected(tmp_path, capsys):

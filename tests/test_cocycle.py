@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from twisted_dihedral.cocycle import (BetaMap, Cocycle, coboundary_of,
-                                      equivalence_search, verify_cocycle)
+from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
+                                      coboundary_of, equivalence_search,
+                                      verify_cocycle)
 from twisted_dihedral.errors import CapacityError
 from twisted_dihedral.field import FieldParams, is_square, mult_order
 from twisted_dihedral.group import DihedralGroup
@@ -48,6 +49,26 @@ def test_cocycle_index_range(f7):
 def test_zero_lambda_rejected(f7):
     with pytest.raises(ValueError):
         Cocycle.alpha(f7.zero(), 3)
+
+
+def test_tabulated_values_checked(f7, f9):
+    good = Cocycle.alpha(f7.elem(3), 3).tabulate()
+    Cocycle(TABULATED, 3, f7, table=good)
+    ragged = good[:-1] + (good[-1][:-1],)
+    with pytest.raises(ValueError):
+        Cocycle(TABULATED, 3, f7, table=ragged)
+    with pytest.raises(ValueError):
+        Cocycle(TABULATED, 3, f7, table=good[:-1])
+    zero = ((f7.zero(),) + good[0][1:],) + good[1:]
+    with pytest.raises(ValueError):
+        Cocycle(TABULATED, 3, f7, table=zero)
+    with pytest.raises(ValueError):  # values from another field
+        Cocycle(TABULATED, 3, f9, table=good)
+
+
+def test_verify_rejects_other_group(f7):
+    with pytest.raises(ValueError):
+        verify_cocycle(Cocycle.alpha(f7.elem(3), 3), DihedralGroup(4))
 
 
 # --- exhaustive verification ---
@@ -148,7 +169,7 @@ def test_search_square_equivalent_to_trivial(f7):
     # witness satisfies the relation on every pair
     for g in range(6):
         for h in range(6):
-            gh = group.table[g][h]
+            gh = group.op(g, h)
             assert c1(g, h) == (c2(g, h) * theta(g) * theta(h)
                                 * theta(gh).inverse())
 

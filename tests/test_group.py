@@ -1,4 +1,8 @@
-"""Dihedral group: pinned table entries and exhaustive group axioms."""
+"""Dihedral group: pinned products, exhaustive group axioms, and the closed
+form against words in the generators reduced by the defining relations."""
+
+import functools
+import random
 
 import pytest
 
@@ -8,9 +12,9 @@ from twisted_dihedral.group import DihedralGroup
 
 def test_n3_table_entries():
     g = DihedralGroup(3)
-    assert g.table[3][1] == 5   # y * x = x^2 y
-    assert g.table[1][3] == 4   # x * y = xy
-    assert g.table[3][3] == 0   # y^2 = 1
+    assert g.op(3, 1) == 5   # y * x = x^2 y
+    assert g.op(1, 3) == 4   # x * y = xy
+    assert g.op(3, 3) == 0   # y^2 = 1
 
 
 def test_op_examples():
@@ -32,34 +36,49 @@ def test_inverse_examples():
 def test_group_axioms_exhaustive(n):
     g = DihedralGroup(n)
     order = g.order
-    t = g.table
-    for a in range(order):
-        assert t[0][a] == a and t[a][0] == a
+    elems = range(order)
+    for a in elems:
+        assert g.op(0, a) == a and g.op(a, 0) == a
         inv = g.inverse(a)
-        assert t[a][inv] == 0 and t[inv][a] == 0
+        assert g.op(a, inv) == 0 and g.op(inv, a) == 0
         assert g.inverse(inv) == a
         # rows and columns are permutations
-        assert sorted(t[a]) == list(range(order))
-        assert sorted(t[b][a] for b in range(order)) == list(range(order))
-    for a in range(order):
-        for b in range(order):
-            for c in range(order):
-                assert t[t[a][b]][c] == t[a][t[b][c]]
+        assert sorted(g.op(a, b) for b in elems) == list(elems)
+        assert sorted(g.op(b, a) for b in elems) == list(elems)
+    for a in elems:
+        for b in elems:
+            ab = g.op(a, b)
+            for c in elems:
+                assert g.op(ab, c) == g.op(a, g.op(b, c))
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_encode_decode_roundtrip(n):
+def word(k, n):
+    """x^i y^j for the index k = j*n + i, as a string of generators."""
+    return "x" * (k % n) + "y" * (k // n)
+
+
+def reduce_word(w, n):
+    """Rewrite with yx -> x^(n-1) y, yy -> 1 and x^n -> 1 to normal form."""
+    while True:
+        r = w.replace("yx", "x" * (n - 1) + "y").replace("yy", "").replace("x" * n, "")
+        if r == w:
+            return w
+        w = r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_op_matches_generator_words(n):
     g = DihedralGroup(n)
-    for i in range(n):
-        for j in (0, 1):
-            k = g.encode(i, j)
-            assert k == j * n + i
-            assert g.decode(k) == (i, j)
-
-
-def test_reflection_predicate():
-    g = DihedralGroup(4)
-    assert [g.is_reflection(k) for k in range(8)] == [False] * 4 + [True] * 4
+    normal = {word(k, n): k for k in range(g.order)}
+    for a in range(g.order):
+        for b in range(g.order):
+            assert normal[reduce_word(word(a, n) + word(b, n), n)] == g.op(a, b)
+    # longer words, multiplied letter by letter: x is index 1, y is index n
+    rng = random.Random(n)
+    for _ in range(50):
+        w = "".join(rng.choice("xy") for _ in range(rng.randrange(13)))
+        folded = functools.reduce(g.op, [1 if c == "x" else n for c in w], 0)
+        assert normal[reduce_word(w, n)] == folded
 
 
 def test_small_n_rejected():
@@ -73,6 +92,6 @@ def test_index_out_of_range():
     with pytest.raises(ValueError):
         g.op(0, 6)
     with pytest.raises(ValueError):
-        g.inverse(-1)
+        g.op(-1, 0)
     with pytest.raises(ValueError):
-        g.decode(6)
+        g.inverse(-1)

@@ -1,9 +1,11 @@
-"""The table-driven field core, product kernel and sampler against oracles.
+"""The table-driven field core, product kernel, sampler and cocycle
+verifier against oracles.
 
-The product oracle works on digit vectors with the polynomial helpers and
-never calls the rep arithmetic of `FieldParams`, so it shares no code with
-the log/antilog tables or the packed big-integer product it checks. Fields
-run up to q=10201. The sampler oracle draws one `randrange(p)` per digit.
+The product and cocycle oracles work on digit vectors with the polynomial
+helpers and never call the rep arithmetic of `FieldParams`, so they share
+no code with the log/antilog tables, the packed big-integer product or the
+log-domain cocycle check they test. Fields run up to q=10201. The sampler
+oracle draws one `randrange(p)` per digit.
 """
 
 import functools
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (AlgebraParams, adjunct, alg_product,
                                       kernel_slot_width)
+from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
+                                      CocycleCheck, coboundary_of,
+                                      verify_cocycle)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
                                     _poly_powmod, get_lambda)
@@ -225,3 +230,63 @@ def test_random_reps_from_system_random():
     reps = field.random_reps(random.SystemRandom(), 500)
     assert len(reps) == 500 and all(0 <= r < 101 for r in reps)
     assert len(set(reps)) > 50
+
+
+def triple_loop_check(c, group):
+    """The cocycle equation on every (g, h, k), and both pair predicates, as
+    they are defined, with products by polynomial arithmetic."""
+    n, n2, op = group.n, group.order, group.op
+    mul = functools.cache(lambda a, b: poly_mul_rep(c.field, a, b))
+
+    def v(g, h):
+        return c(g, h).rep
+
+    failures = [(g, h, k) for g in range(n2) for h in range(n2)
+                for k in range(n2)
+                if mul(v(g, op(h, k)), v(h, k)) != mul(v(op(g, h), k), v(g, h))]
+    identity = v(0, 0) == 1
+
+    def r(t):  # the reflection x^t y
+        return op(t % n, n)
+
+    return CocycleCheck(
+        valid=not failures and identity,
+        counterexample=failures[0] if failures else None,
+        identity_normalized=identity,
+        rotation_symmetry=all(v(a, b) == v(b, a)
+                              for a in range(n) for b in range(n)),
+        reflection_identity=all(
+            mul(v(r(i - j), r(i - j)), v(r(i), r(i - j)))
+            == mul(v(r(-i), r(-i)), v(r(j - i), r(-i)))
+            for i in range(n) for j in range(n)))
+
+
+@st.composite
+def cocycles(draw):
+    """alpha, beta and coboundary cocycles over F_3, F_7 and F_9 for n in
+    3..7, half of them with one entry changed to another unit."""
+    field = field_of(*draw(st.sampled_from([(3, 1), (7, 1), (3, 2)])))
+    n = draw(st.integers(3, 7))
+    group = DihedralGroup(n)
+    unit = st.integers(1, field.q - 1).map(field.from_rep)
+    kind = draw(st.sampled_from(["alpha", "beta", "coboundary"]))
+    if kind == "alpha":
+        c = Cocycle.alpha(draw(unit), n)
+    elif kind == "beta":
+        c = Cocycle.beta(draw(unit), n)
+    else:
+        values = draw(st.lists(unit, min_size=2 * n - 1, max_size=2 * n - 1))
+        c = coboundary_of(BetaMap((field.one(), *values)), group)
+    if draw(st.booleans()):
+        table = [list(row) for row in c.tabulate()]
+        g, h = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+        table[g][h] = draw(unit.filter(lambda u: u != table[g][h]))
+        c = Cocycle(TABULATED, n, field, table=tuple(map(tuple, table)))
+    return c, group
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cocycles())
+def test_verify_cocycle_matches_triple_loop(case):
+    c, group = case
+    assert verify_cocycle(c, group) == triple_loop_check(c, group)
