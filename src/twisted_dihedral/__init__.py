@@ -13,10 +13,10 @@ from .group import DihedralGroup
 from .cocycle import (BetaMap, Cocycle, CocycleCheck, coboundary_of,
                       equivalence_search, verify_cocycle)
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
-                      alg_add, alg_product, in_gamma, index_h, index_h_inv,
+                      alg_product, in_gamma, index_h, index_h_inv,
                       iter_gamma, phi, rep_deserialize,
                       rep_serialize, sample_gamma, sample_secret_pair,
-                      sample_subspace)
+                      sample_subspace, times_y)
 from .kex import (PublicParams, Session, derive_public, derive_shared,
                   setup_public_params)
 from .pke import PkeCiphertext, PkeKeyPair, pke_dec, pke_enc, pke_gen

@@ -26,6 +26,12 @@ terms. Every slot of S, and of its fold mod x^n - 1 and reduction mod
 f(t), stays below 2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest
 of 8/16/32/64 bits above that bound (`kernel_slot_width`), so no slot
 ever carries into the next.
+
+When a1 = 0 the a1*B_hi term is skipped and B_hi is not packed: S = a0*B_lo
+is one multiply, and when b1 = 0 as well B_lo is b0 alone, an n x n
+multiply. Every protocol product has such a rotation-only left operand
+(see kex.py). A skipped term only lowers the slot values, so the bound,
+the slot width, the fold and the unpack are the same on either path.
 """
 
 from __future__ import annotations
@@ -185,7 +191,11 @@ class AlgebraElement:
         return not any(self.coeffs[:self.params.n])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return alg_add(self, other)
+        _check_same_params(self, other)
+        field = self.params.field
+        packed = field.packed
+        return AlgebraElement(self.params, field.reduce_all(
+            [packed[x] + packed[y] for x, y in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same_params(self, other)
@@ -245,42 +255,40 @@ def _check_same_params(a: AlgebraElement, b: AlgebraElement) -> None:
         raise ValueError("algebra elements have mismatched parameters")
 
 
-def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_params(a, b)
-    field = a.params.field
-    packed = field.packed
-    return AlgebraElement(a.params, field.reduce_all(
-        [packed[x] + packed[y] for x, y in zip(a.coeffs, b.coeffs)]))
-
-
 def alg_product(a: AlgebraElement, b: AlgebraElement,
                 params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """Twisted product by Kronecker substitution: two big-integer multiplies.
+    """Twisted product by Kronecker substitution: one or two big-integer multiplies.
 
     Packs A, B_lo and B_hi of the module docstring (B_lo and B_hi from one
     integer) and forms S = a0*B_lo + a1*B_hi, whose blocks 0 and 1 are c0
-    and c1. Adding each block's high n positions to its low n folds both
-    mod x^n - 1 at once; for m > 1 the slots of t^m .. t^(2m-2) are
-    then replaced by their multiples of t^k mod f(t). No slot passes the
-    bound that sets the slot width; each digit is taken mod p once, on
-    unpacking.
+    and c1; when a1 = 0, S = a0*B_lo and B_hi is not packed. Adding each
+    block's high n positions to its low n folds both mod x^n - 1 at once;
+    for m > 1 the slots of t^m .. t^(2m-2) are then replaced by their
+    multiples of t^k mod f(t). No slot passes the bound that sets the slot
+    width; each digit is taken mod p once, on unpacking.
     """
     params = params or a.params
     _check_same_params(a, b)
     n = params.n
     sb = params.slot_bytes.__getitem__
-    lsb = params.lam_slot_bytes.__getitem__
     pad = params._pad
-    ac, bc = a.coeffs, b.coeffs
-    packed_a = int.from_bytes(b"".join(
-        [*map(sb, ac[:n]), pad, *map(sb, ac[n:])]), "little")
-    packed_b = int.from_bytes(b"".join(
-        [*map(sb, bc[:n]), pad, *map(sb, bc[n:]), pad,
-         lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, sb(bc[0]), *map(sb, bc[n - 1:0:-1])]),
-        "little")
     block, npos, even = params._block, params._npos, params._even_mask
-    s = ((packed_a & params._block_mask) * (packed_b & params._pair_mask)
-         + (packed_a >> block) * (packed_b >> 2 * block))
+    ac, bc = a.coeffs, b.coeffs
+    a1, b1 = ac[n:], bc[n:]
+    if any(a1):
+        lsb = params.lam_slot_bytes.__getitem__
+        packed_a = int.from_bytes(b"".join(
+            [*map(sb, ac[:n]), pad, *map(sb, a1)]), "little")
+        packed_b = int.from_bytes(b"".join(
+            [*map(sb, bc[:n]), pad, *map(sb, b1), pad,
+             lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, sb(bc[0]), *map(sb, bc[n - 1:0:-1])]),
+            "little")
+        s = ((packed_a & params._block_mask) * (packed_b & params._pair_mask)
+             + (packed_a >> block) * (packed_b >> 2 * block))
+    else:  # the a1*B_hi term is skipped; with b1 = 0, B_lo is b0 alone
+        b_lo = [*map(sb, bc[:n]), pad, *map(sb, b1)] if any(b1) else map(sb, bc[:n])
+        s = (int.from_bytes(b"".join(map(sb, ac[:n])), "little")
+             * int.from_bytes(b"".join(b_lo), "little"))
     # c0 folded in the low half of block 0 and c1 in that of block 1,
     # then c1 moved down next to c0: the two fill block 0
     t = (s & even) + ((s >> npos) & even)
@@ -326,13 +334,19 @@ def phi(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.params, a.coeffs[n:] + (0,) * n)
 
 
+def times_y(x: AlgebraElement) -> AlgebraElement:
+    """x*y = lambda*x1 + x0*y: the halves swap and lambda scales x1, O(n)."""
+    n = x.params.n
+    lam_mul = x.params.lam_mul
+    return AlgebraElement(x.params,
+                          tuple([lam_mul[c] for c in x.coeffs[n:]]) + x.coeffs[:n])
+
+
 def in_gamma(a: AlgebraElement) -> bool:
     """Membership in the reversible subspace: reflection-supported, a_i = a_{n-i}."""
     n = a.params.n
-    if not a.in_reflection_subspace():
-        return False
     reps = a.coeffs
-    return all(reps[n + i] == reps[n + (n - i) % n] for i in range(1, n))
+    return a.in_reflection_subspace() and reps[n + 1:] == reps[:n:-1]
 
 
 def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
@@ -416,7 +430,7 @@ def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
 def rep_serialize(x) -> bytes:
     """Canonical injective byte encoding of an algebra element (or a pair)."""
     if isinstance(x, AlgebraElement):
-        return b"".join([x.params.field.rep_bytes[c] for c in x.coeffs])
+        return b"".join(map(x.params.field.rep_bytes.__getitem__, x.coeffs))
     # duck-typed two-component ciphertext
     if hasattr(x, "c1") and hasattr(x, "c2"):
         return rep_serialize(x.c1) + rep_serialize(x.c2)

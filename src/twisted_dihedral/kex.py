@@ -3,6 +3,14 @@
 Public parameters fix (p, m, n), a non-square lambda, and a public element
 h whose rotation and reflection parts are both nonzero. A party's public
 key is a*h*gamma; the shared key is a*peer_pk*adjunct(gamma).
+
+Each gamma in the reversible subspace is phi(gamma)*y with phi(gamma)
+palindromic, so x*gamma = phi(gamma)*(x*y) for every x, and a*h*gamma =
+(a*phi(gamma))*(h*y): two products with rotation-only left operands, one
+multiply each. This is the structure the linear decomposition attack
+(Myasnikov and Roman'kov, Groups Complexity Cryptology 7, 2015) uses: pk =
+a'*(h*y) with a' in the commutative rotation subalgebra, so (a', y) is an
+equivalent secret, found by solving an F_q-linear system in n unknowns.
 """
 
 from __future__ import annotations
@@ -11,14 +19,14 @@ import random
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
-                      sample_secret_pair, sample_subspace)
+                      phi, sample_secret_pair, sample_subspace, times_y)
 from .errors import ParameterError
 from .field import FieldParams, get_lambda, is_square
 from .group import DihedralGroup
 
 
 class PublicParams:
-    """Validated shared parameters: the algebra plus the public element h."""
+    """Validated shared parameters: the algebra, the public element h, and h*y."""
 
     def __init__(self, algebra: AlgebraParams, h: AlgebraElement):
         # the protocol needs a non-semisimple algebra, hence p | 2n; the
@@ -30,6 +38,7 @@ class PublicParams:
         validate_h(h)
         self.algebra = algebra
         self.h = h
+        self.hy = times_y(h)
 
     def __eq__(self, other):
         return (isinstance(other, PublicParams)
@@ -66,14 +75,15 @@ def setup_public_params(p: int, m: int, n: int, rng: random.Random,
 
 
 def derive_public(secret: SecretPair, pp: PublicParams) -> AlgebraElement:
-    """pk = a * h * gamma."""
-    return (secret.a * pp.h) * secret.gamma
+    """pk = a * h * gamma, computed as (a * phi(gamma)) * (h * y)."""
+    return (secret.a * phi(secret.gamma)) * pp.hy
 
 
 def derive_shared(secret: SecretPair, peer_pk: AlgebraElement,
                   pp: PublicParams) -> AlgebraElement:
-    """k = a * peer_pk * adjunct(gamma). Erase the secret afterwards."""
-    return (secret.a * peer_pk) * adjunct(secret.gamma, pp.algebra)
+    """k = a * peer_pk * adjunct(gamma), computed as
+    (a * phi(adjunct(gamma))) * (peer_pk * y). Erase the secret afterwards."""
+    return (secret.a * phi(adjunct(secret.gamma, pp.algebra))) * times_y(peer_pk)
 
 
 class Session:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, SecretPair, adjunct, sample_secret_pair
+from .algebra import AlgebraElement, SecretPair, sample_secret_pair
 from .kex import PublicParams, derive_public, derive_shared
 
 
@@ -43,7 +43,7 @@ def pke_gen(pp: PublicParams, rng: random.Random) -> PkeKeyPair:
 def pke_enc(m: AlgebraElement, pk: AlgebraElement, r2: SecretPair,
             pp: PublicParams) -> PkeCiphertext:
     c1 = derive_public(r2, pp)
-    c2 = m + (r2.a * pk) * adjunct(r2.gamma, pp.algebra)
+    c2 = m + derive_shared(r2, pk, pp)
     return PkeCiphertext(c1, c2)
 
 

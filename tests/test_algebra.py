@@ -1,20 +1,29 @@
 """Twisted algebra: pinned products, adjunct/Phi identities, the reversible
 subspace, index bijection, and canonical serialization."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (AlgebraParams, SecretPair, adjunct,
                                       in_gamma, index_h, index_h_inv,
                                       iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
                                       sample_gamma, sample_secret_pair,
-                                      sample_subspace)
+                                      sample_subspace, times_y)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import FieldParams
 from twisted_dihedral.group import DihedralGroup
+from twisted_dihedral.kex import setup_public_params
 from twisted_dihedral.pke import PkeCiphertext
+
+
+@functools.cache
+def algebra_at(p, m, n):
+    return setup_public_params(p, m, n, random.Random(p * m * n)).algebra
 
 
 @pytest.fixture(scope="module")
@@ -177,11 +186,18 @@ def test_phi_domain_checks(alg33):
         phi(alg33.one())
 
 
-def test_in_gamma_examples(alg33):
+def test_in_gamma_examples(alg33, alg34):
     assert in_gamma(alg33.from_reps([0, 0, 0, 2, 1, 1]))
     assert not in_gamma(alg33.from_reps([0, 0, 0, 2, 1, 2]))
     assert in_gamma(alg33.zero())
     assert not in_gamma(alg33.one())
+    # every element at n = 3 and n = 4, against the definition
+    for alg in (alg33, alg34):
+        n = alg.n
+        for value in range(alg.field.q ** alg.dim):
+            r = index_h_inv(value, alg).reps()
+            assert in_gamma(alg.from_reps(r)) == (not any(r[:n]) and all(
+                r[n + i] == r[n + (n - i) % n] for i in range(n)))
 
 
 def test_reflection_images_commute_under_phi(alg33, rng):
@@ -203,6 +219,25 @@ def test_reflection_images_commute_under_phi(alg33, rng):
         assert phi(a) * phi(b) == phi(b) * phi(a)
         if not in_gamma(a):
             assert adjunct(phi(a)) != phi(a)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (101, 1, 101)])
+def test_times_y_and_gamma_through_y(p, m, n):
+    alg = algebra_at(p, m, n)
+    y = alg.basis(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        x = sample_subspace("full", alg, rng)
+        gamma = sample_gamma(alg, rng)
+        assert times_y(x) == x * y
+        # gamma = Phi(gamma) * y with Phi(gamma) palindromic, so
+        # x * gamma = Phi(gamma) * (x * y) for every x
+        assert x * gamma == phi(gamma) * times_y(x)
+
+    check()
 
 
 def test_gamma_commutation(alg33, rng):

@@ -2,9 +2,10 @@
 verifier against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
-helpers and never call the rep arithmetic of `FieldParams`, so they share
-no code with the log/antilog tables, the packed big-integer product or the
-log-domain cocycle check they test. Fields run up to q=10201. The sampler
+helpers (the product oracle on plain ints mod p when m = 1) and never call
+the rep arithmetic of `FieldParams`, so they share no code with the
+log/antilog tables, the packed big-integer product or the log-domain
+cocycle check they test. Fields run up to q=10201. The sampler
 oracle draws one `randrange(p)` per digit.
 """
 
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (AlgebraParams, adjunct, alg_product,
-                                      kernel_slot_width)
+                                      kernel_slot_width, sample_secret_pair,
+                                      sample_subspace)
 from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
                                       CocycleCheck, coboundary_of,
                                       verify_cocycle)
@@ -24,6 +26,8 @@ from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
                                     _poly_powmod, get_lambda)
 from twisted_dihedral.group import DihedralGroup
+from twisted_dihedral.kex import (derive_public, derive_shared,
+                                  setup_public_params)
 
 
 def digits(rep, p, m):
@@ -49,10 +53,19 @@ def oracle_rep(p, m, rng):
 
 
 def schoolbook_product(a, b):
-    """c[i*j] += a[i] * b[j] * alpha(i, j), every term in digit vectors."""
+    """c[i*j] += a[i] * b[j] * alpha(i, j), every term in digit vectors,
+    or in plain ints mod p when m = 1."""
     params = a.params
     field, group = params.field, params.group
     p, m = field.p, field.m
+    if m == 1:
+        alpha = [[params.cocycle(i, j).rep for j in range(params.dim)]
+                 for i in range(params.dim)]
+        acc = [0] * params.dim
+        for i, ai in enumerate(a.reps()):
+            for j, bj in enumerate(b.reps()):
+                acc[group.op(i, j)] += ai * bj * alpha[i][j]
+        return tuple(c % p for c in acc)
     out = [[0] * m for _ in range(params.dim)]
     for i, ai in enumerate(a.reps()):
         for j, bj in enumerate(b.reps()):
@@ -103,18 +116,42 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     assert alg.slot_bits == bits
     top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
     zero = alg.zero()
-    for x, y in [(top, top), (zero, top), (top, zero)]:
+    for x, y in [(top, top), (zero, top), (top, zero), (top.rotation_part(), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
 
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
     def check(a, b):
-        # the half-empty shapes leave one of the kernel's two multiplies
-        # with a zero operand: a1 = 0 (rotation times full, as in a*h and
-        # a*pk), b0 = 0 (full times gamma) and a0 = 0
+        # the half-empty shapes: a1 = 0 skips the a1*B_hi term (rotation
+        # times full, as in the protocol's second products), and with
+        # b1 = 0 as well B_lo is b0 alone (rotation times rotation, as in
+        # a*phi(gamma)); b1 = 0 (full times rotation), b0 = 0 (full times
+        # gamma) and a0 = 0 run both terms
         for x, y in [(a, b), (b, a), (top, b), (a, top), (a.rotation_part(), b),
+                     (a.rotation_part(), b.rotation_part()), (a, b.rotation_part()),
                      (a, b.reflection_part()), (a.reflection_part(), b)]:
             assert alg_product(x, y).reps() == schoolbook_product(x, y)
+
+    check()
+
+
+@pytest.mark.parametrize("p,m,n,examples", [
+    (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 100), (101, 1, 101, 20)])
+def test_derivations_match_literal_formulas(p, m, n, examples):
+    # the derivations go through x*gamma = phi(gamma)*(x*y); the literal
+    # a*h*gamma and a*pk*adjunct(gamma) are the oracle
+    pp = setup_public_params(p, m, n, random.Random(p * m * n))
+    alg = pp.algebra
+
+    @settings(max_examples=examples, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64))
+    def check(seed):
+        rng = random.Random(seed)
+        s1, s2 = sample_secret_pair(alg, rng), sample_secret_pair(alg, rng)
+        pk2 = derive_public(s2, pp)
+        assert pk2 == (s2.a * pp.h) * s2.gamma
+        for peer in (pk2, sample_subspace("full", alg, rng)):
+            assert derive_shared(s1, peer, pp) == (s1.a * peer) * adjunct(s1.gamma)
 
     check()
 
