@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle
@@ -246,6 +247,11 @@ class SecretPair:
             raise ValueError("secret 'gamma' must lie in the reversible subspace")
         if self.a.is_zero() or self.gamma.is_zero():
             raise ValueError("secret components must be nonzero")
+
+    @cached_property
+    def a_phi(self) -> AlgebraElement:
+        """a' = a*phi(gamma), the rotation part every derivation multiplies by."""
+        return self.a * phi(self.gamma)
 
 
 def _check_same_params(a: AlgebraElement, b: AlgebraElement) -> None:

@@ -1,20 +1,20 @@
 """Desk-scale cryptanalysis of the product-decomposition problem.
 
-Implements the attack-game harness (decomposition / computational /
-decisional product games) and two concrete solvers: partitioned exhaustive
-search over the index bijection, and a meet-in-the-middle space-time
-trade-off that splits the rotation space into a direct sum of a low-degree
-and a high-degree slice.
+Implements the attack-game harness (DPD, CDP and DDP product games) and
+two solvers: partitioned exhaustive search over the index bijection, and a
+meet-in-the-middle trade-off that splits the rotation space into a
+low-degree and a high-degree slice. Both test a candidate (a, gamma) as
+phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then one multiply.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
-                      index_h, index_h_inv, iter_gamma)
+from .algebra import (AlgebraElement, AlgebraParams, SecretPair, index_h,
+                      index_h_inv, iter_gamma, phi, sample_secret_pair, times_y)
 from .errors import CapacityError
 from .kex import PublicParams, derive_public, derive_shared
 
@@ -56,10 +56,6 @@ def key_recovery_check(candidate: SecretPair, peer_pk: AlgebraElement,
     return derive_shared(candidate, peer_pk, pp) == real_key
 
 
-def _rotation_count(pp: PublicParams) -> int:
-    return pp.algebra.field.q ** pp.algebra.n
-
-
 def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
                    partition_count: int = 1,
                    max_candidates: int = DEFAULT_MAX_CANDIDATES) -> AttackResult:
@@ -71,7 +67,7 @@ def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
     partitioning cannot get round it.
     """
     algebra = inst.pp.algebra
-    total = _rotation_count(inst.pp)
+    total = algebra.field.q ** algebra.n
     if not 0 <= partition_index < partition_count:
         raise ValueError("partition_index out of range")
     gamma_count = algebra.field.q ** (algebra.n // 2 + 1)
@@ -81,14 +77,14 @@ def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
     lo = total * partition_index // partition_count
     hi = total * (partition_index + 1) // partition_count
 
-    gammas = list(iter_gamma(algebra))
+    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
     tested = 0
     for idx in range(lo, hi):
         a = index_h_inv(idx, algebra)
-        ah = a * inst.pp.h
-        for gamma in gammas:
+        ahy = times_y(a * inst.pp.h)
+        for gamma, phi_gamma in gammas:
             tested += 1
-            if ah * gamma == inst.pk:
+            if phi_gamma * ahy == inst.pk:
                 if a.is_zero() or gamma.is_zero():
                     continue  # cannot form a valid secret pair
                 return AttackResult(SecretPair(a, gamma), tested)
@@ -119,11 +115,11 @@ def mitm_offline(pp: PublicParams, t: int,
         raise CapacityError(f"{total} table entries exceed the bound {max_entries}")
     buckets: dict[int, list] = {}
     entries = 0
-    gammas = list(iter_gamma(algebra))
+    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
     for a1 in _rotation_slice(algebra, 0, t):
-        a1h = a1 * pp.h
-        for gamma in gammas:
-            key = index_h(a1h * gamma, algebra)
+        a1hy = times_y(a1 * pp.h)
+        for gamma, phi_gamma in gammas:
+            key = index_h(phi_gamma * a1hy, algebra)
             buckets.setdefault(key, []).append((a1, gamma))
             entries += 1
     return MitmTable(t=t, buckets=buckets, entries=entries)
@@ -139,12 +135,12 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
     tested = 0
-    gammas = list(iter_gamma(algebra))
+    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
     for a2 in _rotation_slice(algebra, t, algebra.n - t):
-        a2h = a2 * inst.pp.h
-        for gamma in gammas:
+        a2hy = times_y(a2 * inst.pp.h)
+        for gamma, phi_gamma in gammas:
             tested += 1
-            residual = inst.pk - a2h * gamma
+            residual = inst.pk - phi_gamma * a2hy
             for a1, gamma1 in table.buckets.get(index_h(residual, algebra), ()):
                 if gamma1 == gamma:
                     a = a1 + a2
@@ -184,13 +180,11 @@ class GameOutcome:
 
 
 def dpd_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
-    from .algebra import sample_secret_pair
     s = sample_secret_pair(pp.algebra, rng)
     return Challenge(pp=pp, pk1=derive_public(s, pp), secret1=s)
 
 
 def cdp_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
-    from .algebra import sample_secret_pair
     s1 = sample_secret_pair(pp.algebra, rng)
     s2 = sample_secret_pair(pp.algebra, rng)
     pk1 = derive_public(s1, pp)
@@ -200,7 +194,6 @@ def cdp_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
 
 
 def ddp_challenge(pp: PublicParams, rng: random.Random, b: int) -> Challenge:
-    from .algebra import sample_secret_pair
     s1 = sample_secret_pair(pp.algebra, rng)
     s2 = sample_secret_pair(pp.algebra, rng)
     s3 = sample_secret_pair(pp.algebra, rng)

@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import kem
-from .algebra import SecretPair, rep_deserialize, rep_serialize
+from .algebra import SecretPair, rep_serialize
 from .attacks import (DpdInstance, dpd_verify, exhaustive_dpd, mitm_offline,
                       mitm_online)
 from .cocycle import Cocycle, verify_cocycle

@@ -217,11 +217,8 @@ class FieldParams:
         digits = [self.digits_of(rep) for rep in range(q)]
         self.neg = [self.rep_of([-d % p for d in ds]) for ds in digits]
         self.lane_bits = (p - 1).bit_length() + LANE_HEADROOM_BITS
-        if m == 1:
-            self.packed = range(q)
-        else:
-            self.packed = [sum(d << (i * self.lane_bits) for i, d in enumerate(ds))
-                           for ds in digits]
+        self.packed = [sum(d << (i * self.lane_bits) for i, d in enumerate(ds))
+                       for ds in digits]
         width = digit_width_bytes(p)
         self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
                           for ds in digits]

@@ -5,12 +5,13 @@ h whose rotation and reflection parts are both nonzero. A party's public
 key is a*h*gamma; the shared key is a*peer_pk*adjunct(gamma).
 
 Each gamma in the reversible subspace is phi(gamma)*y with phi(gamma)
-palindromic, so x*gamma = phi(gamma)*(x*y) for every x, and a*h*gamma =
-(a*phi(gamma))*(h*y): two products with rotation-only left operands, one
-multiply each. This is the structure the linear decomposition attack
-(Myasnikov and Roman'kov, Groups Complexity Cryptology 7, 2015) uses: pk =
-a'*(h*y) with a' in the commutative rotation subalgebra, so (a', y) is an
-equivalent secret, found by solving an F_q-linear system in n unknowns.
+palindromic, so x*gamma = phi(gamma)*(x*y) for every x; and adjunct(gamma)
+= lambda*gamma. So pk = a'*(h*y) and k = (lambda*a')*(peer_pk*y), one
+multiply each, with a' = a*phi(gamma) computed once per pair
+(`SecretPair.a_phi`). a' is the equivalent key of the linear decomposition
+attack (Myasnikov and Roman'kov, Groups Complexity Cryptology 7, 2015):
+(a', y) is a valid secret for pk, and a' solves an F_q-linear system in n
+unknowns.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
-                      phi, sample_secret_pair, sample_subspace, times_y)
+from .algebra import (AlgebraElement, AlgebraParams, SecretPair,
+                      sample_secret_pair, sample_subspace, times_y)
 from .errors import ParameterError
-from .field import FieldParams, get_lambda, is_square
+from .field import FieldParams, get_lambda
 from .group import DihedralGroup
 
 
@@ -75,15 +76,17 @@ def setup_public_params(p: int, m: int, n: int, rng: random.Random,
 
 
 def derive_public(secret: SecretPair, pp: PublicParams) -> AlgebraElement:
-    """pk = a * h * gamma, computed as (a * phi(gamma)) * (h * y)."""
-    return (secret.a * phi(secret.gamma)) * pp.hy
+    """pk = a * h * gamma, computed as a' * (h * y) with a' = a * phi(gamma)."""
+    return secret.a_phi * pp.hy
 
 
 def derive_shared(secret: SecretPair, peer_pk: AlgebraElement,
                   pp: PublicParams) -> AlgebraElement:
-    """k = a * peer_pk * adjunct(gamma), computed as
-    (a * phi(adjunct(gamma))) * (peer_pk * y). Erase the secret afterwards."""
-    return (secret.a * phi(adjunct(secret.gamma, pp.algebra))) * times_y(peer_pk)
+    """k = a * peer_pk * adjunct(gamma), computed as (lambda * a') * (peer_pk * y):
+    adjunct(gamma) = lambda * gamma. Erase the secret afterwards."""
+    a_phi = secret.a_phi
+    lam_a = tuple(map(a_phi.params.lam_mul.__getitem__, a_phi.coeffs))
+    return AlgebraElement(a_phi.params, lam_a) * times_y(peer_pk)
 
 
 class Session:

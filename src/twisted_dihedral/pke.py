@@ -3,6 +3,8 @@
 Gen: pk = a1*h*gamma1. Enc: c1 = a2*h*gamma2, c2 = m + a2*pk*adjunct(gamma2).
 Dec: m = c2 - a1*c1*adjunct(gamma1). Enc takes its randomness r2 explicitly
 because the KEM re-derives it deterministically for the re-encryption check.
+c1 and c2 share a2*phi(gamma2), computed once per r2 (see kex.py): Enc
+takes three products, Dec one with a pke_gen key, which holds a1*phi(gamma1).
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM
@@ -48,5 +50,4 @@ def pke_enc(m: AlgebraElement, pk: AlgebraElement, r2: SecretPair,
 
 
 def pke_dec(c: PkeCiphertext, sk: SecretPair, pp: PublicParams) -> AlgebraElement:
-    k = derive_shared(sk, c.c1, pp)
-    return c.c2 - k
+    return c.c2 - derive_shared(sk, c.c1, pp)

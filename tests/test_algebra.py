@@ -221,7 +221,8 @@ def test_reflection_images_commute_under_phi(alg33, rng):
             assert adjunct(phi(a)) != phi(a)
 
 
-@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (101, 1, 101)])
+@pytest.mark.parametrize("p,m,n", [
+    (3, 1, 3), (5, 1, 5), (3, 2, 9), (3, 1, 6), (101, 1, 101)])
 def test_times_y_and_gamma_through_y(p, m, n):
     alg = algebra_at(p, m, n)
     y = alg.basis(n)
@@ -233,9 +234,33 @@ def test_times_y_and_gamma_through_y(p, m, n):
         x = sample_subspace("full", alg, rng)
         gamma = sample_gamma(alg, rng)
         assert times_y(x) == x * y
-        # gamma = Phi(gamma) * y with Phi(gamma) palindromic, so
-        # x * gamma = Phi(gamma) * (x * y) for every x
+        # gamma = Phi(gamma) * y with Phi(gamma) palindromic, hence central,
+        # so x * gamma = Phi(gamma) * (x * y) for every x; the attack
+        # solvers test their candidates through this
+        assert phi(gamma) * x == x * phi(gamma)
         assert x * gamma == phi(gamma) * times_y(x)
+
+    check()
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (101, 1, 101)])
+def test_secret_pair_a_phi(p, m, n):
+    alg = algebra_at(p, m, n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def check(seed):
+        pair = sample_secret_pair(alg, random.Random(seed))
+        twin = SecretPair(pair.a, pair.gamma)
+        before = (repr(pair), hash(pair))
+        a_phi = pair.a_phi
+        assert a_phi == pair.a * phi(pair.gamma)
+        assert a_phi.in_rotation_subalgebra()
+        assert pair.a_phi is a_phi  # computed once, then read back
+        # reading a_phi changes neither equality, hash nor repr
+        assert pair == twin and twin == pair
+        assert (repr(pair), hash(pair)) == before == (repr(twin), hash(twin))
+        assert len({pair, twin}) == 1
 
     check()
 

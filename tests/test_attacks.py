@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-from twisted_dihedral.algebra import (index_h, iter_gamma, sample_secret_pair)
+from twisted_dihedral.algebra import (SecretPair, index_h, index_h_inv,
+                                      iter_gamma, sample_secret_pair)
 from twisted_dihedral.attacks import (DpdInstance, dpd_verify, exhaustive_dpd,
                                       ddp_challenge, key_recovery_check,
                                       mitm_offline, mitm_online,
                                       run_attack_game)
 from twisted_dihedral.errors import CapacityError
-from twisted_dihedral.kex import derive_public, derive_shared
+from twisted_dihedral.kex import (derive_public, derive_shared,
+                                  setup_public_params)
 
 
 def _instance(pp, seed):
@@ -160,6 +162,47 @@ def test_mitm_mismatched_t_rejected(pp333):
     table = mitm_offline(pp333, 1)
     with pytest.raises(ValueError):
         mitm_online(table, inst, 2)
+
+
+# --- the solvers against their two-multiply loops ---
+
+def _first_hit(inst, rotations, solutions):
+    """The first valid pair over rotations x Gamma in solver order, and the
+    candidates tested up to it. Each candidate is the literal (a*h)*gamma;
+    solutions(a, (a*h)*gamma, gamma) lists the rotations it yields."""
+    tested = 0
+    gammas = list(iter_gamma(inst.pp.algebra))
+    for a in rotations:
+        ah = a * inst.pp.h
+        for gamma in gammas:
+            tested += 1
+            for b in solutions(a, ah * gamma, gamma):
+                if not (b.is_zero() or gamma.is_zero()):
+                    return SecretPair(b, gamma), tested
+    return None, tested
+
+
+@pytest.mark.parametrize("n,seeds", [(3, range(10)), (6, range(3))])
+def test_solvers_match_two_multiply_loops(n, seeds):
+    # the solvers test phi(gamma)*(a*h*y); same pairs, same counts
+    pp = setup_public_params(3, 1, n, random.Random(n))
+    alg = pp.algebra
+    q, t = alg.field.q, n // 2
+    table = mitm_offline(pp, t)
+    for seed in seeds:
+        _, inst = _instance(pp, 300 + seed)
+        want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
+                          lambda a, c, gamma: [a] if c == inst.pk else [])
+        result = exhaustive_dpd(inst)
+        assert (result.pair, result.candidates_tested) == want
+        # the high slice x^t .. x^(n-1), in the solver's order
+        high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
+        want = _first_hit(inst, high, lambda a2, c, gamma: [
+            a1 + a2 for a1, gamma1 in table.buckets.get(index_h(inst.pk - c, alg), ())
+            if gamma1 == gamma])
+        result = mitm_online(table, inst, t)
+        assert (result.pair, result.candidates_tested) == want
+        assert want[0] is not None
 
 
 # --- equivalent-key sufficiency ---

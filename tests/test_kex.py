@@ -89,6 +89,21 @@ def test_mismatched_peer_key_disagrees(pp515):
     assert disagree >= trials * 95 // 100
 
 
+def test_derivations_reject_a_secret_from_another_algebra(rng):
+    # over F_5, lambda = 2 and lambda = 3 give two algebras of the same shape
+    field = FieldParams(5)
+    alg2, alg3 = (AlgebraParams(field, DihedralGroup(5), field.elem(lam))
+                  for lam in (2, 3))
+    h = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    pp3 = PublicParams(alg3, alg3.from_reps(h))
+    secret2 = sample_secret_pair(alg2, rng)
+    pk3 = derive_public(sample_secret_pair(alg3, rng), pp3)
+    with pytest.raises(ValueError):
+        derive_public(secret2, pp3)
+    with pytest.raises(ValueError):
+        derive_shared(secret2, pk3, pp3)
+
+
 def test_session_lifecycle(pp333):
     rng = random.Random(3)
     sid = b"\x01\x02"

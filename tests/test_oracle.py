@@ -1,5 +1,5 @@
-"""The table-driven field core, product kernel, sampler and cocycle
-verifier against oracles.
+"""The table-driven field core, product kernel, sampler, cocycle verifier
+and MITM table against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (AlgebraParams, adjunct, alg_product,
+                                      index_h, index_h_inv, iter_gamma,
                                       kernel_slot_width, sample_secret_pair,
                                       sample_subspace)
+from twisted_dihedral.attacks import mitm_offline
 from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
                                       CocycleCheck, coboundary_of,
                                       verify_cocycle)
@@ -152,8 +154,30 @@ def test_derivations_match_literal_formulas(p, m, n, examples):
         assert pk2 == (s2.a * pp.h) * s2.gamma
         for peer in (pk2, sample_subspace("full", alg, rng)):
             assert derive_shared(s1, peer, pp) == (s1.a * peer) * adjunct(s1.gamma)
+        # s1 first computed its a*phi(gamma) in derive_shared; the public
+        # key read back from it must still be the literal one
+        assert derive_public(s1, pp) == (s1.a * pp.h) * s1.gamma
 
     check()
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_mitm_table_matches_two_multiply_loop(n):
+    # the table keys a1*h*gamma as phi(gamma)*(a1*h*y); the literal
+    # (a1*h)*gamma loop, in the same order, is the oracle
+    pp = setup_public_params(3, 1, n, random.Random(n))
+    alg = pp.algebra
+    for t in range(4):
+        buckets = {}
+        for idx in range(alg.field.q ** t):
+            a1 = index_h_inv(idx, alg)
+            a1h = a1 * pp.h
+            for gamma in iter_gamma(alg):
+                buckets.setdefault(index_h(a1h * gamma, alg), []).append((a1, gamma))
+        table = mitm_offline(pp, t)
+        assert table.buckets == buckets
+        assert list(table.buckets) == list(buckets)
+        assert table.entries == sum(map(len, buckets.values()))
 
 
 def test_kernel_slot_width_bounds():
