@@ -29,9 +29,17 @@ ever carries into the next.
 
 When a1 = 0 the a1*B_hi term is skipped and B_hi is not packed: S = a0*B_lo
 is one multiply, and when b1 = 0 as well B_lo is b0 alone, an n x n
-multiply. Every protocol product has such a rotation-only left operand
-(see kex.py). A skipped term only lowers the slot values, so the bound,
-the slot width, the fold and the unpack are the same on either path.
+multiply whose c1 is zero, so only the n slots of c0 are unpacked. Every
+protocol product has such a rotation-only left operand (see kex.py). A
+skipped term only lowers the slot values, so the bound, the slot width,
+the fold and the unpack are the same on every path.
+
+S is one row of 4n positions. A `RotationBatch` packs rotation-only left
+operands once as X = x_0 + x_1*Z + x_2*Z^2 + ..., Z = 2^(4n positions),
+so that X*B_lo holds x_k*B_lo in row k: n positions times the 3n of B_lo
+fill 4n - 1, rows never overlap, and each slot sums the terms of one
+product, under the same bound. `_unpack` reads any number of rows, and
+the single product is the batch of one row.
 """
 
 from __future__ import annotations
@@ -90,6 +98,7 @@ class AlgebraParams:
         self.slot_bits, self.slot_code = kernel_slot_width(p, m, n)
         self.field = field
         self.group = group
+        self.n, self.dim = n, group.order
         self.lam = lam
         self.cocycle = Cocycle.alpha(lam, n)
         self.lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
@@ -104,27 +113,22 @@ class AlgebraParams:
         self._block = block = 2 * n * pos
         self._block_mask = (1 << block) - 1
         self._pair_mask = (1 << 2 * block) - 1
-        self._npos = n * pos
-        self._low_mask = (1 << n * pos) - 1
-        # the low n positions of blocks 0 and 1
-        self._even_mask = self._low_mask | (self._low_mask << block)
-        # m > 1: slot 0 of every position, the low m slots of every
-        # position, and t^k mod f(t) in slots for k = m .. 2m-2.
+        # The fold masks of one row (blocks 0 and 1): the low n positions
+        # of both blocks, those of block 0, and for m > 1 slot 0 and the
+        # low m slots of each position that the folded c0 and c1 fill.
+        low = (1 << n * pos) - 1
         ones = sum(1 << (i * pos) for i in range(2 * n))
-        self._slot0_mask = ones * ((1 << bits) - 1)
-        self._digit_mask = ones * ((1 << (m * bits)) - 1)
+        self._masks = (low | (low << block), low,
+                       ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1))
+        # m > 1: t^k mod f(t) in slots for k = m .. 2m-2
         self._fold_t = [
             (k * bits, sum(d << (i * bits) for i, d in
                            enumerate(field.digits_of(field.pow_rep(p, k)))))
             for k in range(m, 2 * m - 1)]
-
-    @property
-    def n(self) -> int:
-        return self.group.n
-
-    @property
-    def dim(self) -> int:
-        return self.group.order
+        # what `_unpack` reads: the bits of n positions, the slots of n
+        # positions and of a row, the bytes and typecode of a slot, p and m
+        self._layout = (n * pos, n * width, 4 * n * width, bits // 8, self.slot_code,
+                        p, m)
 
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
         reps = tuple(reps)
@@ -192,18 +196,16 @@ class AlgebraElement:
         return not any(self.coeffs[:self.params.n])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same_params(self, other)
+        _check_params(other, self.params)
         field = self.params.field
         packed = field.packed
         return AlgebraElement(self.params, field.reduce_all(
             [packed[x] + packed[y] for x, y in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same_params(self, other)
-        field = self.params.field
-        packed, neg = field.packed, field.neg
-        return AlgebraElement(self.params, field.reduce_all(
-            [packed[x] + packed[neg[y]] for x, y in zip(self.coeffs, other.coeffs)]))
+        _check_params(other, self.params)
+        return AlgebraElement(self.params,
+                              self.params.field.sub_all(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "AlgebraElement":
         neg = self.params.field.neg
@@ -254,10 +256,8 @@ class SecretPair:
         return self.a * phi(self.gamma)
 
 
-def _check_same_params(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.params is b.params:
-        return
-    if a.params != b.params or len(a.coeffs) != len(b.coeffs):
+def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
+    if x.params is not params and (x.params != params or len(x.coeffs) != params.dim):
         raise ValueError("algebra elements have mismatched parameters")
 
 
@@ -267,21 +267,19 @@ def alg_product(a: AlgebraElement, b: AlgebraElement,
 
     Packs A, B_lo and B_hi of the module docstring (B_lo and B_hi from one
     integer) and forms S = a0*B_lo + a1*B_hi, whose blocks 0 and 1 are c0
-    and c1; when a1 = 0, S = a0*B_lo and B_hi is not packed. Adding each
-    block's high n positions to its low n folds both mod x^n - 1 at once;
-    for m > 1 the slots of t^m .. t^(2m-2) are then replaced by their
-    multiples of t^k mod f(t). No slot passes the bound that sets the slot
-    width; each digit is taken mod p once, on unpacking.
+    and c1; when a1 = 0, S = a0*B_lo and B_hi is not packed. S is one row
+    of `_unpack`, which folds and reduces it; when a1 = b1 = 0 only the n
+    rotation slots are unpacked.
     """
     params = params or a.params
-    _check_same_params(a, b)
+    if b.params is not a.params:
+        _check_params(b, a.params)
     n = params.n
     sb = params.slot_bytes.__getitem__
-    pad = params._pad
-    block, npos, even = params._block, params._npos, params._even_mask
     ac, bc = a.coeffs, b.coeffs
     a1, b1 = ac[n:], bc[n:]
     if any(a1):
+        pad, block = params._pad, params._block
         lsb = params.lam_slot_bytes.__getitem__
         packed_a = int.from_bytes(b"".join(
             [*map(sb, ac[:n]), pad, *map(sb, a1)]), "little")
@@ -291,31 +289,101 @@ def alg_product(a: AlgebraElement, b: AlgebraElement,
             "little")
         s = ((packed_a & params._block_mask) * (packed_b & params._pair_mask)
              + (packed_a >> block) * (packed_b >> 2 * block))
-    else:  # the a1*B_hi term is skipped; with b1 = 0, B_lo is b0 alone
-        b_lo = [*map(sb, bc[:n]), pad, *map(sb, b1)] if any(b1) else map(sb, bc[:n])
-        s = (int.from_bytes(b"".join(map(sb, ac[:n])), "little")
-             * int.from_bytes(b"".join(b_lo), "little"))
-    # c0 folded in the low half of block 0 and c1 in that of block 1,
-    # then c1 moved down next to c0: the two fill block 0
-    t = (s & even) + ((s >> npos) & even)
-    folded = (t & params._low_mask) + (t >> npos)
+        return AlgebraElement(params, _unpack(params, s, 1, params._masks))
+    packed_a = int.from_bytes(b"".join(map(sb, ac[:n])), "little")
+    if any(b1):  # the a1*B_hi term is skipped
+        s = packed_a * int.from_bytes(b"".join(
+            [*map(sb, bc[:n]), params._pad, *map(sb, b1)]), "little")
+        return AlgebraElement(params, _unpack(params, s, 1, params._masks))
+    # and with b1 = 0 B_lo is b0 alone, and c1 = 0
+    s = packed_a * int.from_bytes(b"".join(map(sb, bc[:n])), "little")
+    return AlgebraElement(params, _unpack(params, s, 1, params._masks, 1) + (0,) * n)
+
+
+def _unpack(params: AlgebraParams, s: int, count: int, masks: tuple[int, ...],
+            halves: int = 2) -> tuple[int, ...]:
+    """The 2n reps of each of `count` products in turn; row k of s is the k-th.
+
+    Adding each block's high n positions to its low n folds c0 and c1 mod
+    x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
+    positions of row k. For m > 1 the slots of t^m .. t^(2m-2) are then
+    replaced by their multiples of t^k mod f(t). With count = 1 and
+    halves = 1 only the n reps of c0 are read, and c1 must be zero.
+    """
+    npos, half, stride, slot_len, code, p, m = params._layout
+    even, low, slot0, digits = masks
+    if halves == 2:
+        t = (s & even) + ((s >> npos) & even)
+        folded = (t & low) + (t >> npos)
+    else:  # block 1 is empty
+        folded = (s & low) + (s >> npos)
     if params._fold_t:
-        slot0 = params._slot0_mask
-        reduced = folded & params._digit_mask
+        reduced = folded & digits
         for shift, t_k in params._fold_t:
             reduced += ((folded >> shift) & slot0) * t_k
         folded = reduced
-    slots = memoryview(folded.to_bytes(block // 8, sys.byteorder)).cast(
-        params.slot_code)[::NATIVE_STEP]
-    p = params.field.p
-    m = params.field.m
+    size = halves * half  # the slots read from each row
+    last = (count - 1) * stride  # where the last row starts
+    nbytes = (last + size) * slot_len
+    if slot_len == 1:  # a byte string is its own sequence of 8-bit slots
+        slots = folded.to_bytes(nbytes, "little")
+    else:  # in native order, which lists them last first on a big-endian host
+        slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(code)
+        if NATIVE_STEP < 0:
+            slots = slots[::-1]
+    if count > 1:
+        slots = [v for i in range(0, last + 1, stride) for v in slots[i:i + size]]
     if m == 1:
-        return AlgebraElement(params, tuple([v % p for v in slots]))
+        return tuple([v % p for v in slots])
     width = 2 * m - 1
-    reps = [0] * (2 * n)
-    for d in reversed(range(m)):
+    reps = [v % p for v in slots[m - 1::width]]  # the top digits
+    for d in reversed(range(m - 1)):
         reps = [r * p + v % p for r, v in zip(reps, slots[d::width])]
-    return AlgebraElement(params, tuple(reps))
+    return tuple(reps)
+
+
+# Left operands a RotationBatch packs into one integer, which bounds the
+# memory of a product and its reps however many operands the batch has.
+BATCH_CHUNK = 256
+
+
+class RotationBatch:
+    """Rotation-only left operands x_0, x_1, ..., packed once, BATCH_CHUNK
+    rows to an integer (see the module docstring); `times` multiplies each
+    such integer by b."""
+
+    def __init__(self, lefts: Sequence[AlgebraElement]):
+        params = lefts[0].params
+        n = params.n
+        sb = params.slot_bytes.__getitem__
+        gap = params._pad * 3
+        rows = []
+        for x in lefts:
+            _check_params(x, params)
+            if any(x.coeffs[n:]):
+                raise ValueError("batch left operands must be rotation-only")
+            rows.append(b"".join(map(sb, x.coeffs[:n])) + gap)
+        self.params = params
+        self._chunks = [(int.from_bytes(b"".join(rows[i:i + BATCH_CHUNK]), "little"),
+                         len(rows[i:i + BATCH_CHUNK]))
+                        for i in range(0, len(rows), BATCH_CHUNK)]
+        # the masks of one row, repeated for every row of a chunk
+        row, count = 2 * params._block // 8, min(len(lefts), BATCH_CHUNK)
+        self._masks = tuple(int.from_bytes(mask.to_bytes(row, "little") * count, "little")
+                            for mask in params._masks)
+
+    def times(self, b: AlgebraElement) -> Iterator[tuple[int, ...]]:
+        """The reps of x_k*b for every k in order, one multiply per chunk."""
+        params = self.params
+        _check_params(b, params)
+        sb = params.slot_bytes.__getitem__
+        n, dim, bc = params.n, params.dim, b.coeffs
+        right = int.from_bytes(b"".join(
+            [*map(sb, bc[:n]), params._pad, *map(sb, bc[n:])]), "little")
+        for packed, count in self._chunks:
+            reps = _unpack(params, packed * right, count, self._masks)
+            for i in range(0, count * dim, dim):
+                yield reps[i:i + dim]
 
 
 def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> AlgebraElement:
@@ -414,10 +482,13 @@ def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
 
 def index_h(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> int:
     """Base-q positional encoding of the coefficient vector; a bijection."""
-    params = params or a.params
-    q = params.field.q
+    return rep_index(a.coeffs, (params or a.params).field.q)
+
+
+def rep_index(reps: Sequence[int], q: int) -> int:
+    """index_h of the element with these reps, by Horner's rule."""
     out = 0
-    for rep in reversed(a.coeffs):
+    for rep in reversed(reps):
         out = out * q + rep
     return out
 

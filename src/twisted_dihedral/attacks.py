@@ -1,10 +1,13 @@
-"""Desk-scale cryptanalysis of the product-decomposition problem.
+"""Exponential teaching baselines for the product-decomposition problem.
 
 Implements the attack-game harness (DPD, CDP and DDP product games) and
-two solvers: partitioned exhaustive search over the index bijection, and a
-meet-in-the-middle trade-off that splits the rotation space into a
-low-degree and a high-degree slice. Both test a candidate (a, gamma) as
-phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then one multiply.
+two solvers exponential in n: partitioned exhaustive search over the index
+bijection, and a meet-in-the-middle trade-off that splits the rotation
+space into a low-degree and a high-degree slice. The scheme falls instead
+to the polynomial-time linear decomposition attack (Myasnikov and
+Roman'kov 2015; Tsaban 2015), not implemented here. Both solvers test a
+candidate (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a,
+then all gamma from one RotationBatch of the phi(gamma).
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import (AlgebraElement, AlgebraParams, SecretPair, index_h,
-                      index_h_inv, iter_gamma, phi, sample_secret_pair, times_y)
+from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
+                      index_h_inv, iter_gamma, phi, rep_index, sample_secret_pair,
+                      times_y)
 from .errors import CapacityError
 from .kex import PublicParams, derive_public, derive_shared
 
@@ -77,30 +81,24 @@ def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
     lo = total * partition_index // partition_count
     hi = total * (partition_index + 1) // partition_count
 
-    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
+    gammas, batch = _gamma_batch(algebra)
+    pk = inst.pk.coeffs
     tested = 0
     for idx in range(lo, hi):
         a = index_h_inv(idx, algebra)
-        ahy = times_y(a * inst.pp.h)
-        for gamma, phi_gamma in gammas:
+        for gamma, c in zip(gammas, batch.times(times_y(a * inst.pp.h))):
             tested += 1
-            if phi_gamma * ahy == inst.pk:
+            if c == pk:
                 if a.is_zero() or gamma.is_zero():
                     continue  # cannot form a valid secret pair
                 return AttackResult(SecretPair(a, gamma), tested)
     return AttackResult(None, tested)
 
 
-def _rotation_slice(algebra: AlgebraParams, start: int, width: int):
-    """All rotation elements supported on x^start .. x^(start+width-1)."""
-    q = algebra.field.q
-    for counter in range(q ** width):
-        reps = [0] * algebra.dim
-        v = counter
-        for slot in range(width):
-            reps[start + slot] = v % q
-            v //= q
-        yield algebra.from_reps(reps)
+def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], RotationBatch]:
+    """Gamma in enumeration order, and the batch of every phi(gamma)."""
+    gammas = list(iter_gamma(algebra))
+    return gammas, RotationBatch([phi(g) for g in gammas])
 
 
 def mitm_offline(pp: PublicParams, t: int,
@@ -115,12 +113,11 @@ def mitm_offline(pp: PublicParams, t: int,
         raise CapacityError(f"{total} table entries exceed the bound {max_entries}")
     buckets: dict[int, list] = {}
     entries = 0
-    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
-    for a1 in _rotation_slice(algebra, 0, t):
-        a1hy = times_y(a1 * pp.h)
-        for gamma, phi_gamma in gammas:
-            key = index_h(phi_gamma * a1hy, algebra)
-            buckets.setdefault(key, []).append((a1, gamma))
+    gammas, batch = _gamma_batch(algebra)
+    for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)
+        a1 = index_h_inv(idx, algebra)
+        for gamma, c in zip(gammas, batch.times(times_y(a1 * pp.h))):
+            buckets.setdefault(rep_index(c, q), []).append((a1, gamma))
             entries += 1
     return MitmTable(t=t, buckets=buckets, entries=entries)
 
@@ -134,15 +131,17 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if t != table.t:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
+    field = algebra.field
+    q, pk = field.q, inst.pk.coeffs
     tested = 0
-    gammas = [(g, phi(g)) for g in iter_gamma(algebra)]
-    for a2 in _rotation_slice(algebra, t, algebra.n - t):
-        a2hy = times_y(a2 * inst.pp.h)
-        for gamma, phi_gamma in gammas:
+    gammas, batch = _gamma_batch(algebra)
+    for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
+        a2 = index_h_inv(idx * q ** t, algebra)
+        for gamma, c in zip(gammas, batch.times(times_y(a2 * inst.pp.h))):
             tested += 1
-            residual = inst.pk - phi_gamma * a2hy
-            for a1, gamma1 in table.buckets.get(index_h(residual, algebra), ()):
-                if gamma1 == gamma:
+            residual = field.sub_all(pk, c)
+            for a1, gamma1 in table.buckets.get(rep_index(residual, q), ()):
+                if gamma1.coeffs == gamma.coeffs:
                     a = a1 + a2
                     if a.is_zero() or gamma.is_zero():
                         continue

@@ -202,7 +202,7 @@ def _cmd_attack(args) -> int:
     field = pp.algebra.field
     print(f"parameters: p={field.p} m={field.m} n={pp.algebra.n}")
     print(f"attack: {args.kind}")
-    start = time.perf_counter()
+    start = search_start = time.perf_counter()
     if args.kind == "exhaustive":
         tested = 0
         result = None
@@ -215,13 +215,17 @@ def _cmd_attack(args) -> int:
     else:
         print(f"t: {args.t}")
         table = mitm_offline(pp, args.t)
+        search_start = time.perf_counter()
         print(f"offline table entries: {table.entries}")
+        print(f"offline table build time: {search_start - start:.3f}s")
         result = mitm_online(table, inst, args.t)
         tested = result.candidates_tested
         pair = result.pair
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
     print(f"candidates tested: {tested}")
-    print(f"wall time: {elapsed:.3f}s")
+    print(f"wall time: {end - start:.3f}s")
+    # the rate of the search itself: MITM's offline table build is not in it
+    print(f"candidates/s: {tested / max(end - search_start, 1e-9):.0f}")
     if pair is None:
         print("no pair found")
         return 1

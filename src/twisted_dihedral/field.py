@@ -316,6 +316,11 @@ class FieldParams:
             reps = [r * p + ((v >> shift) & mask) % p for r, v in zip(reps, sums)]
         return tuple(reps)
 
+    def sub_all(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
+        """Reps of x - y for each pair of reps x, y of xs and ys."""
+        packed, neg = self.packed, self.neg
+        return self.reduce_all([packed[x] + packed[neg[y]] for x, y in zip(xs, ys)])
+
     def add_rep(self, a: int, b: int) -> int:
         return self.reduce_all((self.packed[a] + self.packed[b],))[0]
 

@@ -97,10 +97,10 @@ def kem_keygen(pp: PublicParams, rng: random.Random) -> KemKeyPair:
 def kem_encaps(pk: AlgebraElement, pp: PublicParams,
                rng: random.Random) -> tuple[PkeCiphertext, bytes]:
     m = sample_subspace("full", pp.algebra, rng)
-    r = hash_g1(rep_serialize(m) + rep_serialize(pk), pp)
+    m_bytes = rep_serialize(m)
+    r = hash_g1(m_bytes + rep_serialize(pk), pp)
     c = pke_enc(m, pk, r, pp)
-    key = hash_g2(rep_serialize(m) + rep_serialize(c))
-    return c, key
+    return c, hash_g2(m_bytes + rep_serialize(c))
 
 
 def kem_decaps(kp: KemKeyPair, c: PkeCiphertext, pp: PublicParams) -> bytes:

@@ -16,9 +16,16 @@ from twisted_dihedral.kex import (derive_public, derive_shared,
                                   setup_public_params)
 
 
-def _instance(pp, seed):
+def _instance(pp, seed, width=None):
+    """A random instance; with `width`, its secret a keeps only its
+    coefficients of x^0 .. x^(width-1), the first made nonzero."""
     rng = random.Random(seed)
     secret = sample_secret_pair(pp.algebra, rng)
+    if width is not None:
+        reps = list(secret.a.reps()[:width])
+        reps[0] = reps[0] or 1
+        a = pp.algebra.from_reps(reps + [0] * (pp.algebra.dim - width))
+        secret = SecretPair(a, secret.gamma)
     return secret, DpdInstance(pp, derive_public(secret, pp))
 
 
@@ -182,18 +189,26 @@ def _first_hit(inst, rotations, solutions):
     return None, tested
 
 
-@pytest.mark.parametrize("n,seeds", [(3, range(10)), (6, range(3))])
-def test_solvers_match_two_multiply_loops(n, seeds):
-    # the solvers test phi(gamma)*(a*h*y); same pairs, same counts
-    pp = setup_public_params(3, 1, n, random.Random(n))
+# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets are
+# supported on x^0 and x^1, so both scans stop within a few a: the
+# exhaustive bound is raised to the whole space, which the scan never
+# reaches, and the MITM table with t = 1 is 3 * 3^7 entries.
+@pytest.mark.parametrize("p,m,n,t,seeds,width", [
+    (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
+    (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2)],
+    ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12"])
+def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
+    # the solvers test phi(gamma)*(a*h*y), every gamma at once through a
+    # RotationBatch; same pairs, same counts
+    pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
-    q, t = alg.field.q, n // 2
+    q = alg.field.q
     table = mitm_offline(pp, t)
     for seed in seeds:
-        _, inst = _instance(pp, 300 + seed)
+        _, inst = _instance(pp, 300 + seed, width)
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
                           lambda a, c, gamma: [a] if c == inst.pk else [])
-        result = exhaustive_dpd(inst)
+        result = exhaustive_dpd(inst, max_candidates=q ** (n + n // 2 + 1))
         assert (result.pair, result.candidates_tested) == want
         # the high slice x^t .. x^(n-1), in the solver's order
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))

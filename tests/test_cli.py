@@ -137,6 +137,8 @@ def test_attack_exhaustive(tmp_path, params_file, capsys):
     out = capsys.readouterr().out
     assert "verification: ok" in out
     assert "candidates tested:" in out
+    assert float(_field(out, "candidates/s")) > 0
+    assert "offline table" not in out
 
 
 def test_attack_mitm(tmp_path, params_file, capsys):
@@ -149,6 +151,16 @@ def test_attack_mitm(tmp_path, params_file, capsys):
     out = capsys.readouterr().out
     assert "offline table entries: 27" in out
     assert "verification: ok" in out
+    build = _field(out, "offline table build time")
+    assert build.endswith("s") and float(build[:-1]) >= 0
+    assert float(_field(out, "candidates/s")) > 0
+
+
+def _field(out, name):
+    """The value printed after `name: ` on the one line that has it."""
+    (value,) = [line[len(name) + 2:] for line in out.splitlines()
+                if line.startswith(name + ": ")]
+    return value
 
 
 def test_attack_partitions_must_be_positive(tmp_path, params_file, capsys):

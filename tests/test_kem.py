@@ -2,7 +2,10 @@
 implicit rejection."""
 
 import hashlib
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +130,54 @@ def test_hash_g1_matches_bit_reader(name, request):
         assert hash_g1(x, pp) == hash_g1_bitwise(x, pp)[0]
 
     check()
+
+
+def chunk_digit_distribution(p):
+    """P(d) for a uniform chunk of ceil(log2 p) bits reduced mod p."""
+    w = (p - 1).bit_length()
+    return [Fraction(len(range(d, 1 << w, p)), 1 << w) for d in range(p)]
+
+
+def test_hash_g1_digit_bias(pp333):
+    # a digit d below 2^w - p has two chunks, d and d + p, the rest one
+    half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
+    assert chunk_digit_distribution(3) == [half, quarter, quarter]
+    assert chunk_digit_distribution(5) == [quarter, quarter, quarter, eighth, eighth]
+    assert chunk_digit_distribution(7) == [quarter] + [eighth] * 6
+    assert chunk_digit_distribution(101)[:27] == [Fraction(1, 64)] * 27
+    # min-entropy per digit at p = 3: 1 bit against log2(3) for a uniform digit
+    assert -math.log2(max(chunk_digit_distribution(3))) == 1.0
+
+    # hash_g1 at (3,1,3) parses 3 rotation digits and 2 free gamma digits
+    # per block and keeps the first block with both parts nonzero: the
+    # exact law of a kept digit, from the 3^5 blocks
+    prob = chunk_digit_distribution(3)
+    kept = {"a": [Fraction(0)] * 3, "gamma": [Fraction(0)] * 3}
+    for block in itertools.product(range(3), repeat=5):
+        if any(block[:3]) and any(block[3:]):
+            weight = math.prod(prob[d] for d in block)
+            kept["a"][block[0]] += weight
+            kept["gamma"][block[3]] += weight
+    law = {part: [x / sum(ps) for x in ps] for part, ps in kept.items()}
+    # rejecting a zero gamma happens to make its two free digits uniform;
+    # the three digits of a keep the bias
+    assert law == {"a": [Fraction(3, 7), Fraction(2, 7), Fraction(2, 7)],
+                   "gamma": [Fraction(1, 3)] * 3}
+
+    seen = {"a": [0] * 3, "gamma": [0] * 3}
+    for i in range(3000):
+        pair = hash_g1(i.to_bytes(2, "big"), pp333)
+        for d in pair.a.reps()[:3]:
+            seen["a"][d] += 1
+        for d in pair.gamma.reps()[3:5]:
+            seen["gamma"][d] += 1
+    for part, counts in seen.items():
+        total = sum(counts)
+        for d in range(3):
+            # 5 standard deviations; uniform digits of a would miss digit 0
+            # of a by about 18
+            sd = math.sqrt(law[part][d] * (1 - law[part][d]) / total)
+            assert abs(counts[d] / total - law[part][d]) < 5 * sd
 
 
 def test_hash_g2_contract():

@@ -1,5 +1,5 @@
-"""The table-driven field core, product kernel, sampler, cocycle verifier
-and MITM table against oracles.
+"""The table-driven field core, product kernel and its batches, sampler,
+cocycle verifier and MITM table against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_dihedral.algebra import (AlgebraParams, adjunct, alg_product,
+from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
+                                      RotationBatch, adjunct, alg_product,
                                       index_h, index_h_inv, iter_gamma,
                                       kernel_slot_width, sample_secret_pair,
                                       sample_subspace)
@@ -120,6 +121,12 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     zero = alg.zero()
     for x, y in [(top, top), (zero, top), (top, zero), (top.rotation_part(), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
+    # a batch row holds the same worst case as one product: every slot of
+    # the rotation-only left and of the right operand at p - 1
+    rot = top.rotation_part()
+    for y in (top, rot):
+        assert list(RotationBatch([rot, zero, rot]).times(y)) == [
+            schoolbook_product(x, y) for x in (rot, zero, rot)]
 
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
@@ -135,6 +142,38 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
             assert alg_product(x, y).reps() == schoolbook_product(x, y)
 
     check()
+
+
+@pytest.mark.parametrize("size", [1, 2, BATCH_CHUNK + 1])
+@pytest.mark.parametrize("p,m,n,examples", [
+    (3, 1, 3, 20), (5, 1, 5, 20), (3, 2, 9, 10), (3, 7, 9, 5), (101, 1, 101, 2)])
+def test_batch_matches_single_products(p, m, n, examples, size):
+    # row k of a batch is x_k * b; BATCH_CHUNK + 1 left operands take two
+    # chunks, the second of a single row
+    alg = algebra_of(p, m, n)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64))
+    def check(seed):
+        rng = random.Random(seed)
+        lefts = [sample_subspace("C_n", alg, rng) for _ in range(size)]
+        batch = RotationBatch(lefts)
+        full = sample_subspace("full", alg, rng)
+        for b in (full, full.rotation_part(), full.reflection_part()):
+            assert list(batch.times(b)) == [alg_product(x, b).reps() for x in lefts]
+
+    check()
+
+
+def test_batch_rejects_bad_operands():
+    alg, other = algebra_of(3, 1, 3), algebra_of(5, 1, 5)
+    rot = alg.basis(1)
+    with pytest.raises(ValueError):
+        RotationBatch([rot, alg.basis(4)])  # a reflection part
+    with pytest.raises(ValueError):
+        RotationBatch([rot, other.basis(1)])
+    with pytest.raises(ValueError):
+        list(RotationBatch([rot]).times(other.one()))
 
 
 @pytest.mark.parametrize("p,m,n,examples", [
@@ -161,13 +200,17 @@ def test_derivations_match_literal_formulas(p, m, n, examples):
     check()
 
 
-@pytest.mark.parametrize("n", [3, 6])
-def test_mitm_table_matches_two_multiply_loop(n):
-    # the table keys a1*h*gamma as phi(gamma)*(a1*h*y); the literal
-    # (a1*h)*gamma loop, in the same order, is the oracle
-    pp = setup_public_params(3, 1, n, random.Random(n))
+# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK
+@pytest.mark.parametrize("p,m,n,ts", [
+    (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
+    (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
+def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
+    # the table keys a1*h*gamma as phi(gamma)*(a1*h*y), computed for every
+    # gamma at once by a RotationBatch; the literal (a1*h)*gamma loop, in
+    # the same order, is the oracle
+    pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
-    for t in range(4):
+    for t in ts:
         buckets = {}
         for idx in range(alg.field.q ** t):
             a1 = index_h_inv(idx, alg)
