@@ -125,10 +125,8 @@ class AlgebraParams:
             (k * bits, sum(d << (i * bits) for i, d in
                            enumerate(field.digits_of(field.pow_rep(p, k)))))
             for k in range(m, 2 * m - 1)]
-        # what `_unpack` reads: the bits of n positions, the slots of n
-        # positions and of a row, the bytes and typecode of a slot, p and m
-        self._layout = (n * pos, n * width, 4 * n * width, bits // 8, self.slot_code,
-                        p, m)
+        # the bits and the slots of n positions
+        self._npos, self._nslots = n * pos, n * width
 
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
         reps = tuple(reps)
@@ -310,29 +308,25 @@ def _unpack(params: AlgebraParams, s: int, count: int, masks: tuple[int, ...],
     replaced by their multiples of t^k mod f(t). With count = 1 and
     halves = 1 only the n reps of c0 are read, and c1 must be zero.
     """
-    npos, half, stride, slot_len, code, p, m = params._layout
+    npos = params._npos
     even, low, slot0, digits = masks
-    if halves == 2:
-        t = (s & even) + ((s >> npos) & even)
-        folded = (t & low) + (t >> npos)
-    else:  # block 1 is empty
-        folded = (s & low) + (s >> npos)
+    t = (s & even) + ((s >> npos) & even)
+    folded = (t & low) + (t >> npos)
     if params._fold_t:
         reduced = folded & digits
         for shift, t_k in params._fold_t:
             reduced += ((folded >> shift) & slot0) * t_k
         folded = reduced
-    size = halves * half  # the slots read from each row
-    last = (count - 1) * stride  # where the last row starts
-    nbytes = (last + size) * slot_len
-    if slot_len == 1:  # a byte string is its own sequence of 8-bit slots
+    # count - 1 rows of 4n positions, then the halves * n read from the last
+    nbytes = (4 * count - 4 + halves) * npos // 8
+    if params.slot_bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = folded.to_bytes(nbytes, "little")
-    else:  # in native order, which lists them last first on a big-endian host
-        slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(code)
-        if NATIVE_STEP < 0:
-            slots = slots[::-1]
-    if count > 1:
-        slots = [v for i in range(0, last + 1, stride) for v in slots[i:i + size]]
+    else:  # native slots, which a big-endian host lists last first
+        slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(params.slot_code)[::NATIVE_STEP]
+    if count > 1:  # the slots read from each row
+        size, stride = halves * params._nslots, 4 * params._nslots
+        slots = [v for i in range(0, len(slots), stride) for v in slots[i:i + size]]
+    p, m = params.field.p, params.field.m
     if m == 1:
         return tuple([v % p for v in slots])
     width = 2 * m - 1

@@ -13,7 +13,7 @@ then all gamma from one RotationBatch of the phi(gamma).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
@@ -36,11 +36,17 @@ class DpdInstance:
 
 @dataclass
 class MitmTable:
-    """Offline table: index_h(a1*h*gamma) -> [(a1, gamma), ...]."""
+    """Offline table: index_h(a1*h*gamma) -> [(a1, gamma), ...].
+
+    Also keeps Gamma and the batch of its phi(gamma), which the online
+    scan reuses.
+    """
 
     t: int
     buckets: dict[int, list[tuple[AlgebraElement, AlgebraElement]]]
     entries: int
+    gammas: list[AlgebraElement] = field(compare=False, repr=False)
+    batch: RotationBatch = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ def mitm_offline(pp: PublicParams, t: int,
         for gamma, c in zip(gammas, batch.times(times_y(a1 * pp.h))):
             buckets.setdefault(rep_index(c, q), []).append((a1, gamma))
             entries += 1
-    return MitmTable(t=t, buckets=buckets, entries=entries)
+    return MitmTable(t=t, buckets=buckets, entries=entries, gammas=gammas, batch=batch)
 
 
 def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
@@ -131,15 +137,13 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if t != table.t:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
-    field = algebra.field
-    q, pk = field.q, inst.pk.coeffs
+    q, pk, sub_all = algebra.field.q, inst.pk.coeffs, algebra.field.sub_all
     tested = 0
-    gammas, batch = _gamma_batch(algebra)
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
-        for gamma, c in zip(gammas, batch.times(times_y(a2 * inst.pp.h))):
+        for gamma, c in zip(table.gammas, table.batch.times(times_y(a2 * inst.pp.h))):
             tested += 1
-            residual = field.sub_all(pk, c)
+            residual = sub_all(pk, c)
             for a1, gamma1 in table.buckets.get(rep_index(residual, q), ()):
                 if gamma1.coeffs == gamma.coeffs:
                     a = a1 + a2

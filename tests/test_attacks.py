@@ -171,6 +171,18 @@ def test_mitm_mismatched_t_rejected(pp333):
         mitm_online(table, inst, 2)
 
 
+def test_mitm_table_keeps_gamma_batch(pp333, pp515):
+    """The online scan reuses the table's Gamma and batch, which equality
+    and repr ignore; a table of other parameters is rejected."""
+    table = mitm_offline(pp333, 1)
+    assert table == mitm_offline(pp333, 1)
+    assert "batch" not in repr(table)
+    assert [g.coeffs for g in table.gammas] == [g.coeffs for g in iter_gamma(pp333.algebra)]
+    _, other = _instance(pp515, 202)
+    with pytest.raises(ValueError):
+        mitm_online(table, other, 1)
+
+
 # --- the solvers against their two-multiply loops ---
 
 def _first_hit(inst, rotations, solutions):
