@@ -6,44 +6,47 @@ coeffs[n+i] multiplies the reflection basis vector for x^i y. The product
 is twisted by the cocycle that takes the value lambda exactly on
 reflection pairs.
 
-Writing a = a0 + a1*y with a0, a1 in F_q[x]/(x^n - 1), the twisted product
-is exactly
+Write a = a0 + a1*y with a0, a1 in F_q[x]/(x^n - 1). Left multiplication
+by y only relabels: y*b = lambda*rev(b1) + rev(b0)*y, with rev(b)_j =
+b_{-j mod n}, an O(n) map (`y_times`). So every product is rotation parts
+times full elements,
 
-    c0 = a0*b0 + lambda * a1*rev(b1),    c1 = a0*b1 + a1*rev(b0),
+    a*b = a0*b + a1*(y*b),
 
-where * is cyclic convolution and rev(b)_j = b_{-j mod n}. `alg_product`
-computes the four convolutions with two big-integer multiplications
-(Kronecker substitution). Each coefficient is a position of 2m - 1 slots
-of W bits that holds its base-p digits in the low m slots; a block is
-2n positions, one more than a product of two n-position operands needs.
-With Y = 2^(block bits) the operands are packed as
+and a rotation x times b = b0 + b1*y is x*b0 + (x*b1)*y: two cyclic
+convolutions. `alg_product` computes them by Kronecker substitution.
+Each coefficient is a position of 2m - 1 slots of W bits that holds its
+base-p digits in the low m slots; `_pack` writes n reps as n positions,
+or 2n reps as b0 + b1*Y with Y = 2^(2n positions), one more than an
+n x n convolution needs. So
 
-    A = a0 + a1*Y,    B_lo = b0 + b1*Y,    B_hi = lambda*rev(b1) + rev(b0)*Y,
+    S = pack(a0)*pack(b) + pack(a1)*pack(y*b)
 
-and S = a0*B_lo + a1*B_hi holds, before reduction mod x^n - 1, c0 in
-block 0 and c1 in block 1: exactly the four convolutions, no cross
-terms. Every slot of S, and of its fold mod x^n - 1 and reduction mod
-f(t), stays below 2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest
-of 8/16/32/64 bits above that bound (`kernel_slot_width`), so no slot
-ever carries into the next.
+holds, before reduction mod x^n - 1, c0 in block 0 and c1 in block 1:
+one big-integer multiply per nonzero half of a, no cross terms. Every
+slot of S, and of its fold mod x^n - 1 and reduction mod f(t), stays
+below 2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest of
+8/16/32/64 bits above that bound (`kernel_slot_width`), so no slot ever
+carries into the next.
 
-When a1 = 0 the a1*B_hi term is skipped and B_hi is not packed: S = a0*B_lo
-is one multiply, and when b1 = 0 as well B_lo is b0 alone, an n x n
-multiply whose c1 is zero, so only the n slots of c0 are unpacked. Every
-protocol product has such a rotation-only left operand (see kex.py). A
-skipped term only lowers the slot values, so the bound, the slot width,
-the fold and the unpack are the same on every path.
+Every protocol and solver product has a rotation-only left operand (see
+kex.py and attacks.py), so it is the one multiply pack(a0)*pack(b); when
+b1 = 0 as well, pack(b) is b0 alone, an n x n multiply whose c1 is zero,
+and only the n slots of c0 are unpacked. A term that is absent only
+lowers the slot values, so the bound, the slot width, the fold and the
+unpack are the same on every path.
 
 S is one row of 4n positions. A `RotationBatch` packs rotation-only left
 operands once as X = x_0 + x_1*Z + x_2*Z^2 + ..., Z = 2^(4n positions),
-so that X*B_lo holds x_k*B_lo in row k: n positions times the 3n of B_lo
-fill 4n - 1, rows never overlap, and each slot sums the terms of one
-product, under the same bound. `_unpack` reads any number of rows, and
-the single product is the batch of one row.
+so that X*pack(b) holds x_k*b in row k: n positions times the 3n of
+pack(b) fill 4n - 1, rows never overlap, and each slot sums the terms of
+one product, under the same bound. `_unpack` reads any number of rows,
+and the single product is the batch of one row.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from dataclasses import dataclass
@@ -84,7 +87,7 @@ class AlgebraParams:
     - `lam_mul[rep]`: the rep of lambda * rep;
     - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
       rep in little-endian slots of `slot_bits` bits, then m - 1 zero
-      slots; `lam_slot_bytes[rep]` is `slot_bytes[lam_mul[rep]]`;
+      slots;
     - the masks and constants that fold and reduce the product.
     """
 
@@ -108,17 +111,13 @@ class AlgebraParams:
         self.slot_bytes = [
             b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
             .ljust(pos // 8, b"\0") for r in range(field.q)]
-        self.lam_slot_bytes = [self.slot_bytes[r] for r in self.lam_mul]
         self._pad = bytes(n * pos // 8)  # fills a block after n positions
-        self._block = block = 2 * n * pos
-        self._block_mask = (1 << block) - 1
-        self._pair_mask = (1 << 2 * block) - 1
         # The fold masks of one row (blocks 0 and 1): the low n positions
         # of both blocks, those of block 0, and for m > 1 slot 0 and the
         # low m slots of each position that the folded c0 and c1 fill.
         low = (1 << n * pos) - 1
         ones = sum(1 << (i * pos) for i in range(2 * n))
-        self._masks = (low | (low << block), low,
+        self._masks = (low | (low << 2 * n * pos), low,
                        ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1))
         # m > 1: t^k mod f(t) in slots for k = m .. 2m-2
         self._fold_t = [
@@ -210,7 +209,7 @@ class AlgebraElement:
         return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return alg_product(self, other, self.params)
+        return alg_product(self, other)
 
     def scale(self, c: FieldElement) -> "AlgebraElement":
         """Coefficient-wise multiplication by a field scalar."""
@@ -259,43 +258,36 @@ def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
         raise ValueError("algebra elements have mismatched parameters")
 
 
-def alg_product(a: AlgebraElement, b: AlgebraElement,
-                params: Optional[AlgebraParams] = None) -> AlgebraElement:
-    """Twisted product by Kronecker substitution: one or two big-integer multiplies.
+def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Twisted product by Kronecker substitution, a*b = a0*b + a1*(y*b).
 
-    Packs A, B_lo and B_hi of the module docstring (B_lo and B_hi from one
-    integer) and forms S = a0*B_lo + a1*B_hi, whose blocks 0 and 1 are c0
-    and c1; when a1 = 0, S = a0*B_lo and B_hi is not packed. S is one row
-    of `_unpack`, which folds and reduces it; when a1 = b1 = 0 only the n
-    rotation slots are unpacked.
+    Forms S = pack(a0)*pack(b), plus pack(a1)*pack(y*b) when a1 != 0 (see
+    the module docstring), whose blocks 0 and 1 are c0 and c1. S is one
+    row of `_unpack`, which folds and reduces it; when a1 = b1 = 0 only
+    the n rotation slots are unpacked.
     """
-    params = params or a.params
-    if b.params is not a.params:
-        _check_params(b, a.params)
+    params = a.params
+    if b.params is not params:
+        _check_params(b, params)
     n = params.n
-    sb = params.slot_bytes.__getitem__
     ac, bc = a.coeffs, b.coeffs
-    a1, b1 = ac[n:], bc[n:]
-    if any(a1):
-        pad, block = params._pad, params._block
-        lsb = params.lam_slot_bytes.__getitem__
-        packed_a = int.from_bytes(b"".join(
-            [*map(sb, ac[:n]), pad, *map(sb, a1)]), "little")
-        packed_b = int.from_bytes(b"".join(
-            [*map(sb, bc[:n]), pad, *map(sb, b1), pad,
-             lsb(bc[n]), *map(lsb, bc[:n:-1]), pad, sb(bc[0]), *map(sb, bc[n - 1:0:-1])]),
-            "little")
-        s = ((packed_a & params._block_mask) * (packed_b & params._pair_mask)
-             + (packed_a >> block) * (packed_b >> 2 * block))
-        return AlgebraElement(params, _unpack(params, s, 1, params._masks))
-    packed_a = int.from_bytes(b"".join(map(sb, ac[:n])), "little")
-    if any(b1):  # the a1*B_hi term is skipped
-        s = packed_a * int.from_bytes(b"".join(
-            [*map(sb, bc[:n]), params._pad, *map(sb, b1)]), "little")
-        return AlgebraElement(params, _unpack(params, s, 1, params._masks))
-    # and with b1 = 0 B_lo is b0 alone, and c1 = 0
-    s = packed_a * int.from_bytes(b"".join(map(sb, bc[:n])), "little")
-    return AlgebraElement(params, _unpack(params, s, 1, params._masks, 1) + (0,) * n)
+    b1 = any(bc[n:])
+    s = _pack(params, ac[:n]) * _pack(params, bc if b1 else bc[:n])
+    if any(ac[n:]):
+        s += _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs)
+    elif not b1:  # c1 = 0
+        return AlgebraElement(params, _unpack(params, s, 1, params._masks, 1) + (0,) * n)
+    return AlgebraElement(params, _unpack(params, s, 1, params._masks))
+
+
+def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
+    """The kernel integer of n reps, or of 2n reps as b0 + b1*Y."""
+    sb = params.slot_bytes.__getitem__
+    n = params.n
+    if len(reps) == n:
+        return int.from_bytes(b"".join(map(sb, reps)), "little")
+    return int.from_bytes(b"".join([*map(sb, reps[:n]), params._pad, *map(sb, reps[n:])]),
+                          "little")
 
 
 def _unpack(params: AlgebraParams, s: int, count: int, masks: tuple[int, ...],
@@ -362,7 +354,7 @@ class RotationBatch:
                          len(rows[i:i + BATCH_CHUNK]))
                         for i in range(0, len(rows), BATCH_CHUNK)]
         # the masks of one row, repeated for every row of a chunk
-        row, count = 2 * params._block // 8, min(len(lefts), BATCH_CHUNK)
+        row, count = 4 * params._npos // 8, min(len(lefts), BATCH_CHUNK)
         self._masks = tuple(int.from_bytes(mask.to_bytes(row, "little") * count, "little")
                             for mask in params._masks)
 
@@ -370,10 +362,7 @@ class RotationBatch:
         """The reps of x_k*b for every k in order, one multiply per chunk."""
         params = self.params
         _check_params(b, params)
-        sb = params.slot_bytes.__getitem__
-        n, dim, bc = params.n, params.dim, b.coeffs
-        right = int.from_bytes(b"".join(
-            [*map(sb, bc[:n]), params._pad, *map(sb, bc[n:])]), "little")
+        dim, right = params.dim, _pack(params, b.coeffs)
         for packed, count in self._chunks:
             reps = _unpack(params, packed * right, count, self._masks)
             for i in range(0, count * dim, dim):
@@ -410,6 +399,14 @@ def times_y(x: AlgebraElement) -> AlgebraElement:
                           tuple([lam_mul[c] for c in x.coeffs[n:]]) + x.coeffs[:n])
 
 
+def y_times(x: AlgebraElement) -> AlgebraElement:
+    """y*x = lambda*rev(x1) + rev(x0)*y, the left-hand twin of `times_y`, O(n)."""
+    n = x.params.n
+    lam_mul, c = x.params.lam_mul, x.coeffs
+    return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:n + 1] + c[:n:-1]])
+                          + c[:1] + c[n - 1:0:-1])
+
+
 def in_gamma(a: AlgebraElement) -> bool:
     """Membership in the reversible subspace: reflection-supported, a_i = a_{n-i}."""
     n = a.params.n
@@ -417,12 +414,18 @@ def in_gamma(a: AlgebraElement) -> bool:
     return a.in_reflection_subspace() and reps[n + 1:] == reps[:n:-1]
 
 
+def gamma_from_free(params: AlgebraParams, free: Sequence[int]) -> AlgebraElement:
+    """The element of the reversible subspace with reflection coefficients
+    `free` at x^0 .. x^(n//2) y, mirrored so that coefficient n - j equals
+    coefficient j."""
+    n = params.n
+    g = tuple(free)
+    return AlgebraElement(params, (0,) * n + g + g[n - len(g):0:-1])
+
+
 def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
     """Uniform element of the reversible subspace (free coefficients mirrored)."""
-    n = params.n
-    free = n // 2 + 1
-    g = tuple(params.field.random_reps(rng, free))
-    return AlgebraElement(params, (0,) * n + g + g[n - free:0:-1])
+    return gamma_from_free(params, params.field.random_reps(rng, params.n // 2 + 1))
 
 
 def sample_subspace(which: str, params: AlgebraParams,
@@ -457,21 +460,10 @@ def sample_secret_pair(params: AlgebraParams, rng: random.Random) -> SecretPair:
 
 
 def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
-    """Enumerate the whole reversible subspace, q^ceil((n+1)/2) elements."""
-    field = params.field
-    n = params.n
-    q = field.q
-    free = n // 2 + 1
-    for counter in range(q ** free):
-        reps = [0] * params.dim
-        v = counter
-        for slot in range(free):
-            d = v % q
-            v //= q
-            reps[n + slot] = d
-            if slot:
-                reps[n + (n - slot) % n] = d
-        yield AlgebraElement(params, tuple(reps))
+    """Enumerate the whole reversible subspace, q^ceil((n+1)/2) elements,
+    the first free coefficient fastest."""
+    for free in itertools.product(range(params.field.q), repeat=params.n // 2 + 1):
+        yield gamma_from_free(params, free[::-1])
 
 
 def index_h(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> int:

@@ -14,8 +14,8 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, SecretPair, rep_serialize,
-                      sample_subspace)
+from .algebra import (AlgebraElement, SecretPair, gamma_from_free,
+                      rep_serialize, sample_subspace)
 from .kex import PublicParams
 from .pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
 
@@ -61,7 +61,6 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     n, m, p = algebra.n, field.m, field.p
     w = (p - 1).bit_length()
     mask = (1 << w) - 1
-    free = n // 2 + 1
     bits = g1_output_bits(pp)
     xof = hashlib.shake_256(x)
     start = 0
@@ -77,7 +76,7 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
         a, g = reps[:n], reps[n:]
         if any(a) and any(g):
             return SecretPair(AlgebraElement(algebra, a + (0,) * n),
-                              AlgebraElement(algebra, (0,) * n + g + g[n - free:0:-1]))
+                              gamma_from_free(algebra, g))
         start = end
 
 

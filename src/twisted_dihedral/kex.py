@@ -50,9 +50,9 @@ class PublicParams:
 
 
 def validate_h(h: AlgebraElement) -> None:
-    if h.rotation_part().is_zero():
+    if h.in_reflection_subspace():
         raise ParameterError("public element h has a zero rotation part")
-    if h.reflection_part().is_zero():
+    if h.in_rotation_subalgebra():
         raise ParameterError("public element h has a zero reflection part")
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (AlgebraParams, SecretPair, adjunct,
-                                      in_gamma, index_h, index_h_inv,
-                                      iter_gamma, phi,
+                                      gamma_from_free, in_gamma, index_h,
+                                      index_h_inv, iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
                                       sample_gamma, sample_secret_pair,
-                                      sample_subspace, times_y)
+                                      sample_subspace, times_y, y_times)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import FieldParams
 from twisted_dihedral.group import DihedralGroup
@@ -234,6 +234,7 @@ def test_times_y_and_gamma_through_y(p, m, n):
         x = sample_subspace("full", alg, rng)
         gamma = sample_gamma(alg, rng)
         assert times_y(x) == x * y
+        assert y_times(x) == y * x
         # gamma = Phi(gamma) * y with Phi(gamma) palindromic, hence central,
         # so x * gamma = Phi(gamma) * (x * y) for every x; the attack
         # solvers test their candidates through this
@@ -278,6 +279,12 @@ def test_gamma_cardinalities(alg33, alg34):
     gs34 = list(iter_gamma(alg34))
     assert len(gs34) == 27 and len(set(g.reps() for g in gs34)) == 27
     assert all(in_gamma(g) for g in gs33 + gs34)
+    # the k-th element has the base-3 digits of k, lowest first, as its free
+    # coefficients; the solvers' found pairs and counts rest on this order
+    for k, g in enumerate(gs34):
+        digits = [k // 3 ** i % 3 for i in range(3)]
+        assert g == gamma_from_free(alg34, digits)
+        assert list(g.reps()) == [0] * 4 + digits + digits[1:2]
 
 
 def test_sample_gamma_support(alg33, rng):

@@ -74,3 +74,37 @@ def pipeline_digests(d, p, m, n):
 @pytest.mark.parametrize("triple", sorted(GOLDEN))
 def test_cli_outputs_match_golden(tmp_path, triple):
     assert pipeline_digests(tmp_path, *triple) == GOLDEN[triple]
+
+
+# Lines of `attack` output that hold timings, which differ run to run.
+TIMING_LINES = ("wall time:", "candidates/s:", "offline table build time:")
+
+ATTACK_GOLDEN = {
+    "exhaustive": "096ddc71b0518fc748e5bea72a86c39b1e8352d531145cc159d3dc22fc07564b",
+    "mitm": "50d8c399897416cdd95346d0054880fa881e25e4d4c6645a784f7cfd64099942",
+}
+
+
+def attack_digest(d, kind):
+    """SHA-256 of `attack` stdout on the seeded (3,1,3) params and pk,
+    without the timing lines."""
+    params, pk, sk = d / "params.txt", d / "pk.txt", d / "sk.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["param-gen", "--p", "3", "--m", "1", "--n", "3",
+                     "--out", str(params), "--seed", "41"]) == 0
+        assert main(["keygen", "--params", str(params), "--out-pk", str(pk),
+                     "--out-sk", str(sk), "--seed", "42"]) == 0
+    argv = ["attack", "--params", str(params), "--pk", str(pk), kind]
+    if kind == "mitm":
+        argv += ["--t", "1"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    kept = [line for line in out.getvalue().splitlines(keepends=True)
+            if not line.startswith(TIMING_LINES)]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACK_GOLDEN))
+def test_attack_output_matches_golden(tmp_path, kind):
+    assert attack_digest(tmp_path, kind) == ATTACK_GOLDEN[kind]

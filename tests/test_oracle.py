@@ -131,11 +131,11 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
     def check(a, b):
-        # the half-empty shapes: a1 = 0 skips the a1*B_hi term (rotation
+        # the half-empty shapes: a1 = 0 skips the a1*(y*b) term (rotation
         # times full, as in the protocol's second products), and with
-        # b1 = 0 as well B_lo is b0 alone (rotation times rotation, as in
-        # a*phi(gamma)); b1 = 0 (full times rotation), b0 = 0 (full times
-        # gamma) and a0 = 0 run both terms
+        # b1 = 0 as well b packs as b0 alone (rotation times rotation, as
+        # in a*phi(gamma)); b1 = 0 (full times rotation), b0 = 0 (full
+        # times gamma) and a0 = 0 run both terms
         for x, y in [(a, b), (b, a), (top, b), (a, top), (a.rotation_part(), b),
                      (a.rotation_part(), b.rotation_part()), (a, b.rotation_part()),
                      (a, b.reflection_part()), (a.reflection_part(), b)]:
