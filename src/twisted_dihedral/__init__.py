@@ -3,7 +3,9 @@
 The package provides field and group primitives, the twisted algebra with
 its reversible subspace, a two-message key exchange, a probabilistic
 public-key encryption scheme, an FO-transformed KEM with implicit
-rejection, and a desk-scale cryptanalysis toolkit.
+rejection, and exhaustive and meet-in-the-middle solvers for the
+decomposition problem. The solvers are exponential teaching baselines;
+the scheme itself falls to a polynomial-time linear decomposition attack.
 """
 
 from .errors import CapacityError, ParameterError
@@ -15,8 +17,8 @@ from .cocycle import (BetaMap, Cocycle, CocycleCheck, coboundary_of,
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
                       alg_product, in_gamma, index_h, index_h_inv,
                       iter_gamma, phi, rep_deserialize,
-                      rep_serialize, sample_gamma, sample_secret_pair,
-                      sample_subspace, times_y)
+                      rep_serialize, rotation_products, sample_gamma,
+                      sample_secret_pair, sample_subspace, times_y)
 from .kex import (PublicParams, Session, derive_public, derive_shared,
                   setup_public_params)
 from .pke import PkeCiphertext, PkeKeyPair, pke_dec, pke_enc, pke_gen

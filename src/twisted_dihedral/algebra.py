@@ -14,34 +14,36 @@ times full elements,
     a*b = a0*b + a1*(y*b),
 
 and a rotation x times b = b0 + b1*y is x*b0 + (x*b1)*y: two cyclic
-convolutions. `alg_product` computes them by Kronecker substitution.
-Each coefficient is a position of 2m - 1 slots of W bits that holds its
-base-p digits in the low m slots; `_pack` writes n reps as n positions,
-or 2n reps as b0 + b1*Y with Y = 2^(2n positions), one more than an
-n x n convolution needs. So
+convolutions, computed by Kronecker substitution. Each coefficient is a
+position of 2m - 1 slots of W bits that holds its base-p digits in the
+low m slots; `_pack` writes reps n at a time, each n followed by n zero
+positions: n reps as n positions, 2n reps as b0 + b1*Y with
+Y = 2^(2n positions), one more than an n x n convolution needs. So
+pack(x)*pack(b) holds, before reduction mod x^n - 1, x*b0 in block 0 and
+x*b1 in block 1, with no cross terms: one row of 4n positions.
 
-    S = pack(a0)*pack(b) + pack(a1)*pack(y*b)
+`rotation_products` returns every x*b_k + c_k for a rotation-only x,
+right operands b_k and addends c_k (those of the first rows), from one
+multiply and one `_unpack`. 2n*k reps pack as k rows at Z = 2^(4n
+positions) apart, so with the b_k and the c_k each one after another,
 
-holds, before reduction mod x^n - 1, c0 in block 0 and c1 in block 1:
-one big-integer multiply per nonzero half of a, no cross terms. Every
-slot of S, and of its fold mod x^n - 1 and reduction mod f(t), stays
-below 2n * m * (p-1)^2 * (1 + (m-1)(p-1)); W is the smallest of
-8/16/32/64 bits above that bound (`kernel_slot_width`), so no slot ever
-carries into the next.
+    S = pack(x) * sum_k pack(b_k)*Z^k + sum_k pack(c_k)*Z^k.
 
-Every protocol and solver product has a rotation-only left operand (see
-kex.py and attacks.py), so it is the one multiply pack(a0)*pack(b); when
-b1 = 0 as well, pack(b) is b0 alone, an n x n multiply whose c1 is zero,
-and only the n slots of c0 are unpacked. A term that is absent only
-lowers the slot values, so the bound, the slot width, the fold and the
-unpack are the same on every path.
+The n positions of x times the 3n of pack(b_k) fill 4n - 1, so rows never
+overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
+k, which the fold keeps, so the addend counts once. `alg_product` with a
+rotation-only a is the one-row case, and with a1 != 0 it is a1*(y*b) with
+the addend a0*b. A `RotationBatch` is the dual: rotation-only left
+operands packed once as rows, so that one multiply by pack(b) holds x_k*b
+in row k.
 
-S is one row of 4n positions. A `RotationBatch` packs rotation-only left
-operands once as X = x_0 + x_1*Z + x_2*Z^2 + ..., Z = 2^(4n positions),
-so that X*pack(b) holds x_k*b in row k: n positions times the 3n of
-pack(b) fill 4n - 1, rows never overlap, and each slot sums the terms of
-one product, under the same bound. `_unpack` reads any number of rows,
-and the single product is the batch of one row.
+A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
+to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
+times digits below p: at most n*m*(p-1)^2*(1 + (m-1)(p-1)) + p - 1. W,
+the smallest of 8/16/32/64 bits above twice the first term
+(`kernel_slot_width`), holds that, so no slot carries into the next.
+When a and b are both rotation-only, b packs as b0 alone and only the n
+slots of c0 are read.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ SLOT_TYPES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 def kernel_slot_width(p: int, m: int, n: int) -> tuple[int, str]:
     """Slot width in bits, and its typecode, for the product kernel at (p, m, n).
 
-    The smallest width in SLOT_TYPES above the largest slot value the
-    product can hold, 2n * m * (p-1)^2 * (1 + (m-1)(p-1)): two products of
-    n terms of m digit products each, plus the reduction of m - 1 high
-    digits by multiples of digits below p. Raises ParameterError when not
-    even 64 bits suffice.
+    The smallest width in SLOT_TYPES above 2n * m * (p-1)^2 * (1 + (m-1)(p-1)),
+    twice what a row's n terms of m digit products each and the reduction
+    of m - 1 high digits by multiples of digits below p can reach, which
+    leaves room for an addend's digit below p in each slot (see the module
+    docstring). Raises ParameterError when not even 64 bits suffice.
     """
     bound = 2 * n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
     for bits, code in SLOT_TYPES:
@@ -84,7 +86,8 @@ class AlgebraParams:
 
     Construction also builds the O(q + n) tables of the product kernel:
 
-    - `lam_mul[rep]`: the rep of lambda * rep;
+    - `lam_mul[rep]` and `neg_lam_mul[rep]`: the reps of lambda * rep and
+      -lambda * rep;
     - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
       rep in little-endian slots of `slot_bits` bits, then m - 1 zero
       slots;
@@ -105,6 +108,7 @@ class AlgebraParams:
         self.lam = lam
         self.cocycle = Cocycle.alpha(lam, n)
         self.lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
+        self.neg_lam_mul = [field.neg[r] for r in self.lam_mul]
         bits = self.slot_bits
         width = 2 * m - 1
         pos = width * bits
@@ -115,10 +119,11 @@ class AlgebraParams:
         # The fold masks of one row (blocks 0 and 1): the low n positions
         # of both blocks, those of block 0, and for m > 1 slot 0 and the
         # low m slots of each position that the folded c0 and c1 fill.
+        # `_unpack` adds those of more rows, keyed by the row count.
         low = (1 << n * pos) - 1
         ones = sum(1 << (i * pos) for i in range(2 * n))
-        self._masks = (low | (low << 2 * n * pos), low,
-                       ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1))
+        self._masks = {1: (low | (low << 2 * n * pos), low,
+                           ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1))}
         # m > 1: t^k mod f(t) in slots for k = m .. 2m-2
         self._fold_t = [
             (k * bits, sum(d << (i * bits) for i, d in
@@ -259,48 +264,92 @@ def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
 
 
 def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Twisted product by Kronecker substitution, a*b = a0*b + a1*(y*b).
+    """Twisted product a*b = a0*b + a1*(y*b) (see the module docstring).
 
-    Forms S = pack(a0)*pack(b), plus pack(a1)*pack(y*b) when a1 != 0 (see
-    the module docstring), whose blocks 0 and 1 are c0 and c1. S is one
-    row of `_unpack`, which folds and reduces it; when a1 = b1 = 0 only
-    the n rotation slots are unpacked.
+    A rotation-only a is the one-row case of the kernel behind
+    `rotation_products`, and with b1 = 0 as well b packs as b0 alone and
+    only the n slots of c0 are read. Otherwise a1*(y*b) takes a0*b as its
+    addend, one more multiply.
     """
     params = a.params
     if b.params is not params:
         _check_params(b, params)
     n = params.n
     ac, bc = a.coeffs, b.coeffs
-    b1 = any(bc[n:])
-    s = _pack(params, ac[:n]) * _pack(params, bc if b1 else bc[:n])
-    if any(ac[n:]):
-        s += _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs)
-    elif not b1:  # c1 = 0
-        return AlgebraElement(params, _unpack(params, s, 1, params._masks, 1) + (0,) * n)
-    return AlgebraElement(params, _unpack(params, s, 1, params._masks))
+    if any(ac[n:]):  # a1*(y*b), with the addend a0*b
+        a0b = alg_product(a.rotation_part(), b)
+        return AlgebraElement(params, _products(params, ac[n:], y_times(b).coeffs, a0b.coeffs, 2))
+    if any(bc[n:]):
+        return AlgebraElement(params, _products(params, ac[:n], bc, (), 2))
+    return AlgebraElement(params, _products(params, ac[:n], bc[:n], (), 1) + (0,) * n)
+
+
+def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
+                      addends: Sequence[AlgebraElement] = ()) -> list[AlgebraElement]:
+    """x*b_k + c_k for every right operand b_k and addend c_k, in order,
+    from one multiply; x must be rotation-only, and the addends go to the
+    first len(addends) rows."""
+    params = x.params
+    n = params.n
+    if any(x.coeffs[n:]):
+        raise ValueError("the left operand must be rotation-only")
+    if not rights or len(addends) > len(rights):
+        raise ValueError("expected right operands, and at most one addend each")
+    reps = _products(params, x.coeffs[:n], _rows(params, rights), _rows(params, addends), 2)
+    dim = params.dim
+    return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
+
+
+def _rows(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> list[int]:
+    """The 2n reps of each element in turn, the rows that `_pack` packs Z
+    apart; every element must have these params."""
+    reps = []
+    for e in elements:
+        if e.params is not params:
+            _check_params(e, params)
+        reps += e.coeffs
+    return reps
+
+
+def _products(params: AlgebraParams, x0: Sequence[int], rights: Sequence[int],
+              addends: Sequence[int], halves: int) -> tuple[int, ...]:
+    """The halves * n reps of each x0*b_k + c_k, with the b_k and c_k the
+    rows of `rights` and `addends`, halves * n reps each:
+    S = pack(x0)*pack(rights) + pack(addends), one `_unpack`."""
+    s = _pack(params, x0) * _pack(params, rights)
+    if addends:
+        s += _pack(params, addends)
+    return _unpack(params, s, len(rights) // (halves * params.n), halves)
 
 
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
-    """The kernel integer of n reps, or of 2n reps as b0 + b1*Y."""
+    """The kernel integer of reps taken n at a time, each n followed by n
+    zero positions: n reps as n positions, 2n reps as b0 + b1*Y, and
+    2n*k reps as k rows at Z apart."""
     sb = params.slot_bytes.__getitem__
     n = params.n
     if len(reps) == n:
         return int.from_bytes(b"".join(map(sb, reps)), "little")
-    return int.from_bytes(b"".join([*map(sb, reps[:n]), params._pad, *map(sb, reps[n:])]),
-                          "little")
+    return int.from_bytes(params._pad.join(map(b"".join, zip(*[map(sb, reps)] * n))), "little")
 
 
-def _unpack(params: AlgebraParams, s: int, count: int, masks: tuple[int, ...],
-            halves: int = 2) -> tuple[int, ...]:
-    """The 2n reps of each of `count` products in turn; row k of s is the k-th.
+def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple[int, ...]:
+    """The halves * n reps of each of `count` products in turn; row k of s
+    is the k-th.
 
     Adding each block's high n positions to its low n folds c0 and c1 mod
     x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
     positions of row k. For m > 1 the slots of t^m .. t^(2m-2) are then
-    replaced by their multiples of t^k mod f(t). With count = 1 and
-    halves = 1 only the n reps of c0 are read, and c1 must be zero.
+    replaced by their multiples of t^k mod f(t). With halves = 1 only the
+    n reps of each c0 are read.
     """
     npos = params._npos
+    masks = params._masks.get(count)
+    if masks is None:  # those of one row, repeated for each row
+        row = 4 * npos // 8
+        masks = params._masks[count] = tuple(
+            int.from_bytes(mask.to_bytes(row, "little") * count, "little")
+            for mask in params._masks[1])
     even, low, slot0, digits = masks
     t = (s & even) + ((s >> npos) & even)
     folded = (t & low) + (t >> npos)
@@ -315,9 +364,11 @@ def _unpack(params: AlgebraParams, s: int, count: int, masks: tuple[int, ...],
         slots = folded.to_bytes(nbytes, "little")
     else:  # native slots, which a big-endian host lists last first
         slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(params.slot_code)[::NATIVE_STEP]
-    if count > 1:  # the slots read from each row
+    if count > 1:  # the slots read from each row, a slice at a time
         size, stride = halves * params._nslots, 4 * params._nslots
-        slots = [v for i in range(0, len(slots), stride) for v in slots[i:i + size]]
+        rows, slots = slots, []
+        for i in range(0, len(rows), stride):
+            slots += rows[i:i + size]
     p, m = params.field.p, params.field.m
     if m == 1:
         return tuple([v % p for v in slots])
@@ -341,22 +392,14 @@ class RotationBatch:
     def __init__(self, lefts: Sequence[AlgebraElement]):
         params = lefts[0].params
         n = params.n
-        sb = params.slot_bytes.__getitem__
-        gap = params._pad * 3
-        rows = []
-        for x in lefts:
-            _check_params(x, params)
-            if any(x.coeffs[n:]):
-                raise ValueError("batch left operands must be rotation-only")
-            rows.append(b"".join(map(sb, x.coeffs[:n])) + gap)
+        if any(any(x.coeffs[n:]) for x in lefts):
+            raise ValueError("batch left operands must be rotation-only")
         self.params = params
-        self._chunks = [(int.from_bytes(b"".join(rows[i:i + BATCH_CHUNK]), "little"),
-                         len(rows[i:i + BATCH_CHUNK]))
-                        for i in range(0, len(rows), BATCH_CHUNK)]
-        # the masks of one row, repeated for every row of a chunk
-        row, count = 4 * params._npos // 8, min(len(lefts), BATCH_CHUNK)
-        self._masks = tuple(int.from_bytes(mask.to_bytes(row, "little") * count, "little")
-                            for mask in params._masks)
+        # each x_k packs with its zero x_k1, so as a row of 4n positions;
+        # `_rows` checks the params
+        self._chunks = [(_pack(params, _rows(params, lefts[i:i + BATCH_CHUNK])),
+                         len(lefts[i:i + BATCH_CHUNK]))
+                        for i in range(0, len(lefts), BATCH_CHUNK)]
 
     def times(self, b: AlgebraElement) -> Iterator[tuple[int, ...]]:
         """The reps of x_k*b for every k in order, one multiply per chunk."""
@@ -364,7 +407,7 @@ class RotationBatch:
         _check_params(b, params)
         dim, right = params.dim, _pack(params, b.coeffs)
         for packed, count in self._chunks:
-            reps = _unpack(params, packed * right, count, self._masks)
+            reps = _unpack(params, packed * right, count)
             for i in range(0, count * dim, dim):
                 yield reps[i:i + dim]
 

@@ -3,8 +3,14 @@
 Gen: pk = a1*h*gamma1. Enc: c1 = a2*h*gamma2, c2 = m + a2*pk*adjunct(gamma2).
 Dec: m = c2 - a1*c1*adjunct(gamma1). Enc takes its randomness r2 explicitly
 because the KEM re-derives it deterministically for the re-encryption check.
-c1 and c2 share a2*phi(gamma2), computed once per r2 (see kex.py): Enc
-takes three products, Dec one with a pke_gen key, which holds a1*phi(gamma1).
+
+As in kex.py, a*x*gamma = a'*(x*y) and a*x*adjunct(gamma) =
+a'*(lambda*(x*y)) with a' = a*phi(gamma), kept by the SecretPair. So Enc
+is one `rotation_products` call, left a2', rights lambda*(pk*y) and h*y,
+addend m on the first; Dec is one call, left a1', right -lambda*(c1*y),
+addend c2. Neither makes an element addition or subtraction: Enc takes
+two big-integer multiplies (a2' once per r2, then the call), and Dec one
+with a pke_gen key, which holds a1'.
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM
@@ -15,9 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
-from .algebra import AlgebraElement, SecretPair, sample_secret_pair
-from .kex import PublicParams, derive_public, derive_shared
+from .algebra import (AlgebraElement, SecretPair, rotation_products,
+                      sample_secret_pair)
+from .kex import PublicParams, derive_public
 
 
 @dataclass(frozen=True)
@@ -44,10 +52,20 @@ def pke_gen(pp: PublicParams, rng: random.Random) -> PkeKeyPair:
 
 def pke_enc(m: AlgebraElement, pk: AlgebraElement, r2: SecretPair,
             pp: PublicParams) -> PkeCiphertext:
-    c1 = derive_public(r2, pp)
-    c2 = m + derive_shared(r2, pk, pp)
+    lam_pk_y = _scaled_times_y(pk, pk.params.lam_mul)
+    c2, c1 = rotation_products(r2.a_phi, (lam_pk_y, pp.hy), (m,))
     return PkeCiphertext(c1, c2)
 
 
 def pke_dec(c: PkeCiphertext, sk: SecretPair, pp: PublicParams) -> AlgebraElement:
-    return c.c2 - derive_shared(sk, c.c1, pp)
+    c1 = c.c1
+    return rotation_products(sk.a_phi, (_scaled_times_y(c1, c1.params.neg_lam_mul),),
+                             (c.c2,))[0]
+
+
+def _scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
+    """s*(x*y) = s*lambda*x1 + (s*x0)*y in x's own algebra, for the scalar s
+    with s_mul[rep] the rep of s*rep."""
+    n, lam, s = x.params.n, x.params.lam_mul.__getitem__, s_mul.__getitem__
+    c = x.coeffs
+    return AlgebraElement(x.params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))

@@ -1,5 +1,6 @@
-"""The table-driven field core, product kernel and its batches, sampler,
-cocycle verifier and MITM table against oracles.
+"""The table-driven field core, product kernel with its batches and
+addend rows, PKE, sampler, cocycle verifier and MITM table against
+oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, adjunct, alg_product,
                                       index_h, index_h_inv, iter_gamma,
-                                      kernel_slot_width, sample_secret_pair,
-                                      sample_subspace)
+                                      kernel_slot_width, rotation_products,
+                                      sample_secret_pair, sample_subspace)
 from twisted_dihedral.attacks import mitm_offline
 from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
                                       CocycleCheck, coboundary_of,
@@ -31,6 +32,7 @@ from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
 from twisted_dihedral.group import DihedralGroup
 from twisted_dihedral.kex import (derive_public, derive_shared,
                                   setup_public_params)
+from twisted_dihedral.pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
 
 
 def digits(rep, p, m):
@@ -76,6 +78,13 @@ def schoolbook_product(a, b):
             k = group.op(i, j)
             out[k] = [(x + y) % p for x, y in zip(out[k], digits(term, p, m))]
     return tuple(rep_of(d, p) for d in out)
+
+
+def oracle_sum(field, x, y):
+    """The reps of x + y, digit-wise mod p."""
+    p, m = field.p, field.m
+    return tuple(rep_of([(u + v) % p for u, v in zip(digits(r, p, m), digits(s, p, m))], p)
+                 for r, s in zip(x, y))
 
 
 @functools.cache
@@ -127,6 +136,17 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     for y in (top, rot):
         assert list(RotationBatch([rot, zero, rot]).times(y)) == [
             schoolbook_product(x, y) for x in (rot, zero, rot)]
+    # rotation_products rows hold the same worst case plus an addend, at
+    # most p - 1 more in a slot: one row and two, full and rotation-only
+    # rights and addends, and rows without one
+    for rights, addends in [((top,), (top,)), ((rot,), (rot,)), ((rot,), (top,)),
+                            ((top, rot), (top, top)), ((rot, top), (top,)),
+                            ((rot, rot), (rot,)), ((top, top), ())]:
+        rows = rotation_products(rot, rights, addends)
+        assert len(rows) == len(rights)
+        for row, b, c in zip(rows, rights, (*addends, None, None)):
+            assert row.reps() == oracle_sum(alg.field, schoolbook_product(rot, b),
+                                             (c or zero).reps())
 
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
@@ -165,6 +185,21 @@ def test_batch_matches_single_products(p, m, n, examples, size):
     check()
 
 
+def test_rotation_products_reject_bad_operands():
+    alg, other = algebra_of(3, 1, 3), algebra_of(5, 1, 5)
+    rot = alg.basis(1)
+    with pytest.raises(ValueError):
+        rotation_products(alg.basis(4), [rot])  # a reflection part
+    with pytest.raises(ValueError):
+        rotation_products(rot, [rot, other.basis(1)])
+    with pytest.raises(ValueError):
+        rotation_products(rot, [rot], [other.one()])
+    with pytest.raises(ValueError):
+        rotation_products(other.basis(1), [rot])
+    with pytest.raises(ValueError):
+        rotation_products(rot, [rot], [rot, rot])  # more addends than rows
+
+
 def test_batch_rejects_bad_operands():
     alg, other = algebra_of(3, 1, 3), algebra_of(5, 1, 5)
     rot = alg.basis(1)
@@ -196,6 +231,36 @@ def test_derivations_match_literal_formulas(p, m, n, examples):
         # s1 first computed its a*phi(gamma) in derive_shared; the public
         # key read back from it must still be the literal one
         assert derive_public(s1, pp) == (s1.a * pp.h) * s1.gamma
+
+    check()
+
+
+@pytest.mark.parametrize("p,m,n,examples", [
+    (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 50), (3, 7, 9, 10), (101, 1, 101, 5)])
+def test_pke_matches_derivations(p, m, n, examples):
+    # Enc and Dec are each one rotation_products call with the message
+    # added inside the packed product; the derivations, and the element
+    # sum and difference, are the oracle. The public keys and ciphertexts
+    # are arbitrary full elements as well as real ones.
+    pp = setup_public_params(p, m, n, random.Random(p * m + n))
+    alg = pp.algebra
+    kp = pke_gen(pp, random.Random(n))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64))
+    def check(seed):
+        rng = random.Random(seed)
+        msg = sample_subspace("full", alg, rng)
+        r2 = sample_secret_pair(alg, rng)
+        for pk in (kp.pk, sample_subspace("full", alg, rng)):
+            c = pke_enc(msg, pk, r2, pp)
+            assert c.c1 == derive_public(r2, pp)
+            assert c.c2 == msg + derive_shared(r2, pk, pp)
+        for c in (pke_enc(msg, kp.pk, r2, pp),
+                  PkeCiphertext(sample_subspace("full", alg, rng),
+                                sample_subspace("full", alg, rng))):
+            assert pke_dec(c, kp.sk, pp) == c.c2 - derive_shared(kp.sk, c.c1, pp)
+        assert pke_dec(pke_enc(msg, kp.pk, r2, pp), kp.sk, pp) == msg
 
     check()
 

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from twisted_dihedral.algebra import (rep_serialize, sample_secret_pair,
-                                      sample_subspace)
-from twisted_dihedral.kex import derive_public
+from twisted_dihedral.algebra import (AlgebraParams, rep_serialize,
+                                      sample_secret_pair, sample_subspace)
+from twisted_dihedral.field import FieldParams
+from twisted_dihedral.group import DihedralGroup
+from twisted_dihedral.kex import PublicParams, derive_public
 from twisted_dihedral.pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
 
 
@@ -90,3 +92,24 @@ def test_wrong_key_decrypts_to_garbage(pp515):
         if pke_dec(c, other.sk, pp515) != m:
             wrong += 1
     assert wrong >= trials * 95 // 100
+
+
+def test_enc_dec_reject_operands_from_another_algebra(rng):
+    # over F_5, lambda = 2 and lambda = 3 give two algebras of the same
+    # shape; each operand from the other one must be refused, not read
+    field = FieldParams(5)
+    h = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    pp2, pp3 = (PublicParams(alg, alg.from_reps(h)) for alg in
+                (AlgebraParams(field, DihedralGroup(5), field.elem(lam)) for lam in (2, 3)))
+    kp2, kp3 = pke_gen(pp2, rng), pke_gen(pp3, rng)
+    m2, m3 = (sample_subspace("full", pp.algebra, rng) for pp in (pp2, pp3))
+    r2, r3 = (sample_secret_pair(pp.algebra, rng) for pp in (pp2, pp3))
+    c2, c3 = pke_enc(m2, kp2.pk, r2, pp2), pke_enc(m3, kp3.pk, r3, pp3)
+    for m, pk, r in [(m2, kp3.pk, r3), (m3, kp2.pk, r3), (m3, kp3.pk, r2)]:
+        with pytest.raises(ValueError):
+            pke_enc(m, pk, r, pp3)
+    for c, sk in [(PkeCiphertext(c2.c1, c3.c2), kp3.sk),
+                  (PkeCiphertext(c3.c1, c2.c2), kp3.sk), (c3, kp2.sk)]:
+        with pytest.raises(ValueError):
+            pke_dec(c, sk, pp3)
+    assert pke_dec(c3, kp3.sk, pp3) == m3
