@@ -15,8 +15,8 @@ from .group import DihedralGroup
 from .cocycle import (BetaMap, Cocycle, CocycleCheck, coboundary_of,
                       equivalence_search, verify_cocycle)
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
-                      alg_product, in_gamma, index_h, index_h_inv,
-                      iter_gamma, phi, rep_deserialize,
+                      alg_product, in_gamma, index_h_inv, iter_gamma,
+                      phi, rep_deserialize, rep_index,
                       rep_serialize, rotation_products, sample_gamma,
                       sample_secret_pair, sample_subspace, times_y)
 from .kex import (PublicParams, Session, derive_public, derive_shared,

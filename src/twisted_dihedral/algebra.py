@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .cocycle import Cocycle
 from .errors import ParameterError
 from .field import NATIVE_STEP, FieldElement, FieldParams, is_square
 from .group import DihedralGroup
@@ -98,7 +97,7 @@ class AlgebraParams:
                  lam: FieldElement):
         if lam.field != field:
             raise ParameterError("lambda must live in the given field")
-        if lam.is_zero() or is_square(lam, field):
+        if lam.is_zero() or is_square(lam):
             raise ParameterError("lambda must be a non-square in F_q*")
         p, m, n = field.p, field.m, group.n
         self.slot_bits, self.slot_code = kernel_slot_width(p, m, n)
@@ -106,7 +105,6 @@ class AlgebraParams:
         self.group = group
         self.n, self.dim = n, group.order
         self.lam = lam
-        self.cocycle = Cocycle.alpha(lam, n)
         self.lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
         self.neg_lam_mul = [field.neg[r] for r in self.lam_mul]
         bits = self.slot_bits
@@ -182,14 +180,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def rotation_part(self) -> "AlgebraElement":
-        n = self.params.n
-        return AlgebraElement(self.params, self.coeffs[:n] + (0,) * n)
-
-    def reflection_part(self) -> "AlgebraElement":
-        n = self.params.n
-        return AlgebraElement(self.params, (0,) * n + self.coeffs[n:])
 
     def in_rotation_subalgebra(self) -> bool:
         return not any(self.coeffs[self.params.n:])
@@ -277,8 +267,8 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     n = params.n
     ac, bc = a.coeffs, b.coeffs
     if any(ac[n:]):  # a1*(y*b), with the addend a0*b
-        a0b = alg_product(a.rotation_part(), b)
-        return AlgebraElement(params, _products(params, ac[n:], y_times(b).coeffs, a0b.coeffs, 2))
+        a0b = _products(params, ac[:n], bc, (), 2)
+        return AlgebraElement(params, _products(params, ac[n:], y_times(b).coeffs, a0b, 2))
     if any(bc[n:]):
         return AlgebraElement(params, _products(params, ac[:n], bc, (), 2))
     return AlgebraElement(params, _products(params, ac[:n], bc[:n], (), 1) + (0,) * n)
@@ -509,13 +499,9 @@ def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
         yield gamma_from_free(params, free[::-1])
 
 
-def index_h(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> int:
-    """Base-q positional encoding of the coefficient vector; a bijection."""
-    return rep_index(a.coeffs, (params or a.params).field.q)
-
-
 def rep_index(reps: Sequence[int], q: int) -> int:
-    """index_h of the element with these reps, by Horner's rule."""
+    """index_h, the base-q positional encoding of a coefficient vector (a
+    bijection), by Horner's rule."""
     out = 0
     for rep in reversed(reps):
         out = out * q + rep

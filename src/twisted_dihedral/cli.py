@@ -181,7 +181,7 @@ def _cmd_cocycle_check(args) -> int:
         cocycle = Cocycle.beta(lam, algebra.n)
         print(f"checking comparison cocycle, lambda={digits}")
     else:
-        cocycle = algebra.cocycle
+        cocycle = Cocycle.alpha(algebra.lam, algebra.n)
         print(f"checking protocol cocycle, lambda={list(algebra.lam.digits)}")
     check = verify_cocycle(cocycle, algebra.group)
     if check.valid:

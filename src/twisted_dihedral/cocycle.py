@@ -1,14 +1,18 @@
-"""2-cocycles on D_2n with values in F_q*.
+"""2-cocycles on D_2n with values in F_q*, held as discrete logs.
 
-Provides the reflection-pair cocycle (lambda iff both arguments are
-reflections), the comparison cocycle (lambda^j keyed on the second
-argument's rotation exponent), coboundaries of arbitrary unit-valued maps,
-an exhaustive verifier, and a brute-force coboundary-equivalence search
-for tiny parameters.
+A `Cocycle` is the (2n) x (2n) table `logs[g][h]` of the discrete logs of
+its values c(g, h), so a product of values is a sum of logs mod q - 1.
+The reflection-pair cocycle alpha_lambda, the comparison cocycle
+beta_lambda and the trivial one fill it in closed form, `from_table`
+from values, and `coboundary_of` from a unit-valued map. The exhaustive
+verifier and the brute-force coboundary-equivalence search (tiny
+parameters) read the logs; values are boxed as `FieldElement`s only where
+they leave the module.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -18,70 +22,60 @@ from .errors import CapacityError
 from .field import FieldElement, FieldParams
 from .group import DihedralGroup
 
-ALPHA_LAMBDA = "alpha_lambda"
-BETA_LAMBDA = "beta_lambda"
-TABULATED = "tabulated"
-
 
 class Cocycle:
-    """A candidate 2-cocycle, evaluated in closed form or from a table."""
+    """A candidate 2-cocycle: `logs[g][h]` is the discrete log of c(g, h).
+    The constructor trusts its logs; the classmethods build them."""
 
-    def __init__(self, kind: str, n: int, field: FieldParams,
-                 lam: Optional[FieldElement] = None,
-                 table: Optional[tuple[tuple[FieldElement, ...], ...]] = None):
-        self.kind = kind
-        self.n = n
-        self.field = field
-        self.lam = lam
-        self.table = table
-        if kind in (ALPHA_LAMBDA, BETA_LAMBDA):
-            if lam is None or lam.is_zero():
-                raise ValueError("lambda must be a nonzero field element")
-        elif kind == TABULATED:
-            # values lie in F_q*, which the log-domain verifier relies on
-            if (table is None or len(table) != 2 * n
-                    or any(len(row) != 2 * n for row in table)
-                    or not all(isinstance(v, FieldElement) and v.field == field
-                               and v.rep != 0 for row in table for v in row)):
-                raise ValueError("tabulated cocycle needs a (2n) x (2n) table "
-                                 "of nonzero elements of its field")
-        else:
-            raise ValueError(f"unknown cocycle kind {kind!r}")
+    def __init__(self, field: FieldParams, logs: tuple[tuple[int, ...], ...]):
+        self.field, self.logs, self.n = field, logs, len(logs) // 2
+
+    @classmethod
+    def _on_reflections(cls, lam: FieldElement, n: int, powers) -> "Cocycle":
+        """c(g, h) = 1 for a rotation g, lambda^powers[h] for a reflection g."""
+        if lam.is_zero():
+            raise ValueError("lambda must be a nonzero field element")
+        field = lam.field
+        row = tuple(field.log[lam.rep] * e % (field.q - 1) for e in powers)
+        return cls(field, ((0,) * (2 * n),) * n + (row,) * n)
 
     @classmethod
     def alpha(cls, lam: FieldElement, n: int) -> "Cocycle":
-        return cls(ALPHA_LAMBDA, n, lam.field, lam=lam)
+        """lambda iff both arguments are reflections."""
+        return cls._on_reflections(lam, n, [0] * n + [1] * n)
 
     @classmethod
     def beta(cls, lam: FieldElement, n: int) -> "Cocycle":
-        return cls(BETA_LAMBDA, n, lam.field, lam=lam)
+        """lambda^j for a reflection and a second argument x^j or x^j y."""
+        return cls._on_reflections(lam, n, [h % n for h in range(2 * n)])
 
     @classmethod
     def trivial(cls, field: FieldParams, n: int) -> "Cocycle":
-        return cls(ALPHA_LAMBDA, n, field, lam=field.one())
+        return cls.alpha(field.one(), n)
+
+    @classmethod
+    def from_table(cls, field: FieldParams, table) -> "Cocycle":
+        """The cocycle with values table[g][h]: (2n) x (2n) nonzero
+        elements of `field`."""
+        size = len(table)
+        if (size == 0 or size % 2 or any(len(row) != size for row in table)
+                or not all(isinstance(v, FieldElement) and v.field == field
+                           and v.rep != 0 for row in table for v in row)):
+            raise ValueError("a cocycle table is (2n) x (2n), of nonzero "
+                             "elements of its field")
+        return cls(field, tuple(tuple(field.log[v.rep] for v in row) for row in table))
 
     def __call__(self, g: int, h: int) -> FieldElement:
-        n = self.n
-        if not (0 <= g < 2 * n and 0 <= h < 2 * n):
+        if not (0 <= g < 2 * self.n and 0 <= h < 2 * self.n):
             raise ValueError("group index out of range")
-        if self.kind == ALPHA_LAMBDA:
-            if g >= n and h >= n:
-                return self.lam
-            return self.field.one()
-        if self.kind == BETA_LAMBDA:
-            if g >= n:
-                return self.lam ** (h % n)
-            return self.field.one()
-        return self.table[g][h]
+        return self.field.from_rep(self.field.exp[self.logs[g][h]])
 
     def tabulate(self) -> tuple[tuple[FieldElement, ...], ...]:
-        n2 = 2 * self.n
-        return tuple(tuple(self(g, h) for h in range(n2)) for g in range(n2))
+        box, exp = self.field.from_rep, self.field.exp
+        return tuple(tuple(box(exp[k]) for k in row) for row in self.logs)
 
     def __repr__(self):
-        if self.kind == TABULATED:
-            return f"Cocycle(tabulated, n={self.n})"
-        return f"Cocycle({self.kind}, n={self.n}, lambda={self.lam!r})"
+        return f"Cocycle(n={self.n}, field={self.field!r})"
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,10 @@ class BetaMap:
     def __post_init__(self):
         if any(v.is_zero() for v in self.values):
             raise ValueError("beta map values must be nonzero")
-        if self.values[0].rep != 1:
+        if not self.values or self.values[0].rep != 1:
             raise ValueError("beta map must send the identity to 1")
+        if any(v.field != self.values[0].field for v in self.values):
+            raise ValueError("beta map values must lie in one field")
 
     def __call__(self, g: int) -> FieldElement:
         return self.values[g]
@@ -144,17 +140,15 @@ def _first_failure(logs, group, exp) -> Optional[tuple[int, int, int]]:
 def verify_cocycle(c: Cocycle, group: DihedralGroup) -> CocycleCheck:
     """Check the cocycle equation over all (2n)^3 triples.
 
-    Works on the discrete logs of the (2n)^2 values, so its memory is
-    O(n^2). Also evaluates the two pair predicates that license the
-    protocol algebra: symmetry of c on rotation pairs (i, j-i) vs (j-i, i),
-    and the literal reflection-pair identity over all i, j.
+    Works on the (2n)^2 logs, so its memory is O(n^2). Also evaluates the
+    two pair predicates that license the protocol algebra: symmetry of c
+    on rotation pairs (i, j-i) vs (j-i, i), and the literal reflection-pair
+    identity over all i, j.
     """
     if c.n != group.n:
         raise ValueError(f"cocycle on D_{2 * c.n} checked against {group!r}")
     n = group.n
-    n2 = group.order
-    log, exp = c.field.log, c.field.exp
-    logs = [[log[c(g, h).rep] for h in range(n2)] for g in range(n2)]
+    logs, exp = c.logs, c.field.exp
     counterexample = _first_failure(logs, group, exp)
     identity_ok = logs[0][0] == 0
 
@@ -174,16 +168,14 @@ def verify_cocycle(c: Cocycle, group: DihedralGroup) -> CocycleCheck:
 
 
 def coboundary_of(beta: BetaMap, group: DihedralGroup) -> Cocycle:
-    """The coboundary (g, h) -> beta(g)^-1 beta(h)^-1 beta(gh), tabulated."""
+    """The coboundary (g, h) -> beta(g)^-1 beta(h)^-1 beta(gh), as the logs
+    log beta(gh) - log beta(g) - log beta(h) mod q - 1."""
+    if len(beta.values) != group.order:
+        raise ValueError(f"beta map of {len(beta.values)} values on {group!r}")
     field = beta.values[0].field
-    inv = [v.inverse() for v in beta.values]
-    rows = []
-    for g in range(group.order):
-        row = []
-        for h in range(group.order):
-            row.append(inv[g] * inv[h] * beta.values[group.op(g, h)])
-        rows.append(tuple(row))
-    return Cocycle(TABULATED, group.n, field, table=tuple(rows))
+    lb, order, n2 = [field.log[v.rep] for v in beta.values], field.q - 1, group.order
+    return Cocycle(field, tuple(tuple((lb[group.op(g, h)] - lb[g] - lb[h]) % order
+                                      for h in range(n2)) for g in range(n2)))
 
 
 def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
@@ -193,34 +185,25 @@ def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
 
         c1(g, h) = c2(g, h) * theta(g) * theta(h) * theta(gh)^-1
 
-    for all pairs. Enumerates all (q-1)^(2n-1) candidates in mixed-radix
-    order over the units (index 1 least significant); first witness wins.
+    for all pairs, in logs: c1 - c2 = theta(g) + theta(h) - theta(gh) mod
+    q - 1. Enumerates all (q-1)^(2n-1) candidates in mixed-radix order over
+    the units by rep (index 1 least significant); first witness wins.
     """
-    n2 = group.order
-    units = list(range(1, params.q))
-    total = len(units) ** (n2 - 1)
+    if not (c1.field == c2.field == params and c1.n == c2.n == group.n):
+        raise ValueError("equivalence search needs two cocycles on the group, "
+                         "over the given field")
+    n2, order = group.order, params.q - 1
+    total = order ** (n2 - 1)
     if total > max_candidates:
         raise CapacityError(
             f"{total} candidate maps exceed the bound {max_candidates}")
 
-    v1 = [[e.rep for e in row] for row in c1.tabulate()]
-    v2 = [[e.rep for e in row] for row in c2.tabulate()]
-    inv = [0] + [params.inv_rep(u) for u in range(1, params.q)]
-    mul = params.mul_rep
-
-    triples = [(g, h, group.op(g, h)) for g in range(n2) for h in range(n2)]
-    theta = [1] * n2
-    for counter in range(total):
-        v = counter
-        for slot in range(1, n2):
-            theta[slot] = units[v % len(units)]
-            v //= len(units)
-        ok = True
-        for g, h, gh in triples:
-            rhs = mul(mul(v2[g][h], mul(theta[g], theta[h])), inv[theta[gh]])
-            if rhs != v1[g][h]:
-                ok = False
-                break
-        if ok:
-            return BetaMap(tuple(params.from_rep(t) for t in theta))
+    unit_logs = [params.log[u] for u in range(1, params.q)]
+    triples = [(g, h, group.op(g, h), (c1.logs[g][h] - c2.logs[g][h]) % order)
+               for g in range(n2) for h in range(n2)]
+    for rest in itertools.product(unit_logs, repeat=n2 - 1):
+        theta = (0,) + rest[::-1]  # index 1 varies fastest
+        if all((theta[g] + theta[h] - theta[gh]) % order == d
+               for g, h, gh, d in triples):
+            return BetaMap(tuple(params.from_rep(params.exp[t]) for t in theta))
     return None

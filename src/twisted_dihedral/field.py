@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ParameterError
 
@@ -295,10 +295,6 @@ class FieldParams:
     def one(self) -> "FieldElement":
         return self.from_rep(1)
 
-    def units(self) -> Iterator["FieldElement"]:
-        for r in range(1, self.q):
-            yield self.from_rep(r)
-
     # --- arithmetic on integer representations ---
 
     def reduce_all(self, sums: Sequence[int]) -> tuple[int, ...]:
@@ -434,12 +430,11 @@ class FieldElement:
         return f"F{self.field.p}^{self.field.m}({list(self.digits)})"
 
 
-def is_square(a: FieldElement, params: Optional[FieldParams] = None) -> bool:
+def is_square(a: FieldElement) -> bool:
     """Generalized Euler criterion: a is a square iff a^((q-1)/2) = 1."""
-    field = params or a.field
     if a.rep == 0:
         raise ValueError("is_square is defined on nonzero elements only")
-    return field.pow_rep(a.rep, (field.q - 1) // 2) == 1
+    return a.field.pow_rep(a.rep, (a.field.q - 1) // 2) == 1
 
 
 def get_lambda(params: FieldParams, rng: random.Random) -> FieldElement:
@@ -448,13 +443,13 @@ def get_lambda(params: FieldParams, rng: random.Random) -> FieldElement:
         raise ParameterError("no non-square exists in characteristic 2")
     while True:
         a = params.random_unit(rng)
-        if not is_square(a, params):
+        if not is_square(a):
             return a
 
 
-def mult_order(a: FieldElement, params: Optional[FieldParams] = None) -> int:
+def mult_order(a: FieldElement) -> int:
     """Multiplicative order of a nonzero element; divides q - 1."""
-    field = params or a.field
+    field = a.field
     if a.rep == 0:
         raise ValueError("mult_order is defined on nonzero elements only")
     order = field.q - 1

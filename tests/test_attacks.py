@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from twisted_dihedral.algebra import (SecretPair, index_h, index_h_inv,
-                                      iter_gamma, sample_secret_pair)
+from twisted_dihedral.algebra import (SecretPair, index_h_inv, iter_gamma,
+                                      rep_index, sample_secret_pair)
 from twisted_dihedral.attacks import (DpdInstance, dpd_verify, exhaustive_dpd,
                                       ddp_challenge, key_recovery_check,
                                       mitm_offline, mitm_online,
@@ -130,7 +130,7 @@ def test_mitm_offline_entry_counts(pp333):
     table = mitm_offline(pp333, 1)
     for key, pairs in table.buckets.items():
         for a1, gamma in pairs:
-            assert index_h((a1 * pp333.h) * gamma, alg) == key
+            assert rep_index(((a1 * pp333.h) * gamma).reps(), alg.field.q) == key
 
 
 def test_mitm_capacity_guard(pp333):
@@ -225,7 +225,8 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
         # the high slice x^t .. x^(n-1), in the solver's order
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
         want = _first_hit(inst, high, lambda a2, c, gamma: [
-            a1 + a2 for a1, gamma1 in table.buckets.get(index_h(inst.pk - c, alg), ())
+            a1 + a2
+            for a1, gamma1 in table.buckets.get(rep_index((inst.pk - c).reps(), q), ())
             if gamma1 == gamma])
         result = mitm_online(table, inst, t)
         assert (result.pair, result.candidates_tested) == want

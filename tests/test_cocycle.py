@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
-                                      coboundary_of, equivalence_search,
-                                      verify_cocycle)
+from twisted_dihedral.cocycle import (BetaMap, Cocycle, coboundary_of,
+                                      equivalence_search, verify_cocycle)
 from twisted_dihedral.errors import CapacityError
 from twisted_dihedral.field import FieldParams, is_square, mult_order
 from twisted_dihedral.group import DihedralGroup
@@ -53,17 +52,29 @@ def test_zero_lambda_rejected(f7):
 
 def test_tabulated_values_checked(f7, f9):
     good = Cocycle.alpha(f7.elem(3), 3).tabulate()
-    Cocycle(TABULATED, 3, f7, table=good)
+    c = Cocycle.from_table(f7, good)
+    assert c.n == 3 and c.tabulate() == good
     ragged = good[:-1] + (good[-1][:-1],)
-    with pytest.raises(ValueError):
-        Cocycle(TABULATED, 3, f7, table=ragged)
-    with pytest.raises(ValueError):
-        Cocycle(TABULATED, 3, f7, table=good[:-1])
+    odd = tuple(row[:-1] for row in good[:-1])  # 5 x 5
     zero = ((f7.zero(),) + good[0][1:],) + good[1:]
-    with pytest.raises(ValueError):
-        Cocycle(TABULATED, 3, f7, table=zero)
+    reps = tuple(tuple(v.rep for v in row) for row in good)
+    for bad in (ragged, good[:-1], odd, (), zero, reps):
+        with pytest.raises(ValueError):
+            Cocycle.from_table(f7, bad)
     with pytest.raises(ValueError):  # values from another field
-        Cocycle(TABULATED, 3, f9, table=good)
+        Cocycle.from_table(f9, good)
+
+
+def test_logs_give_the_closed_forms(f9):
+    # at m = 2: each log lies in [0, q - 1), and its antilog is the value
+    # the definition gives
+    lam, n, one = f9.elem(5), 4, f9.one()
+    for c, value in ((Cocycle.alpha(lam, n), lambda g, h: lam if g >= n and h >= n else one),
+                     (Cocycle.beta(lam, n), lambda g, h: lam ** (h % n) if g >= n else one),
+                     (Cocycle.trivial(f9, n), lambda g, h: one)):
+        assert all(0 <= k < f9.q - 1 for row in c.logs for k in row)
+        assert c.tabulate() == tuple(tuple(value(g, h) for h in range(2 * n))
+                                     for g in range(2 * n))
 
 
 def test_verify_rejects_other_group(f7):
@@ -143,6 +154,15 @@ def test_beta_map_validation(f7):
         BetaMap(tuple(f7.elem(2) for _ in range(6)))  # identity not sent to 1
 
 
+def test_coboundary_rejects_maps_that_do_not_fit(f7, f9):
+    group = DihedralGroup(3)
+    for size in (4, 8):  # shorter and longer than the group
+        with pytest.raises(ValueError):
+            coboundary_of(BetaMap((f7.one(),) + (f7.elem(3),) * (size - 1)), group)
+    with pytest.raises(ValueError):  # values from two fields
+        BetaMap((f7.one(),) * 3 + (f9.elem(3),) * 3)
+
+
 # --- equivalence search ---
 
 def test_search_identity_witness(f7):
@@ -174,14 +194,50 @@ def test_search_square_equivalent_to_trivial(f7):
                                 * theta(gh).inverse())
 
 
-@pytest.mark.parametrize("lam_rep,expect_found", [(3, False), (4, True)])
-def test_search_square_dichotomy_f7(f7, lam_rep, expect_found):
-    # equivalent to the trivial cocycle exactly when lambda is a square
-    assert is_square(f7.elem(lam_rep)) == expect_found
+@pytest.mark.parametrize("p,m,lam_rep,expect_found", [
+    pytest.param(7, 1, 3, False, id="F7-3-False"),
+    pytest.param(7, 1, 4, True, id="F7-4-True"),
+    pytest.param(3, 2, 4, False, id="F9-4-False"),
+    pytest.param(3, 2, 3, True, id="F9-3-True")])
+def test_search_square_dichotomy(p, m, lam_rep, expect_found):
+    # equivalent to the trivial cocycle exactly when lambda is a square;
+    # over F_9 the logs are taken mod 8, with m = 2 digits per rep
+    field = FieldParams(p, m)
+    lam = field.from_rep(lam_rep)
+    assert is_square(lam) == expect_found
     group = DihedralGroup(3)
-    found = equivalence_search(Cocycle.alpha(f7.elem(lam_rep), 3),
-                               Cocycle.trivial(f7, 3), group, f7)
-    assert (found is not None) == expect_found
+    c1, c2 = Cocycle.alpha(lam, 3), Cocycle.trivial(field, 3)
+    theta = equivalence_search(c1, c2, group, field)
+    assert (theta is not None) == expect_found
+    if theta is not None:
+        assert all(c1(g, h) == c2(g, h) * theta(g) * theta(h) / theta(group.op(g, h))
+                   for g in range(6) for h in range(6))
+
+
+def test_search_returns_the_first_witness():
+    # the witnesses are beta^-1 * chi for the four characters chi of D_8
+    # into F_5*; in mixed-radix order over units by rep, index 1 least
+    # significant, beta^-1 itself comes first (index 1 most significant
+    # would give chi(x) = chi(y) = -1 first)
+    f5, group = FieldParams(5), DihedralGroup(4)
+    beta = BetaMap(tuple(map(f5.from_rep, (1, 2, 1, 1, 1, 1, 1, 1))))
+    theta = equivalence_search(coboundary_of(beta, group), Cocycle.trivial(f5, 4),
+                               group, f5)
+    assert [v.rep for v in theta.values] == [1, 3, 1, 1, 1, 1, 1, 1]
+
+
+def test_search_rejects_inputs_that_do_not_fit(f7, f9):
+    f5 = FieldParams(5)
+    group = DihedralGroup(3)
+    c7 = Cocycle.alpha(f7.elem(3), 3)
+    with pytest.raises(ValueError):  # params of another field
+        equivalence_search(c7, c7, group, f5)
+    with pytest.raises(ValueError):  # cocycles over two fields
+        equivalence_search(c7, Cocycle.trivial(f9, 3), group, f7)
+    with pytest.raises(ValueError):  # cocycles on D_6, group D_8
+        equivalence_search(c7, c7, DihedralGroup(4), f7)
+    with pytest.raises(ValueError):  # cocycles on D_6 and D_8
+        equivalence_search(c7, Cocycle.trivial(f7, 4), group, f7)
 
 
 def test_search_capacity_guard(f7):

@@ -108,3 +108,37 @@ def attack_digest(d, kind):
 @pytest.mark.parametrize("kind", sorted(ATTACK_GOLDEN))
 def test_attack_output_matches_golden(tmp_path, kind):
     assert attack_digest(tmp_path, kind) == ATTACK_GOLDEN[kind]
+
+
+COCYCLE_GOLDEN = {
+    ((3, 1, 3), None): "3c204c338805faf422780bca4564f29ba20914e353d6ca0dbca5da9d5a7b8ad5",
+    ((3, 2, 9), None): "332889ac39443b4aa8053182645a022efb28ad174b5a95edf7db401b29b669fe",
+    ((3, 2, 9), "2,0"): "8b7580ed7a3d7b7c0d18e6956b755c49aa752713d87a21cff21856449d0b49bf",
+}
+
+
+def cocycle_check_digest(d, p, m, n, beta_lambda):
+    """SHA-256 of `cocycle-check` stdout on the seeded params, and its exit
+    code: the protocol cocycle, or the comparison cocycle for these lambda
+    digits."""
+    params = d / "params.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["param-gen", "--p", str(p), "--m", str(m), "--n", str(n),
+                     "--out", str(params), "--seed", "41"]) == 0
+    argv = ["cocycle-check", "--params", str(params)]
+    if beta_lambda is not None:
+        argv += ["--beta-lambda", beta_lambda]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("triple,beta_lambda", list(COCYCLE_GOLDEN),
+                         ids=["3-1-3", "3-2-9", "3-2-9-beta"])
+def test_cocycle_check_output_matches_golden(tmp_path, triple, beta_lambda):
+    # the protocol cocycle is valid; lambda = (2, 0) = -1 has order 2 in
+    # F_9, which does not divide n = 9, so the comparison cocycle is not
+    want_code = 0 if beta_lambda is None else 1
+    assert cocycle_check_digest(tmp_path, *triple, beta_lambda) == (
+        COCYCLE_GOLDEN[triple, beta_lambda], want_code)

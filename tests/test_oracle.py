@@ -6,8 +6,10 @@ The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
 the rep arithmetic of `FieldParams`, so they share no code with the
 log/antilog tables, the packed big-integer product or the log-domain
-cocycle check they test. Fields run up to q=10201. The sampler
-oracle draws one `randrange(p)` per digit.
+cocycle check they test. The product oracle reads its twisting values,
+lambda and 1, from `Cocycle.alpha`, the cocycle that `cocycle-check`
+verifies. Fields run up to q=10201. The sampler oracle draws one
+`randrange(p)` per digit.
 """
 
 import functools
@@ -19,13 +21,13 @@ from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, adjunct, alg_product,
-                                      index_h, index_h_inv, iter_gamma,
-                                      kernel_slot_width, rotation_products,
-                                      sample_secret_pair, sample_subspace)
+                                      index_h_inv, iter_gamma,
+                                      kernel_slot_width, rep_index,
+                                      rotation_products, sample_secret_pair,
+                                      sample_subspace)
 from twisted_dihedral.attacks import mitm_offline
-from twisted_dihedral.cocycle import (TABULATED, BetaMap, Cocycle,
-                                      CocycleCheck, coboundary_of,
-                                      verify_cocycle)
+from twisted_dihedral.cocycle import (BetaMap, Cocycle, CocycleCheck,
+                                      coboundary_of, verify_cocycle)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
                                     _poly_powmod, get_lambda)
@@ -57,15 +59,31 @@ def oracle_rep(p, m, rng):
     return rep_of([rng.randrange(p) for _ in range(m)], p)
 
 
+@functools.cache
+def twisting_cocycle(params):
+    """The reps of alpha_lambda(i, j), as `Cocycle.alpha` gives them."""
+    alpha = Cocycle.alpha(params.lam, params.n)
+    return tuple(tuple(v.rep for v in row) for row in alpha.tabulate())
+
+
+def rotation_part(x):
+    n = x.params.n
+    return x.params.from_reps(x.reps()[:n] + (0,) * n)
+
+
+def reflection_part(x):
+    n = x.params.n
+    return x.params.from_reps((0,) * n + x.reps()[n:])
+
+
 def schoolbook_product(a, b):
     """c[i*j] += a[i] * b[j] * alpha(i, j), every term in digit vectors,
     or in plain ints mod p when m = 1."""
     params = a.params
     field, group = params.field, params.group
     p, m = field.p, field.m
+    alpha = twisting_cocycle(params)
     if m == 1:
-        alpha = [[params.cocycle(i, j).rep for j in range(params.dim)]
-                 for i in range(params.dim)]
         acc = [0] * params.dim
         for i, ai in enumerate(a.reps()):
             for j, bj in enumerate(b.reps()):
@@ -74,7 +92,7 @@ def schoolbook_product(a, b):
     out = [[0] * m for _ in range(params.dim)]
     for i, ai in enumerate(a.reps()):
         for j, bj in enumerate(b.reps()):
-            term = poly_mul_rep(field, ai, bj, params.cocycle(i, j).rep)
+            term = poly_mul_rep(field, ai, bj, alpha[i][j])
             k = group.op(i, j)
             out[k] = [(x + y) % p for x, y in zip(out[k], digits(term, p, m))]
     return tuple(rep_of(d, p) for d in out)
@@ -128,11 +146,11 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     assert alg.slot_bits == bits
     top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
     zero = alg.zero()
-    for x, y in [(top, top), (zero, top), (top, zero), (top.rotation_part(), top)]:
+    for x, y in [(top, top), (zero, top), (top, zero), (rotation_part(top), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
     # a batch row holds the same worst case as one product: every slot of
     # the rotation-only left and of the right operand at p - 1
-    rot = top.rotation_part()
+    rot = rotation_part(top)
     for y in (top, rot):
         assert list(RotationBatch([rot, zero, rot]).times(y)) == [
             schoolbook_product(x, y) for x in (rot, zero, rot)]
@@ -156,9 +174,9 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
         # b1 = 0 as well b packs as b0 alone (rotation times rotation, as
         # in a*phi(gamma)); b1 = 0 (full times rotation), b0 = 0 (full
         # times gamma) and a0 = 0 run both terms
-        for x, y in [(a, b), (b, a), (top, b), (a, top), (a.rotation_part(), b),
-                     (a.rotation_part(), b.rotation_part()), (a, b.rotation_part()),
-                     (a, b.reflection_part()), (a.reflection_part(), b)]:
+        for x, y in [(a, b), (b, a), (top, b), (a, top), (rotation_part(a), b),
+                     (rotation_part(a), rotation_part(b)), (a, rotation_part(b)),
+                     (a, reflection_part(b)), (reflection_part(a), b)]:
             assert alg_product(x, y).reps() == schoolbook_product(x, y)
 
     check()
@@ -179,7 +197,7 @@ def test_batch_matches_single_products(p, m, n, examples, size):
         lefts = [sample_subspace("C_n", alg, rng) for _ in range(size)]
         batch = RotationBatch(lefts)
         full = sample_subspace("full", alg, rng)
-        for b in (full, full.rotation_part(), full.reflection_part()):
+        for b in (full, rotation_part(full), reflection_part(full)):
             assert list(batch.times(b)) == [alg_product(x, b).reps() for x in lefts]
 
     check()
@@ -281,7 +299,8 @@ def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
             a1 = index_h_inv(idx, alg)
             a1h = a1 * pp.h
             for gamma in iter_gamma(alg):
-                buckets.setdefault(index_h(a1h * gamma, alg), []).append((a1, gamma))
+                key = rep_index((a1h * gamma).reps(), alg.field.q)
+                buckets.setdefault(key, []).append((a1, gamma))
         table = mitm_offline(pp, t)
         assert table.buckets == buckets
         assert list(table.buckets) == list(buckets)
@@ -317,6 +336,7 @@ def test_subtraction_is_adding_the_negation(p, m, n):
 def test_adjunct_matches_definition(p, m, n):
     alg = algebra_of(p, m, n)
     group = alg.group
+    alpha = twisting_cocycle(alg)
 
     @settings(max_examples=50, deadline=None)
     @given(a=elements(alg))
@@ -324,7 +344,7 @@ def test_adjunct_matches_definition(p, m, n):
         out = [0] * alg.dim
         for i, ai in enumerate(a.reps()):
             j = group.inverse(i)
-            out[j] = poly_mul_rep(alg.field, ai, alg.cocycle(i, j).rep)
+            out[j] = poly_mul_rep(alg.field, ai, alpha[i][j])
         assert adjunct(a).reps() == tuple(out)
 
     check()
@@ -450,7 +470,7 @@ def cocycles(draw):
         table = [list(row) for row in c.tabulate()]
         g, h = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
         table[g][h] = draw(unit.filter(lambda u: u != table[g][h]))
-        c = Cocycle(TABULATED, n, field, table=tuple(map(tuple, table)))
+        c = Cocycle.from_table(field, table)
     return c, group
 
 
