@@ -40,10 +40,11 @@ in row k.
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
 times digits below p: at most n*m*(p-1)^2*(1 + (m-1)(p-1)) + p - 1. W,
-the smallest of 8/16/32/64 bits above twice the first term
-(`kernel_slot_width`), holds that, so no slot carries into the next.
-When a and b are both rotation-only, b packs as b0 alone and only the n
-slots of c0 are read.
+the smallest of 8/16/32/64 bits above that bound (`kernel_slot_width`),
+holds it, so no slot carries into the next. 8-bit slots are read in C:
+one `bytes.translate` reduces them mod p and a big-integer Horner joins
+the m digits of all reps. When a and b are both rotation-only, b packs
+as b0 alone and only the n slots of c0 are read.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ SLOT_TYPES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 def kernel_slot_width(p: int, m: int, n: int) -> tuple[int, str]:
     """Slot width in bits, and its typecode, for the product kernel at (p, m, n).
 
-    The smallest width in SLOT_TYPES above 2n * m * (p-1)^2 * (1 + (m-1)(p-1)),
-    twice what a row's n terms of m digit products each and the reduction
-    of m - 1 high digits by multiples of digits below p can reach, which
-    leaves room for an addend's digit below p in each slot (see the module
-    docstring). Raises ParameterError when not even 64 bits suffice.
+    The smallest width in SLOT_TYPES above n * m * (p-1)^2 * (1 + (m-1)(p-1))
+    + p - 1, what a row's n terms of m digit products each, the reduction
+    of m - 1 high digits by multiples of digits below p and an addend's
+    digit below p can reach in a slot (see the module docstring). Raises
+    ParameterError when not even 64 bits suffice.
     """
-    bound = 2 * n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+    bound = n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) + p - 1
     for bits, code in SLOT_TYPES:
         if bound < 1 << bits:
             return bits, code
@@ -90,7 +91,7 @@ class AlgebraParams:
     - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
       rep in little-endian slots of `slot_bits` bits, then m - 1 zero
       slots;
-    - the masks and constants that fold and reduce the product.
+    - the fold masks and constants, and the mod-p byte table of 8-bit slots.
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -114,6 +115,7 @@ class AlgebraParams:
             b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
             .ljust(pos // 8, b"\0") for r in range(field.q)]
         self._pad = bytes(n * pos // 8)  # fills a block after n positions
+        self._mod_p = bytes([v % p for v in range(256)]) if bits == 8 else None
         # The fold masks of one row (blocks 0 and 1): the low n positions
         # of both blocks, those of block 0, and for m > 1 slot 0 and the
         # low m slots of each position that the folded c0 and c1 fill.
@@ -350,16 +352,27 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         folded = reduced
     # count - 1 rows of 4n positions, then the halves * n read from the last
     nbytes = (4 * count - 4 + halves) * npos // 8
+    p, m = params.field.p, params.field.m
     if params.slot_bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = folded.to_bytes(nbytes, "little")
-    else:  # native slots, which a big-endian host lists last first
-        slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(params.slot_code)[::NATIVE_STEP]
+        if count > 1:  # the slots read from each row, a slice at a time
+            size, stride = halves * params._nslots, 4 * params._nslots
+            slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
+        slots = slots.translate(params._mod_p)
+        if m > 1:  # q < 256 (test_byte_slots_hold_a_rep): no rep carries into the next
+            width = 2 * m - 1
+            reps = int.from_bytes(slots[m - 1::width], "little")
+            for d in reversed(range(m - 1)):
+                reps = reps * p + int.from_bytes(slots[d::width], "little")
+            slots = reps.to_bytes(len(slots) // width, "little")
+        return tuple(slots)
+    # native slots, which a big-endian host lists last first
+    slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(params.slot_code)[::NATIVE_STEP]
     if count > 1:  # the slots read from each row, a slice at a time
         size, stride = halves * params._nslots, 4 * params._nslots
         rows, slots = slots, []
         for i in range(0, len(rows), stride):
             slots += rows[i:i + size]
-    p, m = params.field.p, params.field.m
     if m == 1:
         return tuple([v % p for v in slots])
     width = 2 * m - 1
@@ -380,10 +393,9 @@ class RotationBatch:
     such integer by b."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
+        if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
+            raise ValueError("expected rotation-only batch left operands, at least one")
         params = lefts[0].params
-        n = params.n
-        if any(any(x.coeffs[n:]) for x in lefts):
-            raise ValueError("batch left operands must be rotation-only")
         self.params = params
         # each x_k packs with its zero x_k1, so as a row of 4n positions;
         # `_rows` checks the params

@@ -136,24 +136,35 @@ def test_product_matches_schoolbook(p, m, n, examples):
     check()
 
 
-# (3,1,31) and (3,1,32) sit on either side of the 8/16-bit slot boundary;
-# (101,1,101) and (101,2,6) take 32-bit slots.
+# (3,1,63) and (3,1,64) sit on either side of the 8/16-bit slot boundary
+# at m = 1, and (3,2,10) and (3,2,11), (3,3,4) and (3,3,5) at m > 1, where
+# 8-bit slots join their digits by the byte Horner; (3,2,9) is kem-small.
+# 2^8 = 1 mod 3, so a carry out of an 8-bit slot and into the next can
+# leave every residue mod 3 right; (7,1,6) and (7,1,7) are a boundary where
+# it cannot. (101,1,101) and (101,2,6) take 32-bit slots.
 @pytest.mark.parametrize("p,m,n,bits,examples", [
-    (3, 1, 31, 8, 10), (3, 1, 32, 16, 10), (101, 1, 101, 32, 1),
-    (101, 2, 6, 32, 10), (3, 7, 3, 16, 10)])
+    (3, 1, 63, 8, 10), (3, 1, 64, 16, 10), (7, 1, 6, 8, 10), (7, 1, 7, 16, 10),
+    (3, 2, 9, 8, 10), (3, 2, 10, 8, 10), (3, 2, 11, 16, 5),
+    (3, 3, 4, 8, 10), (3, 3, 5, 16, 5),
+    (101, 1, 101, 32, 1), (101, 2, 6, 32, 10), (3, 7, 3, 16, 10)])
 def test_kernel_at_slot_widths(p, m, n, bits, examples):
     alg = algebra_of(p, m, n)
     assert alg.slot_bits == bits
-    top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
+    q = alg.field.q
+    top = alg.from_reps([q - 1] * alg.dim)  # every digit p - 1
     zero = alg.zero()
     for x, y in [(top, top), (zero, top), (top, zero), (rotation_part(top), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
     # a batch row holds the same worst case as one product: every slot of
-    # the rotation-only left and of the right operand at p - 1
+    # the rotation-only left and of the right operand at p - 1. More than
+    # BATCH_CHUNK lefts take a full chunk and a second one of two rows;
+    # the ramp tells rows and digits apart
     rot = rotation_part(top)
-    for y in (top, rot):
-        assert list(RotationBatch([rot, zero, rot]).times(y)) == [
-            schoolbook_product(x, y) for x in (rot, zero, rot)]
+    ramp = alg.from_reps([i * 7 % q for i in range(n)] + [0] * n)
+    lefts = [rot, zero, ramp] * (BATCH_CHUNK // 3 + 1)
+    for y in (top, rot, ramp):
+        want = {x: schoolbook_product(x, y) for x in (rot, zero, ramp)}
+        assert list(RotationBatch(lefts).times(y)) == [want[x] for x in lefts]
     # rotation_products rows hold the same worst case plus an addend, at
     # most p - 1 more in a slot: one row and two, full and rotation-only
     # rights and addends, and rows without one
@@ -216,6 +227,11 @@ def test_rotation_products_reject_bad_operands():
         rotation_products(other.basis(1), [rot])
     with pytest.raises(ValueError):
         rotation_products(rot, [rot], [rot, rot])  # more addends than rows
+
+
+def test_batch_rejects_no_operands():
+    with pytest.raises(ValueError):
+        RotationBatch([])
 
 
 def test_batch_rejects_bad_operands():
@@ -308,15 +324,41 @@ def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
 
 
 def test_kernel_slot_width_bounds():
-    # the bound is 2n * m * (p-1)^2 * (1 + (m-1)(p-1))
-    assert kernel_slot_width(3, 1, 31) == (8, "B")  # bound 248
-    assert kernel_slot_width(3, 1, 32) == (16, "H")  # bound 256
+    # the bound is n * m * (p-1)^2 * (1 + (m-1)(p-1)) + p - 1
+    assert kernel_slot_width(3, 1, 63) == (8, "B")  # bound 254
+    assert kernel_slot_width(3, 1, 64) == (16, "H")  # bound 258
+    assert kernel_slot_width(3, 2, 9) == (8, "B")  # bound 218
     assert kernel_slot_width(101, 1, 101) == (32, "I")
-    assert kernel_slot_width(2 ** 31 + 1, 1, 1) == (64, "Q")  # bound 2^63
+    assert kernel_slot_width(2 ** 31 + 1, 1, 2) == (64, "Q")  # bound 2^63 + 2^31
     with pytest.raises(ParameterError):
-        kernel_slot_width(2 ** 31 + 1, 1, 2)  # bound 2^64
+        kernel_slot_width(2 ** 31 + 1, 1, 4)  # bound 2^64 + 2^31
     with pytest.raises(ParameterError):
         kernel_slot_width(10 ** 6 + 3, 3, 50)
+
+
+def test_byte_slots_reduce_every_value():
+    # at (3,1,63), with 8-bit slots, every slot of x*top + c holds
+    # 2*sum(x) + c; sum(x) runs over 0 .. 126 and c over 0 .. 2, so the
+    # slots take every value up to the bound, 254
+    alg = algebra_of(3, 1, 63)
+    top = alg.from_reps([2] * alg.dim)
+    c = alg.from_reps([i % 3 for i in range(alg.dim)])
+    for total in range(127):
+        x = alg.from_reps([2] * (total // 2) + [total % 2] + [0] * (125 - total // 2))
+        [row] = rotation_products(x, [top], [c])
+        assert row.reps() == tuple((2 * total + v) % 3 for v in c.reps())
+
+
+def test_byte_slots_hold_a_rep():
+    # `_unpack` returns one byte per rep from 8-bit slots, so 8-bit slots
+    # must imply q < 256; p = 2, where (2,8,1) has 8-bit slots and q = 256,
+    # is refused by FieldParams
+    primes = [p for p in range(3, 300, 2) if all(p % d for d in range(3, p, 2))]
+    for p in primes:
+        for m in range(1, 9):
+            for n in range(1, 301):
+                if kernel_slot_width(p, m, n)[0] == 8:
+                    assert p ** m < 256, (p, m, n)
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 7, 3)])
