@@ -34,8 +34,11 @@ overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
 k, which the fold keeps, so the addend counts once. `alg_product` with a
 rotation-only a is the one-row case, and with a1 != 0 it is a1*(y*b) with
 the addend a0*b. A `RotationBatch` is the dual: rotation-only left
-operands packed once as rows, so that one multiply by pack(b) holds x_k*b
-in row k.
+operands packed once as rows, so that one multiply by pack(b), plus
+pack(c) in every row, holds x_k*b + c in row k. A sum x + y is
+pack(x) + pack(y) read as one row: the fold adds only zero pad
+positions, and a slot holds at most 2(p - 1), within the bound below.
+These slots are the only packed form of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
@@ -190,16 +193,14 @@ class AlgebraElement:
         return not any(self.coeffs[:self.params.n])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_params(other, self.params)
-        field = self.params.field
-        packed = field.packed
-        return AlgebraElement(self.params, field.reduce_all(
-            [packed[x] + packed[y] for x, y in zip(self.coeffs, other.coeffs)]))
+        """pack(self) + pack(other), read as one product (see the module docstring)."""
+        params = self.params
+        _check_params(other, params)
+        return AlgebraElement(params, _unpack(
+            params, _pack(params, self.coeffs) + _pack(params, other.coeffs), 1))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_params(other, self.params)
-        return AlgebraElement(self.params,
-                              self.params.field.sub_all(self.coeffs, other.coeffs))
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
         neg = self.params.field.neg
@@ -403,13 +404,22 @@ class RotationBatch:
                          len(lefts[i:i + BATCH_CHUNK]))
                         for i in range(0, len(lefts), BATCH_CHUNK)]
 
-    def times(self, b: AlgebraElement) -> Iterator[tuple[int, ...]]:
-        """The reps of x_k*b for every k in order, one multiply per chunk."""
+    def times(self, b: AlgebraElement,
+              addend: Optional[AlgebraElement] = None) -> Iterator[tuple[int, ...]]:
+        """The reps of x_k*b + c for every k in order, with c the addend or
+        zero, one multiply per chunk; pack(c) is added to every row, as
+        `rotation_products` adds its addends."""
         params = self.params
         _check_params(b, params)
         dim, right = params.dim, _pack(params, b.coeffs)
+        if addend is not None:
+            _check_params(addend, params)
+            row = _pack(params, addend.coeffs).to_bytes(4 * params._npos // 8, "little")
         for packed, count in self._chunks:
-            reps = _unpack(params, packed * right, count)
+            s = packed * right
+            if addend is not None:
+                s += int.from_bytes(row * count, "little")
+            reps = _unpack(params, s, count)
             for i in range(0, count * dim, dim):
                 yield reps[i:i + dim]
 
@@ -442,6 +452,14 @@ def times_y(x: AlgebraElement) -> AlgebraElement:
     lam_mul = x.params.lam_mul
     return AlgebraElement(x.params,
                           tuple([lam_mul[c] for c in x.coeffs[n:]]) + x.coeffs[:n])
+
+
+def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
+    """s*(x*y) = s*lambda*x1 + (s*x0)*y, for the scalar s with s_mul[rep]
+    the rep of s*rep, O(n)."""
+    n, lam, s = x.params.n, x.params.lam_mul.__getitem__, s_mul.__getitem__
+    c = x.coeffs
+    return AlgebraElement(x.params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))
 
 
 def y_times(x: AlgebraElement) -> AlgebraElement:
@@ -484,9 +502,10 @@ def sample_subspace(which: str, params: AlgebraParams,
         return AlgebraElement(params, (0,) * n + tuple(field.random_reps(rng, n)))
     if which == "full":
         return AlgebraElement(params, tuple(field.random_reps(rng, 2 * n)))
-    if which == "h_element":
-        return (_nonzero(lambda: sample_subspace("C_n", params, rng))
-                + _nonzero(lambda: sample_subspace("C_n_y", params, rng)))
+    if which == "h_element":  # a nonzero rotation half and a nonzero reflection half
+        rotation = _nonzero(lambda: sample_subspace("C_n", params, rng))
+        reflection = _nonzero(lambda: sample_subspace("C_n_y", params, rng))
+        return AlgebraElement(params, rotation.coeffs[:n] + reflection.coeffs[n:])
     raise ValueError(f"unknown subspace {which!r}")
 
 

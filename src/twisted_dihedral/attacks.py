@@ -7,7 +7,9 @@ space into a low-degree and a high-degree slice. The scheme falls instead
 to the polynomial-time linear decomposition attack (Myasnikov and
 Roman'kov 2015; Tsaban 2015), not implemented here. Both solvers test a
 candidate (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a,
-then all gamma from one RotationBatch of the phi(gamma).
+then all gamma from one RotationBatch of the phi(gamma). The MITM scan
+takes its residuals pk - a2*h*gamma from the batch multiply as well, as
+phi(gamma)*(-(a2*h*y)) + pk, with pk the addend of every row.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
                       index_h_inv, iter_gamma, phi, rep_index, sample_secret_pair,
-                      times_y)
+                      scaled_times_y, times_y)
 from .errors import CapacityError
 from .kex import PublicParams, derive_public, derive_shared
 
@@ -137,13 +139,14 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if t != table.t:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
-    q, pk, sub_all = algebra.field.q, inst.pk.coeffs, algebra.field.sub_all
+    q, neg = algebra.field.q, algebra.field.neg
     tested = 0
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
-        for gamma, c in zip(table.gammas, table.batch.times(times_y(a2 * inst.pp.h))):
+        # pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk, every gamma at once
+        residuals = table.batch.times(scaled_times_y(a2 * inst.pp.h, neg), inst.pk)
+        for gamma, residual in zip(table.gammas, residuals):
             tested += 1
-            residual = sub_all(pk, c)
             for a1, gamma1 in table.buckets.get(rep_index(residual, q), ()):
                 if gamma1.coeffs == gamma.coeffs:
                     a = a1 + a2

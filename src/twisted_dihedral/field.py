@@ -3,8 +3,10 @@
 Elements are vectors of m base-p digits (ascending degree) modulo a monic
 irreducible polynomial, named by their integer representation
 rep = sum digit_i * p^i. Each field builds O(q) tables once, from the
-powers of a primitive element: log/antilog tables for multiplication, a
-packed form of each rep for addition, and the bytes of each rep.
+powers of a primitive element: log/antilog tables for multiplication, the
+negation of each rep, and the bytes of each rep. Reps add digit-wise mod
+p; sums of whole algebra elements go through the product kernel's packed
+slots (algebra.py).
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -16,11 +18,6 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParameterError
-
-# A packed rep gives each base-p digit its own lane of bits, this many bits
-# wider than the digit, so that a sum of up to 2**LANE_HEADROOM_BITS packed
-# reps never carries from one lane into the next.
-LANE_HEADROOM_BITS = 32
 
 # Sampler words and product-kernel slots are unpacked in native byte
 # order; on a big-endian host that lists them last first.
@@ -175,15 +172,12 @@ def digit_width_bytes(p: int) -> int:
 class FieldParams:
     """The field F_{p^m} with a fixed monic irreducible modulus polynomial.
 
-    Construction builds the O(q) tables that all arithmetic on integer reps
+    Construction builds the O(q) tables that arithmetic on integer reps
     reads, indexed by rep or by the discrete logarithm k to a generator g
-    of F_q*:
+    of F_q*; a rep has no packed form, and `add_rep` adds digits mod p:
 
     - `exp[k]`: the rep of g^k, over two periods so that a sum of two logs
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
-    - `packed[rep]`: the rep with digit i in lane i (bits i*lane_bits up),
-      so that packed reps add digit-wise without carries (see
-      `reduce_all`); for m=1 it is the plain rep;
     - `neg[rep]`: the rep of the negation;
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
       big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
@@ -216,9 +210,6 @@ class FieldParams:
             self.log[rep] = k
         digits = [self.digits_of(rep) for rep in range(q)]
         self.neg = [self.rep_of([-d % p for d in ds]) for ds in digits]
-        self.lane_bits = (p - 1).bit_length() + LANE_HEADROOM_BITS
-        self.packed = [sum(d << (i * self.lane_bits) for i, d in enumerate(ds))
-                       for ds in digits]
         width = digit_width_bytes(p)
         self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
                           for ds in digits]
@@ -297,28 +288,10 @@ class FieldParams:
 
     # --- arithmetic on integer representations ---
 
-    def reduce_all(self, sums: Sequence[int]) -> tuple[int, ...]:
-        """Reps of sums of packed reps, at most 2**LANE_HEADROOM_BITS each.
-
-        Each lane of a sum is taken mod p to give that digit of the rep.
-        """
-        p = self.p
-        if self.m == 1:
-            return tuple([v % p for v in sums])
-        mask = (1 << self.lane_bits) - 1
-        reps = [0] * len(sums)
-        for lane in reversed(range(self.m)):
-            shift = lane * self.lane_bits
-            reps = [r * p + ((v >> shift) & mask) % p for r, v in zip(reps, sums)]
-        return tuple(reps)
-
-    def sub_all(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
-        """Reps of x - y for each pair of reps x, y of xs and ys."""
-        packed, neg = self.packed, self.neg
-        return self.reduce_all([packed[x] + packed[neg[y]] for x, y in zip(xs, ys)])
-
     def add_rep(self, a: int, b: int) -> int:
-        return self.reduce_all((self.packed[a] + self.packed[b],))[0]
+        p = self.p
+        return self.rep_of([(x + y) % p
+                            for x, y in zip(self.digits_of(a), self.digits_of(b))])
 
     def neg_rep(self, a: int) -> int:
         return self.neg[a]

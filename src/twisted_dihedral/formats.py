@@ -76,12 +76,6 @@ def read_element_file(path, algebra: AlgebraParams,
     return elements
 
 
-def is_secret_file(path) -> bool:
-    with open(path) as fh:
-        first = fh.readline().strip()
-    return first == SECRET_MARKER
-
-
 def write_param_file(path, pp: PublicParams) -> None:
     algebra = pp.algebra
     field = algebra.field

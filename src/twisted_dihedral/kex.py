@@ -6,7 +6,7 @@ key is a*h*gamma; the shared key is a*peer_pk*adjunct(gamma).
 
 Each gamma in the reversible subspace is phi(gamma)*y with phi(gamma)
 palindromic, so x*gamma = phi(gamma)*(x*y) for every x; and adjunct(gamma)
-= lambda*gamma. So pk = a'*(h*y) and k = (lambda*a')*(peer_pk*y), one
+= lambda*gamma. So pk = a'*(h*y) and k = a'*(lambda*(peer_pk*y)), one
 multiply each, with a' = a*phi(gamma) computed once per pair
 (`SecretPair.a_phi`). a' is the equivalent key of the linear decomposition
 attack (Myasnikov and Roman'kov, Groups Complexity Cryptology 7, 2015):
@@ -20,7 +20,8 @@ import random
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair,
-                      sample_secret_pair, sample_subspace, times_y)
+                      sample_secret_pair, sample_subspace, scaled_times_y,
+                      times_y)
 from .errors import ParameterError
 from .field import FieldParams, get_lambda
 from .group import DihedralGroup
@@ -82,11 +83,9 @@ def derive_public(secret: SecretPair, pp: PublicParams) -> AlgebraElement:
 
 def derive_shared(secret: SecretPair, peer_pk: AlgebraElement,
                   pp: PublicParams) -> AlgebraElement:
-    """k = a * peer_pk * adjunct(gamma), computed as (lambda * a') * (peer_pk * y):
+    """k = a * peer_pk * adjunct(gamma), computed as a' * (lambda * (peer_pk * y)):
     adjunct(gamma) = lambda * gamma. Erase the secret afterwards."""
-    a_phi = secret.a_phi
-    lam_a = tuple(map(a_phi.params.lam_mul.__getitem__, a_phi.coeffs))
-    return AlgebraElement(a_phi.params, lam_a) * times_y(peer_pk)
+    return secret.a_phi * scaled_times_y(peer_pk, peer_pk.params.lam_mul)
 
 
 class Session:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import (AlgebraElement, SecretPair, rotation_products,
-                      sample_secret_pair)
+                      sample_secret_pair, scaled_times_y)
 from .kex import PublicParams, derive_public
 
 
@@ -52,20 +51,12 @@ def pke_gen(pp: PublicParams, rng: random.Random) -> PkeKeyPair:
 
 def pke_enc(m: AlgebraElement, pk: AlgebraElement, r2: SecretPair,
             pp: PublicParams) -> PkeCiphertext:
-    lam_pk_y = _scaled_times_y(pk, pk.params.lam_mul)
+    lam_pk_y = scaled_times_y(pk, pk.params.lam_mul)
     c2, c1 = rotation_products(r2.a_phi, (lam_pk_y, pp.hy), (m,))
     return PkeCiphertext(c1, c2)
 
 
 def pke_dec(c: PkeCiphertext, sk: SecretPair, pp: PublicParams) -> AlgebraElement:
     c1 = c.c1
-    return rotation_products(sk.a_phi, (_scaled_times_y(c1, c1.params.neg_lam_mul),),
+    return rotation_products(sk.a_phi, (scaled_times_y(c1, c1.params.neg_lam_mul),),
                              (c.c2,))[0]
-
-
-def _scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
-    """s*(x*y) = s*lambda*x1 + (s*x0)*y in x's own algebra, for the scalar s
-    with s_mul[rep] the rep of s*rep."""
-    n, lam, s = x.params.n, x.params.lam_mul.__getitem__, s_mul.__getitem__
-    c = x.coeffs
-    return AlgebraElement(x.params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))

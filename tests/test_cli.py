@@ -11,7 +11,7 @@ import pytest
 
 import twisted_dihedral
 from twisted_dihedral.cli import main
-from twisted_dihedral.formats import (is_secret_file, read_param_file)
+from twisted_dihedral.formats import SECRET_MARKER, read_param_file
 
 
 def run(*argv):
@@ -86,8 +86,8 @@ def test_secret_file_marker_and_show(tmp_path, params_file, capsys):
     run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
         "--seed", 2)
     capsys.readouterr()
-    assert is_secret_file(sk)
-    assert not is_secret_file(pk)
+    assert sk.read_text().splitlines()[0] == SECRET_MARKER
+    assert pk.read_text().splitlines()[0] != SECRET_MARKER
     run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
         "--seed", 2, "--insecure-show")
     out = capsys.readouterr().out

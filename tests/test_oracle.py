@@ -156,15 +156,19 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     for x, y in [(top, top), (zero, top), (top, zero), (rotation_part(top), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
     # a batch row holds the same worst case as one product: every slot of
-    # the rotation-only left and of the right operand at p - 1. More than
-    # BATCH_CHUNK lefts take a full chunk and a second one of two rows;
-    # the ramp tells rows and digits apart
+    # the rotation-only left and of the right operand at p - 1, and with
+    # the addend top, p - 1 more. More than BATCH_CHUNK lefts take a full
+    # chunk and a second one of two rows; the ramp tells rows and digits
+    # apart
     rot = rotation_part(top)
     ramp = alg.from_reps([i * 7 % q for i in range(n)] + [0] * n)
     lefts = [rot, zero, ramp] * (BATCH_CHUNK // 3 + 1)
+    batch = RotationBatch(lefts)
     for y in (top, rot, ramp):
         want = {x: schoolbook_product(x, y) for x in (rot, zero, ramp)}
-        assert list(RotationBatch(lefts).times(y)) == [want[x] for x in lefts]
+        assert list(batch.times(y)) == [want[x] for x in lefts]
+        assert list(batch.times(y, top)) == [
+            oracle_sum(alg.field, want[x], top.reps()) for x in lefts]
     # rotation_products rows hold the same worst case plus an addend, at
     # most p - 1 more in a slot: one row and two, full and rotation-only
     # rights and addends, and rows without one
@@ -197,8 +201,9 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 20), (5, 1, 5, 20), (3, 2, 9, 10), (3, 7, 9, 5), (101, 1, 101, 2)])
 def test_batch_matches_single_products(p, m, n, examples, size):
-    # row k of a batch is x_k * b; BATCH_CHUNK + 1 left operands take two
-    # chunks, the second of a single row
+    # row k of a batch is x_k * b, and x_k * b + c with the addend c;
+    # BATCH_CHUNK + 1 left operands take two chunks, the second of a
+    # single row
     alg = algebra_of(p, m, n)
 
     @settings(max_examples=examples, deadline=None)
@@ -207,9 +212,12 @@ def test_batch_matches_single_products(p, m, n, examples, size):
         rng = random.Random(seed)
         lefts = [sample_subspace("C_n", alg, rng) for _ in range(size)]
         batch = RotationBatch(lefts)
-        full = sample_subspace("full", alg, rng)
+        full, c = sample_subspace("full", alg, rng), sample_subspace("full", alg, rng)
         for b in (full, rotation_part(full), reflection_part(full)):
-            assert list(batch.times(b)) == [alg_product(x, b).reps() for x in lefts]
+            want = [alg_product(x, b).reps() for x in lefts]
+            assert list(batch.times(b)) == want
+            assert list(batch.times(b, c)) == [oracle_sum(alg.field, w, c.reps())
+                                               for w in want]
 
     check()
 
@@ -243,6 +251,8 @@ def test_batch_rejects_bad_operands():
         RotationBatch([rot, other.basis(1)])
     with pytest.raises(ValueError):
         list(RotationBatch([rot]).times(other.one()))
+    with pytest.raises(ValueError):
+        list(RotationBatch([rot]).times(rot, other.one()))
 
 
 @pytest.mark.parametrize("p,m,n,examples", [
@@ -361,13 +371,21 @@ def test_byte_slots_hold_a_rep():
                     assert p ** m < 256, (p, m, n)
 
 
-@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 7, 3)])
+# sums are read from the kernel's slots: (3,1,63) is the widest 8-bit
+# case at m = 1, and (101,1,101) takes 32-bit slots
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 7, 3), (3, 1, 63),
+                                   (101, 1, 101)])
 def test_subtraction_is_adding_the_negation(p, m, n):
     alg = algebra_of(p, m, n)
+    top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100 if n < 10 else 15, deadline=None)
     @given(a=elements(alg), b=elements(alg))
     def check(a, b):
+        for x, y in [(a, b), (top, b), (a, top)]:
+            assert (x + y).reps() == oracle_sum(alg.field, x.reps(), y.reps())
+            neg_y = [rep_of([-d % p for d in digits(r, p, m)], p) for r in y.reps()]
+            assert (x - y).reps() == oracle_sum(alg.field, x.reps(), neg_y)
         assert a - b == a + (-b)
 
     check()
