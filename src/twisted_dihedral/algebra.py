@@ -42,12 +42,23 @@ These slots are the only packed form of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
-times digits below p: at most n*m*(p-1)^2*(1 + (m-1)(p-1)) + p - 1. W,
-the smallest of 8/16/32/64 bits above that bound (`kernel_slot_width`),
-holds it, so no slot carries into the next. 8-bit slots are read in C:
-one `bytes.translate` reduces them mod p and a big-integer Horner joins
-the m digits of all reps. When a and b are both rotation-only, b packs
-as b0 alone and only the n slots of c0 are read.
+times digits below p: at most n*m*(p-1)^2*(1 + (m-1)(p-1)) + p - 1
+(`slot_bound`). W is 8 bits when the bound is below 256, and otherwise
+the fewest whole bytes that hold it and leave room for the reduction
+below (`kernel_slot_width`), so no slot carries into the next. 8-bit
+slots are reduced mod p by one `bytes.translate`. Wider slots are reduced
+inside the big integer, by division by the invariant p as a multiply
+(Granlund and Montgomery, PLDI 1994): with k and M = ceil(2^k / p) from
+`slot_reciprocal`, floor(v*M / 2^k) = floor(v / p) for every v up to the
+bound. The even slots, masked, lie 2W bits apart and bound*M < 2^(2W), so
+one multiply by M and one shift by k leave each quotient in its own
+field; the odd slots, shifted down by W, the same; and one subtraction of
+p times the quotients leaves every slot below p. Then one read, all in
+C, takes the low byte of each digit slot by stride and joins the m digits
+of all reps by a big-integer Horner; when q >= 256 the digits' low bytes
+are first gathered into native lanes that hold a rep, read by one
+memoryview cast. When a and b are both rotation-only, b packs as b0
+alone and only the n slots of c0 are read.
 """
 
 from __future__ import annotations
@@ -60,26 +71,52 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
-from .field import NATIVE_STEP, FieldElement, FieldParams, is_square
+from .field import (NATIVE_STEP, FieldElement, FieldParams, digit_width_bytes,
+                    is_square)
 from .group import DihedralGroup
 
-# Slot widths the product kernel can unpack, with their memoryview typecodes.
-SLOT_TYPES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# Native lanes a rep is read into when q >= 256, with their memoryview typecodes.
+LANE_TYPES = ((2, "H"), (4, "I"), (8, "Q"))
 
 
-def kernel_slot_width(p: int, m: int, n: int) -> tuple[int, str]:
-    """Slot width in bits, and its typecode, for the product kernel at (p, m, n).
+def slot_bound(p: int, m: int, n: int) -> int:
+    """What a slot of the product kernel can reach at (p, m, n): a row's n
+    terms of m digit products each, the reduction of m - 1 high digits by
+    multiples of digits below p, and an addend's digit below p,
+    n * m * (p-1)^2 * (1 + (m-1)(p-1)) + p - 1 (see the module docstring)."""
+    return n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) + p - 1
 
-    The smallest width in SLOT_TYPES above n * m * (p-1)^2 * (1 + (m-1)(p-1))
-    + p - 1, what a row's n terms of m digit products each, the reduction
-    of m - 1 high digits by multiples of digits below p and an addend's
-    digit below p can reach in a slot (see the module docstring). Raises
-    ParameterError when not even 64 bits suffice.
+
+def slot_reciprocal(p: int, bound: int) -> tuple[int, int]:
+    """(k, M): the smallest k for which M = ceil(2^k / p) meets
+    bound * (M*p - 2^k) < 2^k, which makes floor(v*M / 2^k) = floor(v / p)
+    for every 0 <= v <= bound (Granlund and Montgomery, PLDI 1994)."""
+    k = 0
+    while True:
+        mult = -(-(1 << k) // p)
+        if bound * (mult * p - (1 << k)) < 1 << k:
+            return k, mult
+        k += 1
+
+
+def kernel_slot_width(p: int, m: int, n: int) -> int:
+    """Slot width in bits of the product kernel at (p, m, n).
+
+    8 bits when `slot_bound` is below 256. Otherwise the smallest multiple
+    of 8 bits from 16 to 64 that holds the bound and leaves room for the
+    reduction of `_unpack`: with (k, M) from `slot_reciprocal`, bound * M
+    < 2^(2W), so v*M of a slot stays below the next slot of its group,
+    2W bits up, and the quotient floor(v*M / 2^k) < 2^(2W - k) fits below
+    the low bits of that next product. Raises ParameterError when not even
+    64 bits suffice.
     """
-    bound = n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) + p - 1
-    for bits, code in SLOT_TYPES:
-        if bound < 1 << bits:
-            return bits, code
+    bound = slot_bound(p, m, n)
+    if bound < 256:
+        return 8
+    mult = slot_reciprocal(p, bound)[1]
+    for bits in range(16, 65, 8):
+        if bound < 1 << bits and bound * mult < 1 << 2 * bits:
+            return bits
     raise ParameterError(
         f"product slots need more than 64 bits at p={p}, m={m}, n={n}")
 
@@ -94,7 +131,11 @@ class AlgebraParams:
     - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
       rep in little-endian slots of `slot_bits` bits, then m - 1 zero
       slots;
-    - the fold masks and constants, and the mod-p byte table of 8-bit slots.
+    - the fold masks and constants; the mod-p byte table of 8-bit slots,
+      or for wider slots (k, M) of `slot_reciprocal` and the masks of the
+      even slots and of their quotient fields;
+    - the bytes of the lane a rep is read into: 1 when q < 256, else the
+      smallest of LANE_TYPES that holds q - 1.
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -104,7 +145,7 @@ class AlgebraParams:
         if lam.is_zero() or is_square(lam):
             raise ParameterError("lambda must be a non-square in F_q*")
         p, m, n = field.p, field.m, group.n
-        self.slot_bits, self.slot_code = kernel_slot_width(p, m, n)
+        self.slot_bits = kernel_slot_width(p, m, n)
         self.field = field
         self.group = group
         self.n, self.dim = n, group.order
@@ -118,22 +159,37 @@ class AlgebraParams:
             b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
             .ljust(pos // 8, b"\0") for r in range(field.q)]
         self._pad = bytes(n * pos // 8)  # fills a block after n positions
-        self._mod_p = bytes([v % p for v in range(256)]) if bits == 8 else None
+        # 8-bit slots: entry v is v mod p, the residues 0 .. p-1 over and over
+        self._mod_p = (bytes(range(p)) * (256 // p + 1))[:256] if bits == 8 else None
+        # wider slots: slot i of a group (the even slots, or the odd moved
+        # down) starts 2W bits after slot i - 1, and its quotient fills
+        # 2W - k bits there after the shift by k; `evens` has a 1 at the
+        # start of each of a row's pairs of slots. 8-bit slots take no masks.
+        reduce = (0, 0)
+        self._reciprocal = None
+        if bits > 8:
+            k, mult = self._reciprocal = slot_reciprocal(p, slot_bound(p, m, n))
+            evens = int.from_bytes((b"\1" + bytes(bits // 4 - 1)) * (2 * n * width), "little")
+            reduce = (evens * ((1 << bits) - 1), evens * ((1 << (2 * bits - k)) - 1))
         # The fold masks of one row (blocks 0 and 1): the low n positions
         # of both blocks, those of block 0, and for m > 1 slot 0 and the
         # low m slots of each position that the folded c0 and c1 fill.
         # `_unpack` adds those of more rows, keyed by the row count.
         low = (1 << n * pos) - 1
         ones = sum(1 << (i * pos) for i in range(2 * n))
-        self._masks = {1: (low | (low << 2 * n * pos), low,
-                           ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1))}
+        self._masks = {1: (low | (low << 2 * n * pos), low, ones * ((1 << bits) - 1),
+                           ones * ((1 << (m * bits)) - 1), *reduce)}
         # m > 1: t^k mod f(t) in slots for k = m .. 2m-2
         self._fold_t = [
             (k * bits, sum(d << (i * bits) for i, d in
                            enumerate(field.digits_of(field.pow_rep(p, k)))))
             for k in range(m, 2 * m - 1)]
-        # the bits and the slots of n positions
-        self._npos, self._nslots = n * pos, n * width
+        # the bits of n positions; the bytes of a slot, of a position and
+        # of the lane of a rep, and the lane's typecode
+        self._npos = n * pos
+        lane, code = (1, "B") if field.q < 256 else next(
+            (size, code) for size, code in LANE_TYPES if field.q <= 1 << 8 * size)
+        self._read = (bits // 8, pos // 8, lane, code)
 
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
         reps = tuple(reps)
@@ -333,8 +389,11 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
     Adding each block's high n positions to its low n folds c0 and c1 mod
     x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
     positions of row k. For m > 1 the slots of t^m .. t^(2m-2) are then
-    replaced by their multiples of t^k mod f(t). With halves = 1 only the
-    n reps of each c0 are read.
+    replaced by their multiples of t^k mod f(t). Every slot is then
+    reduced mod p, by `translate` for 8-bit slots and in the integer for
+    wider ones, and the reps are read from the low bytes of their digit
+    slots (see the module docstring). With halves = 1 only the n reps of
+    each c0 are read.
     """
     npos = params._npos
     masks = params._masks.get(count)
@@ -343,7 +402,7 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         masks = params._masks[count] = tuple(
             int.from_bytes(mask.to_bytes(row, "little") * count, "little")
             for mask in params._masks[1])
-    even, low, slot0, digits = masks
+    even, low, slot0, digits, evens, quotients = masks
     t = (s & even) + ((s >> npos) & even)
     folded = (t & low) + (t >> npos)
     if params._fold_t:
@@ -351,36 +410,38 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         for shift, t_k in params._fold_t:
             reduced += ((folded >> shift) & slot0) * t_k
         folded = reduced
+    p, m, bits = params.field.p, params.field.m, params.slot_bits
+    if bits > 8:  # v - p*floor(v*M / 2^k) in every slot, the even and the odd slots at once
+        k, mult = params._reciprocal
+        folded -= p * ((((folded & evens) * mult >> k) & quotients)
+                       + (((((folded >> bits) & evens) * mult >> k) & quotients) << bits))
     # count - 1 rows of 4n positions, then the halves * n read from the last
     nbytes = (4 * count - 4 + halves) * npos // 8
-    p, m = params.field.p, params.field.m
-    if params.slot_bits == 8:  # a byte string is its own sequence of 8-bit slots
-        slots = folded.to_bytes(nbytes, "little")
-        if count > 1:  # the slots read from each row, a slice at a time
-            size, stride = halves * params._nslots, 4 * params._nslots
-            slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
-        slots = slots.translate(params._mod_p)
-        if m > 1:  # q < 256 (test_byte_slots_hold_a_rep): no rep carries into the next
-            width = 2 * m - 1
-            reps = int.from_bytes(slots[m - 1::width], "little")
-            for d in reversed(range(m - 1)):
-                reps = reps * p + int.from_bytes(slots[d::width], "little")
-            slots = reps.to_bytes(len(slots) // width, "little")
-        return tuple(slots)
-    # native slots, which a big-endian host lists last first
-    slots = memoryview(folded.to_bytes(nbytes, sys.byteorder)).cast(params.slot_code)[::NATIVE_STEP]
+    slots = folded.to_bytes(nbytes, "little")
     if count > 1:  # the slots read from each row, a slice at a time
-        size, stride = halves * params._nslots, 4 * params._nslots
-        rows, slots = slots, []
-        for i in range(0, len(rows), stride):
-            slots += rows[i:i + size]
-    if m == 1:
-        return tuple([v % p for v in slots])
-    width = 2 * m - 1
-    reps = [v % p for v in slots[m - 1::width]]  # the top digits
-    for d in reversed(range(m - 1)):
-        reps = [r * p + v % p for r, v in zip(reps, slots[d::width])]
-    return tuple(reps)
+        size, stride = halves * npos // 8, 4 * npos // 8
+        slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
+    if bits == 8:  # a byte string is its own sequence of 8-bit slots
+        slots = slots.translate(params._mod_p)
+    # every slot is below p now; digit d of each rep is slot d of its position
+    slot, step, lane, code = params._read
+    if lane == 1:  # q < 256 (test_byte_slots_hold_a_rep): a digit is a slot's low byte
+        if m == 1:
+            return tuple(slots if slot == 1 else slots[::slot])
+        reps = int.from_bytes(slots[(m - 1) * slot::step], "little")
+        for d in reversed(range(m - 1)):
+            reps = reps * p + int.from_bytes(slots[d * slot::step], "little")
+        return tuple(reps.to_bytes(len(slots) // step, "little"))
+    # q >= 256: the digit_width_bytes(p) low bytes of digit d of every rep
+    # gathered into lanes that hold a rep, so no rep carries into the next
+    total, reps = len(slots) // step, 0
+    for d in reversed(range(m)):
+        lanes = bytearray(lane * total)
+        for j in range(digit_width_bytes(p)):
+            lanes[j::lane] = slots[d * slot + j::step]
+        reps = reps * p + int.from_bytes(lanes, "little")
+    # native lanes, which a big-endian host lists last first
+    return tuple(memoryview(reps.to_bytes(lane * total, sys.byteorder)).cast(code)[::NATIVE_STEP])
 
 
 # Left operands a RotationBatch packs into one integer, which bounds the

@@ -8,7 +8,7 @@ the rep arithmetic of `FieldParams`, so they share no code with the
 log/antilog tables, the packed big-integer product or the log-domain
 cocycle check they test. The product oracle reads its twisting values,
 lambda and 1, from `Cocycle.alpha`, the cocycle that `cocycle-check`
-verifies. Fields run up to q=10201. The sampler oracle draws one
+verifies. Fields run up to q=65537. The sampler oracle draws one
 `randrange(p)` per digit.
 """
 
@@ -24,7 +24,8 @@ from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       index_h_inv, iter_gamma,
                                       kernel_slot_width, rep_index,
                                       rotation_products, sample_secret_pair,
-                                      sample_subspace)
+                                      sample_subspace, slot_bound,
+                                      slot_reciprocal)
 from twisted_dihedral.attacks import mitm_offline
 from twisted_dihedral.cocycle import (BetaMap, Cocycle, CocycleCheck,
                                       coboundary_of, verify_cocycle)
@@ -124,7 +125,8 @@ def elements(alg):
 
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 200), (5, 1, 5, 100), (3, 2, 9, 50), (3, 6, 3, 100),
-    (3, 7, 3, 100), (101, 1, 101, 3)])
+    (3, 7, 3, 100), (101, 1, 101, 3), (3, 7, 9, 5), (257, 1, 4, 50),
+    (65537, 1, 3, 50)])
 def test_product_matches_schoolbook(p, m, n, examples):
     alg = algebra_of(p, m, n)
 
@@ -141,12 +143,21 @@ def test_product_matches_schoolbook(p, m, n, examples):
 # 8-bit slots join their digits by the byte Horner; (3,2,9) is kem-small.
 # 2^8 = 1 mod 3, so a carry out of an 8-bit slot and into the next can
 # leave every residue mod 3 right; (7,1,6) and (7,1,7) are a boundary where
-# it cannot. (101,1,101) and (101,2,6) take 32-bit slots.
+# it cannot. Wider slots are whole bytes: (101,1,6) and (101,1,7) sit on
+# either side of the 16/24-bit boundary, where the bound outgrows 16 bits,
+# and (89,1,6) and (89,1,7) where the reduction outgrows them, though the
+# bound of (89,1,7) fits; (101,2,6) and (101,2,7) are a 24/32-bit boundary
+# of the reduction, and (1009,1,16) and (1009,1,17) one of the bound, with
+# two-byte digits. At (2027,1,3) the largest quotient of the reduction
+# fills its 2W - k bits exactly, and p times its top bit reaches the two
+# bytes a digit is read from. (101,1,101) is kem-wide.
 @pytest.mark.parametrize("p,m,n,bits,examples", [
     (3, 1, 63, 8, 10), (3, 1, 64, 16, 10), (7, 1, 6, 8, 10), (7, 1, 7, 16, 10),
     (3, 2, 9, 8, 10), (3, 2, 10, 8, 10), (3, 2, 11, 16, 5),
     (3, 3, 4, 8, 10), (3, 3, 5, 16, 5),
-    (101, 1, 101, 32, 1), (101, 2, 6, 32, 10), (3, 7, 3, 16, 10)])
+    (101, 1, 6, 16, 10), (101, 1, 7, 24, 10), (89, 1, 6, 16, 10), (89, 1, 7, 24, 10),
+    (101, 1, 101, 24, 1), (101, 2, 6, 24, 10), (101, 2, 7, 32, 5),
+    (1009, 1, 16, 24, 5), (1009, 1, 17, 32, 5), (2027, 1, 3, 24, 10), (3, 7, 3, 16, 10)])
 def test_kernel_at_slot_widths(p, m, n, bits, examples):
     alg = algebra_of(p, m, n)
     assert alg.slot_bits == bits
@@ -335,11 +346,20 @@ def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
 
 def test_kernel_slot_width_bounds():
     # the bound is n * m * (p-1)^2 * (1 + (m-1)(p-1)) + p - 1
-    assert kernel_slot_width(3, 1, 63) == (8, "B")  # bound 254
-    assert kernel_slot_width(3, 1, 64) == (16, "H")  # bound 258
-    assert kernel_slot_width(3, 2, 9) == (8, "B")  # bound 218
-    assert kernel_slot_width(101, 1, 101) == (32, "I")
-    assert kernel_slot_width(2 ** 31 + 1, 1, 2) == (64, "Q")  # bound 2^63 + 2^31
+    assert kernel_slot_width(3, 1, 63) == 8  # bound 254
+    assert kernel_slot_width(3, 1, 64) == 16  # bound 258
+    assert kernel_slot_width(3, 2, 9) == 8  # bound 218
+    assert kernel_slot_width(101, 1, 6) == 16  # bound 60100
+    assert kernel_slot_width(101, 1, 7) == 24  # bound 70100
+    assert kernel_slot_width(89, 1, 6) == 16  # bound 46552
+    assert kernel_slot_width(89, 1, 7) == 24  # bound 54296, but bound * M >= 2^32
+    assert kernel_slot_width(101, 1, 101) == 24  # bound 1010100
+    assert kernel_slot_width(101, 2, 6) == 24
+    assert kernel_slot_width(101, 2, 7) == 32  # bound < 2^24, the reduction needs 32
+    assert kernel_slot_width(1009, 1, 16) == 24  # bound 16258032
+    assert kernel_slot_width(1009, 1, 17) == 32  # bound 17274096
+    assert kernel_slot_width(65537, 1, 3) == 40
+    assert kernel_slot_width(2 ** 31 + 1, 1, 2) == 64  # bound 2^63 + 2^31
     with pytest.raises(ParameterError):
         kernel_slot_width(2 ** 31 + 1, 1, 4)  # bound 2^64 + 2^31
     with pytest.raises(ParameterError):
@@ -367,14 +387,72 @@ def test_byte_slots_hold_a_rep():
     for p in primes:
         for m in range(1, 9):
             for n in range(1, 301):
-                if kernel_slot_width(p, m, n)[0] == 8:
+                if kernel_slot_width(p, m, n) == 8:
                     assert p ** m < 256, (p, m, n)
 
 
+def test_slot_reciprocal_divides():
+    # for every set with wide slots on the grid: floor(v*M / 2^k) = v // p
+    # up to the bound; k is the smallest that meets the criterion of
+    # `slot_reciprocal`; v*M of a slot stays below the next slot of its
+    # group, 2W bits up; and the quotient stays below 2^(2W - k), under
+    # the low bits of that next product. Below 2^20 every v is checked,
+    # once per (p, k, M) up to the largest bound that takes it: both sides
+    # are 0 at v = 0 and rise by at most 1 from v to v + 1 (M <= 2^k), so
+    # they agree on 0 .. bound iff each q first comes at the same v, q*p
+    # on the right and ceil(q * 2^k / M) on the left.
+    primes = [p for p in range(3, 300, 2) if all(p % d for d in range(3, p, 2))]
+    every = {}
+    for p in primes:
+        for m in range(1, 5):
+            for n in range(1, 301):
+                bits = kernel_slot_width(p, m, n)
+                if bits == 8:
+                    continue
+                bound = slot_bound(p, m, n)
+                k, mult = slot_reciprocal(p, bound)
+                for v in (0, p - 1, p, bound - 1, bound):
+                    assert v * mult >> k == v // p, (p, m, n, v)
+                less = -(-(1 << k - 1) // p)
+                assert bound * (less * p - (1 << k - 1)) >= 1 << k - 1, (p, m, n)
+                assert bound * mult < 1 << 2 * bits, (p, m, n)
+                assert (bound // p).bit_length() <= 2 * bits - k, (p, m, n)
+                if bound < 1 << 20:
+                    every[p, k, mult] = max(every.get((p, k, mult), 0), bound)
+    for (p, k, mult), bound in every.items():
+        assert mult <= 1 << k
+        for q in range(1, bound // p + 2):
+            assert min(-(-(q << k) // mult), bound + 1) == min(q * p, bound + 1), (p, k, q)
+
+
+@pytest.mark.parametrize("p,n,bits", [(101, 6, 16), (101, 7, 24), (101, 101, 24)])
+def test_wide_slots_reduce_every_value(p, n, bits):
+    # the wide twin of test_byte_slots_reduce_every_value: every slot of
+    # x*top + c holds (p-1)*sum(x) + c; sum(x) runs over 0 .. n(p-1) and c
+    # over 0 .. p-1, so the slots take every value up to the bound,
+    # n(p-1)^2 + p - 1. Each call has enough rows for the addends to hold
+    # every c.
+    alg = algebra_of(p, 1, n)
+    assert alg.slot_bits == bits
+    dim = alg.dim
+    top = alg.from_reps([p - 1] * dim)
+    addends = [alg.from_reps([(j * dim + i) % p for i in range(dim)])
+               for j in range(-(-p // dim))]
+    for total in range(n * (p - 1) + 1):
+        x = alg.from_reps(([p - 1] * (total // (p - 1)) + [total % (p - 1)]
+                           + [0] * n)[:n] + [0] * n)
+        rows = rotation_products(x, [top] * len(addends), addends)
+        assert [row.reps() for row in rows] == [
+            tuple(((p - 1) * total + v) % p for v in c.reps()) for c in addends]
+
+
 # sums are read from the kernel's slots: (3,1,63) is the widest 8-bit
-# case at m = 1, and (101,1,101) takes 32-bit slots
+# case at m = 1, (101,1,101) takes 24-bit slots, and a rep needs more than
+# one byte at (3,7,9) (q = 2187), (257,1,4) (p > 255) and (65537,1,3)
+# (40-bit slots)
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 7, 3), (3, 1, 63),
-                                   (101, 1, 101)])
+                                   (101, 1, 101), (3, 7, 9), (257, 1, 4),
+                                   (65537, 1, 3)])
 def test_subtraction_is_adding_the_negation(p, m, n):
     alg = algebra_of(p, m, n)
     top = alg.from_reps([alg.field.q - 1] * alg.dim)  # every digit p - 1
