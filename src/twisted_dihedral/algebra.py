@@ -22,6 +22,20 @@ Y = 2^(2n positions), one more than an n x n convolution needs. So
 pack(x)*pack(b) holds, before reduction mod x^n - 1, x*b0 in block 0 and
 x*b1 in block 1, with no cross terms: one row of 4n positions.
 
+`_pack` takes one of two routes, which `AlgebraParams` chooses once from
+(p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
+byte route): `bytes(reps)` with n zero bytes put after each n reps is
+already the integer's little-endian bytes for 8-bit slots, and for wider
+slots one strided write, `buf[::W/8] = ...` into a zeroed bytearray, puts
+each rep in the low byte of its slot, the mirror of `_unpack`'s strided
+read. Rep 0 has all-zero digits, so a zero rep is a zero position. The
+byte route also serializes an element as `bytes(reps)` and maps its reps
+by lambda or by negation with one `bytes.translate` through 256-byte
+tables. Where m > 1 or p >= 256 (the join route) each rep is looked up in
+`slot_bytes`, its digits in little-endian slots, and the positions are
+joined, with zero blocks between each n; reps serialize by a join of
+`FieldParams.rep_bytes`.
+
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
 multiply and one `_unpack`. 2n*k reps pack as k rows at Z = 2^(4n
@@ -124,13 +138,16 @@ def kernel_slot_width(p: int, m: int, n: int) -> int:
 class AlgebraParams:
     """Field, group, and the twisting non-square lambda, bundled.
 
-    Construction also builds the O(q + n) tables of the product kernel:
+    Construction decides the route of a rep (see the module docstring):
+    `byte_reps` is true where m = 1 and p < 256, so that a rep is one byte
+    digit. It also builds the O(q + n) tables of the product kernel:
 
-    - `lam_mul[rep]` and `neg_lam_mul[rep]`: the reps of lambda * rep and
-      -lambda * rep;
-    - `slot_bytes[rep]`: one position of the kernel, the base-p digits of
-      rep in little-endian slots of `slot_bits` bits, then m - 1 zero
-      slots;
+    - `lam_mul[rep]`, `neg_lam_mul[rep]` and `neg[rep]`: the reps of
+      lambda * rep, -lambda * rep and -rep; on the byte route each is a
+      256-byte `bytes`, a `translate` table that indexes like a list;
+    - on the join route, `slot_bytes[rep]`: one position of the kernel,
+      the base-p digits of rep in little-endian slots of `slot_bits` bits,
+      then m - 1 zero slots (None on the byte route);
     - the fold masks and constants; the mod-p byte table of 8-bit slots,
       or for wider slots (k, M) of `slot_reciprocal` and the masks of the
       even slots and of their quotient fields;
@@ -150,15 +167,22 @@ class AlgebraParams:
         self.group = group
         self.n, self.dim = n, group.order
         self.lam = lam
-        self.lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
-        self.neg_lam_mul = [field.neg[r] for r in self.lam_mul]
+        self.byte_reps = m == 1 and p < 256
+        lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
+        tables = lam_mul, [field.neg[r] for r in lam_mul], field.neg
+        if self.byte_reps:  # `translate` takes 256 entries; those past q - 1 are never read
+            tables = [bytes(t).ljust(256, b"\0") for t in tables]
+        self.lam_mul, self.neg_lam_mul, self.neg = tables
         bits = self.slot_bits
         width = 2 * m - 1
         pos = width * bits
-        self.slot_bytes = [
-            b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
-            .ljust(pos // 8, b"\0") for r in range(field.q)]
-        self._pad = bytes(n * pos // 8)  # fills a block after n positions
+        if self.byte_reps:  # n zero bytes after each n reps, before the spread
+            self.slot_bytes, self._pad = None, bytes(n)
+        else:
+            self.slot_bytes = [
+                b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
+                .ljust(pos // 8, b"\0") for r in range(field.q)]
+            self._pad = bytes(n * pos // 8)  # fills a block after n positions
         # 8-bit slots: entry v is v mod p, the residues 0 .. p-1 over and over
         self._mod_p = (bytes(range(p)) * (256 // p + 1))[:256] if bits == 8 else None
         # wider slots: slot i of a group (the even slots, or the odd moved
@@ -259,8 +283,10 @@ class AlgebraElement:
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        neg = self.params.field.neg
-        return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
+        params, neg = self.params, self.params.neg
+        if params.byte_reps:
+            return AlgebraElement(params, tuple(bytes(self.coeffs).translate(neg)))
+        return AlgebraElement(params, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_product(self, other)
@@ -374,9 +400,25 @@ def _products(params: AlgebraParams, x0: Sequence[int], rights: Sequence[int],
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
     """The kernel integer of reps taken n at a time, each n followed by n
     zero positions: n reps as n positions, 2n reps as b0 + b1*Y, and
-    2n*k reps as k rows at Z apart."""
-    sb = params.slot_bytes.__getitem__
+    2n*k reps as k rows at Z apart.
+
+    On the byte route this is `bytes(reps)` with n zero bytes after each
+    n, spread by one strided write when slots are wider than a byte; on
+    the join route, a join of `slot_bytes` (see the module docstring).
+    Both give the same integer.
+    """
     n = params.n
+    if params.byte_reps:
+        data = bytes(reps)
+        if len(data) > n:
+            data = params._pad.join([data[i:i + n] for i in range(0, len(data), n)])
+        slot = params._read[0]
+        if slot > 1:  # each rep in the low byte of its slot
+            buf = bytearray(len(data) * slot)
+            buf[::slot] = data
+            data = buf
+        return int.from_bytes(data, "little")
+    sb = params.slot_bytes.__getitem__
     if len(reps) == n:
         return int.from_bytes(b"".join(map(sb, reps)), "little")
     return int.from_bytes(params._pad.join(map(b"".join, zip(*[map(sb, reps)] * n))), "little")
@@ -492,11 +534,12 @@ def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> Algebr
     its own inverse, with alpha lambda.
     """
     params = params or a.params
-    n = params.n
-    coeffs = a.coeffs
-    lam_mul = params.lam_mul
-    return AlgebraElement(params, coeffs[:1] + coeffs[n - 1:0:-1]
-                          + tuple([lam_mul[c] for c in coeffs[n:]]))
+    n, lam_mul, c = params.n, params.lam_mul, a.coeffs
+    if params.byte_reps:
+        lam_c1 = tuple(bytes(c[n:]).translate(lam_mul))
+    else:
+        lam_c1 = tuple([lam_mul[v] for v in c[n:]])
+    return AlgebraElement(params, c[:1] + c[n - 1:0:-1] + lam_c1)
 
 
 def phi(a: AlgebraElement) -> AlgebraElement:
@@ -509,24 +552,33 @@ def phi(a: AlgebraElement) -> AlgebraElement:
 
 def times_y(x: AlgebraElement) -> AlgebraElement:
     """x*y = lambda*x1 + x0*y: the halves swap and lambda scales x1, O(n)."""
-    n = x.params.n
-    lam_mul = x.params.lam_mul
-    return AlgebraElement(x.params,
-                          tuple([lam_mul[c] for c in x.coeffs[n:]]) + x.coeffs[:n])
+    n, lam_mul, c = x.params.n, x.params.lam_mul, x.coeffs
+    if x.params.byte_reps:
+        return AlgebraElement(x.params, tuple(bytes(c[n:]).translate(lam_mul)) + c[:n])
+    return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:]]) + c[:n])
 
 
 def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
     """s*(x*y) = s*lambda*x1 + (s*x0)*y, for the scalar s with s_mul[rep]
-    the rep of s*rep, O(n)."""
-    n, lam, s = x.params.n, x.params.lam_mul.__getitem__, s_mul.__getitem__
-    c = x.coeffs
-    return AlgebraElement(x.params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))
+    the rep of s*rep, O(n). s_mul is one of the tables of `AlgebraParams`
+    (`lam_mul`, `neg_lam_mul`, `neg`), which on the byte route `translate`
+    takes."""
+    params, c = x.params, x.coeffs
+    n, lam = params.n, params.lam_mul
+    if params.byte_reps:
+        b = bytes(c)
+        return AlgebraElement(params, tuple((b[n:].translate(lam) + b[:n]).translate(s_mul)))
+    lam, s = lam.__getitem__, s_mul.__getitem__
+    return AlgebraElement(params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))
 
 
 def y_times(x: AlgebraElement) -> AlgebraElement:
     """y*x = lambda*rev(x1) + rev(x0)*y, the left-hand twin of `times_y`, O(n)."""
     n = x.params.n
     lam_mul, c = x.params.lam_mul, x.coeffs
+    if x.params.byte_reps:
+        return AlgebraElement(x.params, tuple(bytes(c[n:n + 1] + c[:n:-1]).translate(lam_mul))
+                              + c[:1] + c[n - 1:0:-1])
     return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:n + 1] + c[:n:-1]])
                           + c[:1] + c[n - 1:0:-1])
 
@@ -612,8 +664,12 @@ def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
 
 
 def rep_serialize(x) -> bytes:
-    """Canonical injective byte encoding of an algebra element (or a pair)."""
+    """Canonical injective byte encoding of an algebra element (or a pair):
+    the `FieldParams.rep_bytes` of each rep in turn, which on the byte route
+    is `bytes(reps)`, as rep_bytes[r] == bytes([r]) there."""
     if isinstance(x, AlgebraElement):
+        if x.params.byte_reps:
+            return bytes(x.coeffs)
         return b"".join(map(x.params.field.rep_bytes.__getitem__, x.coeffs))
     # duck-typed two-component ciphertext
     if hasattr(x, "c1") and hasattr(x, "c2"):
@@ -622,11 +678,18 @@ def rep_serialize(x) -> bytes:
 
 
 def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
+    """The element that `rep_serialize` encodes as data. Raises ValueError
+    on a wrong length or a digit >= p; on the byte route a byte below p is
+    a rep, so the reps are `tuple(data)`."""
     field = params.field
     chunk = len(field.rep_bytes[0])
     expect = params.dim * chunk
     if len(data) != expect:
         raise ValueError(f"expected {expect} bytes, got {len(data)}")
+    if params.byte_reps:
+        if max(data) >= field.p:
+            raise ValueError("digit out of range in serialized element")
+        return AlgebraElement(params, tuple(data))
     reps = [field.bytes_rep.get(data[pos:pos + chunk]) for pos in range(0, expect, chunk)]
     if None in reps:
         raise ValueError("digit out of range in serialized element")

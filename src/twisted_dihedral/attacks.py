@@ -139,7 +139,7 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if t != table.t:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
-    q, neg = algebra.field.q, algebra.field.neg
+    q, neg = algebra.field.q, algebra.neg
     tested = 0
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)

@@ -181,6 +181,8 @@ class FieldParams:
     - `neg[rep]`: the rep of the negation;
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
       big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
+      Where m = 1 and p < 256, rep_bytes[rep] == bytes([rep]), and
+      `rep_serialize`/`rep_deserialize` take that byte route without it.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):

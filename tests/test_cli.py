@@ -81,6 +81,28 @@ def test_decaps_tampered_ciphertext(tmp_path):
     assert k1.read_text() != k2.read_text()
 
 
+def test_decaps_rejects_digit_at_least_p(tmp_path, capsys):
+    # at (101,1,101) a ciphertext byte is a rep; a byte of 101 (hex 65)
+    # is no digit mod 101, and decaps exits 1 on it
+    params = tmp_path / "params101.txt"
+    assert run("param-gen", "--p", 101, "--m", 1, "--n", 101,
+               "--out", params, "--seed", 1) == 0
+    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
+    ct, k1, k2 = tmp_path / "ct.txt", tmp_path / "k1.txt", tmp_path / "k2.txt"
+    assert run("keygen", "--params", params, "--out-pk", pk, "--out-sk", sk,
+               "--seed", 2) == 0
+    assert run("encaps", "--params", params, "--pk", pk, "--out-ct", ct,
+               "--out-key", k1, "--seed", 3) == 0
+    lines = ct.read_text().splitlines()
+    lines[-1] = "65" + lines[-1][2:]
+    ct.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("decaps", "--params", params, "--sk", sk, "--ct", ct,
+               "--out-key", k2) == 1
+    assert "digit out of range" in capsys.readouterr().err
+    assert not k2.exists()
+
+
 def test_secret_file_marker_and_show(tmp_path, params_file, capsys):
     pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
     run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,

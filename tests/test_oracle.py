@@ -20,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
-                                      RotationBatch, adjunct, alg_product,
-                                      index_h_inv, iter_gamma,
-                                      kernel_slot_width, rep_index,
+                                      RotationBatch, _pack, adjunct,
+                                      alg_product, index_h_inv, iter_gamma,
+                                      kernel_slot_width, rep_deserialize,
+                                      rep_index, rep_serialize,
                                       rotation_products, sample_secret_pair,
-                                      sample_subspace, slot_bound,
-                                      slot_reciprocal)
+                                      sample_subspace, scaled_times_y,
+                                      slot_bound, slot_reciprocal, times_y,
+                                      y_times)
 from twisted_dihedral.attacks import mitm_offline
 from twisted_dihedral.cocycle import (BetaMap, Cocycle, CocycleCheck,
                                       coboundary_of, verify_cocycle)
@@ -65,6 +67,18 @@ def twisting_cocycle(params):
     """The reps of alpha_lambda(i, j), as `Cocycle.alpha` gives them."""
     alpha = Cocycle.alpha(params.lam, params.n)
     return tuple(tuple(v.rep for v in row) for row in alpha.tabulate())
+
+
+def join_pack(params, reps):
+    """The kernel integer of reps by the join route, from the digits alone:
+    each rep's base-p digits in little-endian slots of `slot_bits` bits,
+    2m - 1 slots to a position, and n zero positions after each n reps."""
+    p, m, n = params.field.p, params.field.m, params.n
+    slot, pos = params.slot_bits // 8, (2 * m - 1) * params.slot_bits // 8
+    positions = [b"".join(d.to_bytes(slot, "little") for d in digits(r, p, m)).ljust(pos, b"\0")
+                 for r in reps]
+    return int.from_bytes(bytes(n * pos).join(
+        b"".join(positions[i:i + n]) for i in range(0, len(positions), n)), "little")
 
 
 def rotation_part(x):
@@ -125,8 +139,8 @@ def elements(alg):
 
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 200), (5, 1, 5, 100), (3, 2, 9, 50), (3, 6, 3, 100),
-    (3, 7, 3, 100), (101, 1, 101, 3), (3, 7, 9, 5), (257, 1, 4, 50),
-    (65537, 1, 3, 50)])
+    (3, 7, 3, 100), (101, 1, 101, 3), (3, 7, 9, 5), (251, 1, 3, 50),
+    (257, 1, 4, 50), (65537, 1, 3, 50)])
 def test_product_matches_schoolbook(p, m, n, examples):
     alg = algebra_of(p, m, n)
 
@@ -486,6 +500,100 @@ def test_adjunct_matches_definition(p, m, n):
         assert adjunct(a).reps() == tuple(out)
 
     check()
+
+
+# The two routes of a rep (see the algebra module docstring). The byte
+# route, m = 1 and p < 256: (3,1,6) is attack-small; (3,1,63)/(3,1,64) and
+# (7,1,7) take 8- and 16-bit slots, (101,1,6)/(101,1,7) 16 and 24 bits;
+# (101,1,101) is kem-wide; p = 251 is the largest p on the route. The join
+# route: (257,1,4), one past it, with two-byte digits, and (3,2,9), kem-small.
+ROUTE_SETS = [(3, 1, 6), (3, 1, 63), (3, 1, 64), (7, 1, 7), (101, 1, 6), (101, 1, 7),
+              (101, 1, 101), (251, 1, 3), (257, 1, 4), (3, 2, 9)]
+
+
+@pytest.mark.parametrize("p,m,n", ROUTE_SETS)
+def test_pack_matches_slot_join(p, m, n):
+    # `_pack` on either route gives the integer of the slot join, for n,
+    # 2n and 2n*k reps, of operands of all-(p-1) digits, of zeros and at
+    # random, and for the rows of a full RotationBatch chunk. A pad of
+    # n - 1 bytes, a spread at a stride off by one, or the byte route
+    # taken at p = 257 fails here.
+    alg = algebra_of(p, m, n)
+    assert alg.byte_reps == (m == 1 and p < 256)
+    q, dim = alg.field.q, alg.dim
+    rng = random.Random(p * m * n)
+    for size in (n, dim, 3 * dim):
+        for reps in ([q - 1] * size, [0] * size, [rng.randrange(q) for _ in range(size)]):
+            assert _pack(alg, reps) == join_pack(alg, reps), size
+    top = alg.from_reps([q - 1] * n + [0] * n)
+    lefts = [top, alg.zero()] + [sample_subspace("C_n", alg, rng)
+                                 for _ in range(BATCH_CHUNK - 2)]
+    [(packed, rows)] = RotationBatch(lefts)._chunks
+    assert rows == BATCH_CHUNK
+    assert packed == join_pack(alg, [r for x in lefts for r in x.reps()])
+
+
+@pytest.mark.parametrize("p,m,n", ROUTE_SETS)
+def test_serialization_matches_rep_bytes(p, m, n):
+    # rep_serialize on either route is the join of `rep_bytes`, and
+    # rep_deserialize inverts it and refuses one byte short or long
+    alg = algebra_of(p, m, n)
+    field = alg.field
+    rng = random.Random(p + m + n)
+    for reps in ([field.q - 1] * alg.dim, [0] * alg.dim,
+                 [rng.randrange(field.q) for _ in range(alg.dim)]):
+        x = alg.from_reps(reps)
+        data = rep_serialize(x)
+        assert data == b"".join(field.rep_bytes[r] for r in reps)
+        assert rep_deserialize(data, alg) == x
+        for bad in (data[:-1], data + b"\0"):
+            with pytest.raises(ValueError, match="expected"):
+                rep_deserialize(bad, alg)
+
+
+@pytest.mark.parametrize("p,n,byte", [(101, 101, 101), (101, 101, 255)]
+                         + [(251, 3, b) for b in range(251, 256)])
+def test_deserialize_rejects_digits_from_p(p, n, byte):
+    # on the byte route a byte is a rep only below p; p - 1 is one
+    alg = algebra_of(p, 1, n)
+    for i in (0, alg.dim - 1):
+        data = bytearray(alg.dim)
+        data[i] = p - 1
+        assert rep_deserialize(bytes(data), alg).reps()[i] == p - 1
+        data[i] = byte
+        with pytest.raises(ValueError, match="digit out of range"):
+            rep_deserialize(bytes(data), alg)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 6), (251, 1, 3), (101, 1, 101), (257, 1, 4),
+                                   (3, 2, 9)])
+def test_lambda_maps_match_field_arithmetic(p, m, n):
+    # the O(n) maps by lambda, -lambda and -1, by `translate` on the byte
+    # route and by table lookups on the join route, against products of
+    # polynomials
+    alg = algebra_of(p, m, n)
+    field, lam = alg.field, alg.lam.rep
+    minus = rep_of([p - 1], p)
+    for table in (alg.lam_mul, alg.neg_lam_mul, alg.neg):
+        assert isinstance(table, bytes) == alg.byte_reps
+        assert len(table) == (256 if alg.byte_reps else field.q)
+
+    def times(s, reps):
+        return tuple(poly_mul_rep(field, s, r) for r in reps)
+
+    def rev(reps):
+        return reps[:1] + reps[:0:-1]
+
+    rng = random.Random(n)
+    for x in (alg.from_reps([field.q - 1] * alg.dim), sample_subspace("full", alg, rng)):
+        c0, c1 = x.reps()[:n], x.reps()[n:]
+        assert times_y(x).reps() == times(lam, c1) + c0
+        assert y_times(x).reps() == times(lam, rev(c1)) + rev(c0)
+        assert adjunct(x).reps() == rev(c0) + times(lam, c1)
+        assert (-x).reps() == times(minus, x.reps())
+        for s, table in ((lam, alg.lam_mul), (poly_mul_rep(field, minus, lam), alg.neg_lam_mul),
+                         (minus, alg.neg)):
+            assert scaled_times_y(x, table).reps() == times(s, times(lam, c1)) + times(s, c0)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (101, 1), (3, 6), (3, 7)])
