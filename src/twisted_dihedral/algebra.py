@@ -29,12 +29,14 @@ already the integer's little-endian bytes for 8-bit slots, and for wider
 slots one strided write, `buf[::W/8] = ...` into a zeroed bytearray, puts
 each rep in the low byte of its slot, the mirror of `_unpack`'s strided
 read. Rep 0 has all-zero digits, so a zero rep is a zero position. The
-byte route also serializes an element as `bytes(reps)` and maps its reps
-by lambda or by negation with one `bytes.translate` through 256-byte
-tables. Where m > 1 or p >= 256 (the join route) each rep is looked up in
-`slot_bytes`, its digits in little-endian slots, and the positions are
-joined, with zero blocks between each n; reps serialize by a join of
-`FieldParams.rep_bytes`.
+byte route also serializes an element as `bytes(reps)`, and
+`scaled_times_y`, which every encaps, decaps and kex runs, maps its reps
+by two `bytes.translate` through 256-byte tables. Where m > 1 or p >= 256
+(the join route) each rep is looked up in `slot_bytes`, its digits in
+little-endian slots, and the positions are joined, with zero blocks
+between each n; reps serialize by a join of `FieldParams.rep_bytes`. The
+other maps by lambda or by negation look reps up one at a time on both
+routes, as a 256-byte table indexes like a list.
 
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
@@ -140,11 +142,13 @@ class AlgebraParams:
 
     Construction decides the route of a rep (see the module docstring):
     `byte_reps` is true where m = 1 and p < 256, so that a rep is one byte
-    digit. It also builds the O(q + n) tables of the product kernel:
+    digit; `_pack`, `rep_serialize` and `scaled_times_y` then run on byte
+    strings. It also builds the O(q + n) tables of the product kernel:
 
     - `lam_mul[rep]`, `neg_lam_mul[rep]` and `neg[rep]`: the reps of
       lambda * rep, -lambda * rep and -rep; on the byte route each is a
-      256-byte `bytes`, a `translate` table that indexes like a list;
+      256-byte `bytes`, the `translate` table of `scaled_times_y`, which
+      indexes like a list for the other maps;
     - on the join route, `slot_bytes[rep]`: one position of the kernel,
       the base-p digits of rep in little-endian slots of `slot_bits` bits,
       then m - 1 zero slots (None on the byte route);
@@ -283,10 +287,8 @@ class AlgebraElement:
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        params, neg = self.params, self.params.neg
-        if params.byte_reps:
-            return AlgebraElement(params, tuple(bytes(self.coeffs).translate(neg)))
-        return AlgebraElement(params, tuple([neg[c] for c in self.coeffs]))
+        neg = self.params.neg
+        return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_product(self, other)
@@ -535,11 +537,7 @@ def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> Algebr
     """
     params = params or a.params
     n, lam_mul, c = params.n, params.lam_mul, a.coeffs
-    if params.byte_reps:
-        lam_c1 = tuple(bytes(c[n:]).translate(lam_mul))
-    else:
-        lam_c1 = tuple([lam_mul[v] for v in c[n:]])
-    return AlgebraElement(params, c[:1] + c[n - 1:0:-1] + lam_c1)
+    return AlgebraElement(params, c[:1] + c[n - 1:0:-1] + tuple([lam_mul[v] for v in c[n:]]))
 
 
 def phi(a: AlgebraElement) -> AlgebraElement:
@@ -553,8 +551,6 @@ def phi(a: AlgebraElement) -> AlgebraElement:
 def times_y(x: AlgebraElement) -> AlgebraElement:
     """x*y = lambda*x1 + x0*y: the halves swap and lambda scales x1, O(n)."""
     n, lam_mul, c = x.params.n, x.params.lam_mul, x.coeffs
-    if x.params.byte_reps:
-        return AlgebraElement(x.params, tuple(bytes(c[n:]).translate(lam_mul)) + c[:n])
     return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:]]) + c[:n])
 
 
@@ -574,11 +570,7 @@ def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
 
 def y_times(x: AlgebraElement) -> AlgebraElement:
     """y*x = lambda*rev(x1) + rev(x0)*y, the left-hand twin of `times_y`, O(n)."""
-    n = x.params.n
-    lam_mul, c = x.params.lam_mul, x.coeffs
-    if x.params.byte_reps:
-        return AlgebraElement(x.params, tuple(bytes(c[n:n + 1] + c[:n:-1]).translate(lam_mul))
-                              + c[:1] + c[n - 1:0:-1])
+    n, lam_mul, c = x.params.n, x.params.lam_mul, x.coeffs
     return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:n + 1] + c[:n:-1]])
                           + c[:1] + c[n - 1:0:-1])
 
@@ -678,18 +670,15 @@ def rep_serialize(x) -> bytes:
 
 
 def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
-    """The element that `rep_serialize` encodes as data. Raises ValueError
-    on a wrong length or a digit >= p; on the byte route a byte below p is
-    a rep, so the reps are `tuple(data)`."""
+    """The element that `rep_serialize` encodes as data, one
+    `FieldParams.bytes_rep` lookup per rep on both routes (a byte >= p has
+    no entry where m = 1 and p < 256). Raises ValueError on a wrong length
+    or a digit >= p."""
     field = params.field
     chunk = len(field.rep_bytes[0])
     expect = params.dim * chunk
     if len(data) != expect:
         raise ValueError(f"expected {expect} bytes, got {len(data)}")
-    if params.byte_reps:
-        if max(data) >= field.p:
-            raise ValueError("digit out of range in serialized element")
-        return AlgebraElement(params, tuple(data))
     reps = [field.bytes_rep.get(data[pos:pos + chunk]) for pos in range(0, expect, chunk)]
     if None in reps:
         raise ValueError("digit out of range in serialized element")

@@ -160,21 +160,15 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
 
 @dataclass(frozen=True)
 class Challenge:
-    """What the challenger hands out, plus hidden state for instrumentation.
-
-    Honest adversaries must only read the public fields; the trailing
-    secret fields exist so tests can wire an oracle adversary and assert
-    the challenger's structure.
-    """
+    """What the challenger hands out: public values only (DPD: pk1; CDP:
+    pk1, pk2 and the key k to compute; DDP: pk1, pk2 and a candidate k),
+    and the DDP bit b, which only the harness reads to score a guess."""
 
     pp: PublicParams
     pk1: AlgebraElement
     pk2: Optional[AlgebraElement] = None
     k: Optional[AlgebraElement] = None
     b: Optional[int] = None
-    secret1: Optional[SecretPair] = None
-    secret2: Optional[SecretPair] = None
-    secret3: Optional[SecretPair] = None
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ class GameOutcome:
 
 def dpd_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
     s = sample_secret_pair(pp.algebra, rng)
-    return Challenge(pp=pp, pk1=derive_public(s, pp), secret1=s)
+    return Challenge(pp=pp, pk1=derive_public(s, pp))
 
 
 def cdp_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
@@ -196,7 +190,7 @@ def cdp_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
     pk1 = derive_public(s1, pp)
     pk2 = derive_public(s2, pp)
     k = derive_shared(s2, pk1, pp)
-    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=k, secret1=s1, secret2=s2)
+    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=k)
 
 
 def ddp_challenge(pp: PublicParams, rng: random.Random, b: int) -> Challenge:
@@ -207,8 +201,7 @@ def ddp_challenge(pp: PublicParams, rng: random.Random, b: int) -> Challenge:
     pk2 = derive_public(s2, pp)
     k0 = derive_shared(s2, pk1, pp)
     k1 = derive_public(s3, pp)
-    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=(k0 if b == 0 else k1), b=b,
-                     secret1=s1, secret2=s2, secret3=s3)
+    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=(k0 if b == 0 else k1), b=b)
 
 
 def run_attack_game(game: str, adversary: Callable, pp: PublicParams,

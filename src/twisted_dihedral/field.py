@@ -84,17 +84,13 @@ def _poly_mul(a, b, p):
 
 
 def _poly_divmod(a, b, p):
-    a = list(a)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     binv = pow(b[-1], -1, p)
     db = len(b) - 1
     quo = [0] * max(0, len(a) - db)
-    while len(_trim(a)) - 1 >= db and _trim(a):
-        a = list(_trim(a))
+    while len(a := list(_trim(a))) > db:
         da = len(a) - 1
-        if da < db:
-            break
         coef = (a[-1] * binv) % p
         quo[da - db] = coef
         for i in range(len(b)):
@@ -182,7 +178,8 @@ class FieldParams:
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
       big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
       Where m = 1 and p < 256, rep_bytes[rep] == bytes([rep]), and
-      `rep_serialize`/`rep_deserialize` take that byte route without it.
+      `rep_serialize` takes that byte route without it; `rep_deserialize`
+      looks each rep up in `bytes_rep` on both routes.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -266,10 +263,6 @@ class FieldParams:
 
     def elem(self, digits) -> "FieldElement":
         """Element from an integer (for m=1, or a rep) or a digit sequence."""
-        if isinstance(digits, FieldElement):
-            if digits.field != self:
-                raise ValueError("element belongs to a different field")
-            return digits
         if isinstance(digits, int):
             return self.from_rep(digits % self.q)
         ds = tuple(int(d) % self.p for d in digits)
@@ -297,9 +290,6 @@ class FieldParams:
 
     def neg_rep(self, a: int) -> int:
         return self.neg[a]
-
-    def sub_rep(self, a: int, b: int) -> int:
-        return self.add_rep(a, self.neg[b])
 
     def mul_rep(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -373,18 +363,11 @@ class FieldElement:
     def __add__(self, other: "FieldElement") -> "FieldElement":
         return self.field.from_rep(self.field.add_rep(self.rep, other.rep))
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.from_rep(self.field.sub_rep(self.rep, other.rep))
-
     def __neg__(self) -> "FieldElement":
         return self.field.from_rep(self.field.neg_rep(self.rep))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return self.field.from_rep(self.field.mul_rep(self.rep, other.rep))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.from_rep(
-            self.field.mul_rep(self.rep, self.field.inv_rep(other.rep)))
 
     def __pow__(self, e: int) -> "FieldElement":
         return self.field.from_rep(self.field.pow_rep(self.rep, e))
@@ -413,9 +396,7 @@ def is_square(a: FieldElement) -> bool:
 
 
 def get_lambda(params: FieldParams, rng: random.Random) -> FieldElement:
-    """Uniform random non-square of F_q*, by rejection sampling."""
-    if params.p == 2:
-        raise ParameterError("no non-square exists in characteristic 2")
+    """Uniform random non-square of F_q* (q is odd), by rejection sampling."""
     while True:
         a = params.random_unit(rng)
         if not is_square(a):

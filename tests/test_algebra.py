@@ -48,6 +48,13 @@ def test_square_lambda_rejected():
         AlgebraParams(field, DihedralGroup(7), field.zero())
 
 
+def test_lambda_from_another_field_rejected():
+    # 3 is a non-square in both F_5 and F_7, so only the field check refuses it
+    f5, f7 = FieldParams(5), FieldParams(7)
+    with pytest.raises(ParameterError, match="given field"):
+        AlgebraParams(f5, DihedralGroup(5), f7.elem(3))
+
+
 def test_p_must_divide_group_order():
     # enforced at the protocol layer, not on the bare algebra
     from twisted_dihedral.kex import PublicParams

@@ -1,14 +1,16 @@
 """Cryptanalysis: exhaustive and meet-in-the-middle decomposition solvers,
 work-factor accounting, and the attack-game harness."""
 
+import dataclasses
 import random
 
 import pytest
 
 from twisted_dihedral.algebra import (SecretPair, index_h_inv, iter_gamma,
                                       rep_index, sample_secret_pair)
-from twisted_dihedral.attacks import (DpdInstance, dpd_verify, exhaustive_dpd,
-                                      ddp_challenge, key_recovery_check,
+from twisted_dihedral.attacks import (Challenge, DpdInstance, dpd_verify,
+                                      exhaustive_dpd, ddp_challenge,
+                                      key_recovery_check,
                                       mitm_offline, mitm_online,
                                       run_attack_game)
 from twisted_dihedral.errors import CapacityError
@@ -251,22 +253,27 @@ def test_recovered_pair_reproduces_shared_key(pp333):
 
 # --- attack games ---
 
+def _solve(pp, pk):
+    """A secret pair for pk, found from public values only."""
+    return exhaustive_dpd(DpdInstance(pp, pk)).pair
+
+
+def test_challenge_carries_public_values_only():
+    assert [f.name for f in dataclasses.fields(Challenge)] == ["pp", "pk1", "pk2", "k", "b"]
+
+
 def test_dpd_game_exhaustive_adversary(pp333):
     rng = random.Random(44)
-
-    def adversary(ch):
-        return exhaustive_dpd(DpdInstance(ch.pp, ch.pk1)).pair
-
-    outcome = run_attack_game("DPD", adversary, pp333, rng, trials=30)
+    outcome = run_attack_game("DPD", lambda ch: _solve(ch.pp, ch.pk1), pp333, rng, trials=30)
     assert outcome.advantage == 1.0
 
 
-def test_cdp_game_oracle_adversary(pp333):
+def test_cdp_game_exhaustive_adversary(pp333):
+    # a DPD solution for pk1 derives the key shared with pk2
     rng = random.Random(45)
 
     def adversary(ch):
-        # sanity wiring: an adversary handed the real secret always wins
-        return derive_shared(ch.secret2, ch.pk1, ch.pp)
+        return derive_shared(_solve(ch.pp, ch.pk1), ch.pk2, ch.pp)
 
     outcome = run_attack_game("CDP", adversary, pp333, rng, trials=30)
     assert outcome.advantage == 1.0
@@ -279,17 +286,30 @@ def test_ddp_game_random_guess(pp333):
     assert outcome.advantage < 0.15  # ~3/sqrt(trials)
 
 
+def test_ddp_game_exhaustive_adversary(pp333):
+    # guess b = 0 when k is the key that a DPD solution for pk1 shares
+    # with pk2; the guess is wrong only when a random public key equals it
+    rng = random.Random(48)
+
+    def adversary(ch):
+        return int(ch.k != derive_shared(_solve(ch.pp, ch.pk1), ch.pk2, ch.pp))
+
+    outcome = run_attack_game("DDP", adversary, pp333, rng, trials=200)
+    assert outcome.advantage > 0.6  # 0.80 at this seed
+    assert outcome.successes > 150
+
+
 def test_ddp_challenger_structure(pp333):
+    # b = 0: k is the key shared by pk1 and pk2; b = 1: k is a public key
     rng = random.Random(47)
     for b in (0, 1):
         ch = ddp_challenge(pp333, rng, b)
         assert ch.b == b
-        assert ch.pk1 == derive_public(ch.secret1, pp333)
-        assert ch.pk2 == derive_public(ch.secret2, pp333)
+        assert _solve(pp333, ch.pk1) is not None and _solve(pp333, ch.pk2) is not None
         if b == 0:
-            assert ch.k == derive_shared(ch.secret2, ch.pk1, pp333)
+            assert ch.k == derive_shared(_solve(pp333, ch.pk1), ch.pk2, pp333)
         else:
-            assert ch.k == derive_public(ch.secret3, pp333)
+            assert _solve(pp333, ch.k) is not None
 
 
 def test_unknown_game_rejected(pp333, rng):

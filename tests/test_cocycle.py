@@ -210,7 +210,7 @@ def test_search_square_dichotomy(p, m, lam_rep, expect_found):
     theta = equivalence_search(c1, c2, group, field)
     assert (theta is not None) == expect_found
     if theta is not None:
-        assert all(c1(g, h) == c2(g, h) * theta(g) * theta(h) / theta(group.op(g, h))
+        assert all(c1(g, h) == c2(g, h) * theta(g) * theta(h) * theta(group.op(g, h)).inverse()
                    for g in range(6) for h in range(6))
 
 

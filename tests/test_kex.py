@@ -96,12 +96,12 @@ def test_derivations_reject_a_secret_from_another_algebra(rng):
                   for lam in (2, 3))
     h = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     pp3 = PublicParams(alg3, alg3.from_reps(h))
-    secret2 = sample_secret_pair(alg2, rng)
+    foreign = sample_secret_pair(alg2, rng)
     pk3 = derive_public(sample_secret_pair(alg3, rng), pp3)
     with pytest.raises(ValueError):
-        derive_public(secret2, pp3)
+        derive_public(foreign, pp3)
     with pytest.raises(ValueError):
-        derive_shared(secret2, pk3, pp3)
+        derive_shared(foreign, pk3, pp3)
 
 
 def test_session_lifecycle(pp333):

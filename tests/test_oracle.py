@@ -568,9 +568,9 @@ def test_deserialize_rejects_digits_from_p(p, n, byte):
 @pytest.mark.parametrize("p,m,n", [(3, 1, 6), (251, 1, 3), (101, 1, 101), (257, 1, 4),
                                    (3, 2, 9)])
 def test_lambda_maps_match_field_arithmetic(p, m, n):
-    # the O(n) maps by lambda, -lambda and -1, by `translate` on the byte
-    # route and by table lookups on the join route, against products of
-    # polynomials
+    # the O(n) maps by lambda, -lambda and -1 against products of
+    # polynomials: `scaled_times_y` by `translate` on the byte route, and
+    # every map by table lookups, which a 256-byte table also serves
     alg = algebra_of(p, m, n)
     field, lam = alg.field, alg.lam.rep
     minus = rep_of([p - 1], p)
