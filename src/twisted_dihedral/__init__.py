@@ -16,8 +16,8 @@ from .cocycle import (BetaMap, Cocycle, CocycleCheck, coboundary_of,
                       equivalence_search, verify_cocycle)
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair, adjunct,
                       alg_product, in_gamma, index_h_inv, iter_gamma,
-                      phi, rep_deserialize, rep_index,
-                      rep_serialize, rotation_products, sample_gamma,
+                      phi, rep_deserialize, rep_serialize,
+                      rotation_products, sample_gamma,
                       sample_secret_pair, sample_subspace, times_y)
 from .kex import (PublicParams, Session, derive_public, derive_shared,
                   setup_public_params)

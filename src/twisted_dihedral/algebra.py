@@ -635,15 +635,6 @@ def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
         yield gamma_from_free(params, free[::-1])
 
 
-def rep_index(reps: Sequence[int], q: int) -> int:
-    """index_h, the base-q positional encoding of a coefficient vector (a
-    bijection), by Horner's rule."""
-    out = 0
-    for rep in reversed(reps):
-        out = out * q + rep
-    return out
-
-
 def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
     q = params.field.q
     if not 0 <= value < q ** params.dim:

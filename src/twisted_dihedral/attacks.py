@@ -7,9 +7,11 @@ space into a low-degree and a high-degree slice. The scheme falls instead
 to the polynomial-time linear decomposition attack (Myasnikov and
 Roman'kov 2015; Tsaban 2015), not implemented here. Both solvers test a
 candidate (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a,
-then all gamma from one RotationBatch of the phi(gamma). The MITM scan
-takes its residuals pk - a2*h*gamma from the batch multiply as well, as
-phi(gamma)*(-(a2*h*y)) + pk, with pk the addend of every row.
+then all gamma from one RotationBatch of the phi(gamma). The MITM table
+keys each a1 by the rep tuple of a1*h*gamma and gamma's index; the scan
+takes each residual pk - a2*h*gamma from the batch as well, as
+phi(gamma)*(-(a2*h*y)) + pk with pk the addend of every row, and probes
+the table once per candidate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
-                      index_h_inv, iter_gamma, phi, rep_index, sample_secret_pair,
+                      index_h_inv, iter_gamma, phi, sample_secret_pair,
                       scaled_times_y, times_y)
 from .errors import CapacityError
 from .kex import PublicParams, derive_public, derive_shared
@@ -38,14 +40,15 @@ class DpdInstance:
 
 @dataclass
 class MitmTable:
-    """Offline table: index_h(a1*h*gamma) -> [(a1, gamma), ...].
+    """Offline table: (reps of a1*h*gamma, k) -> [a1, ...] in index order,
+    with k the index of gamma in `gammas`.
 
     Also keeps Gamma and the batch of its phi(gamma), which the online
     scan reuses.
     """
 
     t: int
-    buckets: dict[int, list[tuple[AlgebraElement, AlgebraElement]]]
+    buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]]
     entries: int
     gammas: list[AlgebraElement] = field(compare=False, repr=False)
     batch: RotationBatch = field(compare=False, repr=False)
@@ -111,7 +114,7 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
 
 def mitm_offline(pp: PublicParams, t: int,
                  max_entries: int = DEFAULT_MAX_TABLE_ENTRIES) -> MitmTable:
-    """Precompute index_h(a1*h*gamma) for every low-slice a1 and gamma."""
+    """Key every low-slice a1 by the reps of a1*h*gamma and gamma's index."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
         raise ValueError("t must be in [0, n]")
@@ -119,13 +122,13 @@ def mitm_offline(pp: PublicParams, t: int,
     total = q ** t * q ** (algebra.n // 2 + 1)
     if total > max_entries:
         raise CapacityError(f"{total} table entries exceed the bound {max_entries}")
-    buckets: dict[int, list] = {}
+    buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]] = {}
     entries = 0
     gammas, batch = _gamma_batch(algebra)
     for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)
         a1 = index_h_inv(idx, algebra)
-        for gamma, c in zip(gammas, batch.times(times_y(a1 * pp.h))):
-            buckets.setdefault(rep_index(c, q), []).append((a1, gamma))
+        for k, c in enumerate(batch.times(times_y(a1 * pp.h))):
+            buckets.setdefault((c, k), []).append(a1)
             entries += 1
     return MitmTable(t=t, buckets=buckets, entries=entries, gammas=gammas, batch=batch)
 
@@ -133,8 +136,8 @@ def mitm_offline(pp: PublicParams, t: int,
 def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     """Scan the complementary high slice for a colliding (a2, gamma).
 
-    A collision with matching gamma gives a1*h*gamma = pk - a2*h*gamma, so
-    (a1 + a2, gamma) solves the instance.
+    A collision with the same gamma gives a1*h*gamma = pk - a2*h*gamma, so
+    (a1 + a2, gamma) solves the instance; one probe per candidate finds it.
     """
     if t != table.t:
         raise ValueError("table was built for a different t")
@@ -145,14 +148,14 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
         a2 = index_h_inv(idx * q ** t, algebra)
         # pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk, every gamma at once
         residuals = table.batch.times(scaled_times_y(a2 * inst.pp.h, neg), inst.pk)
-        for gamma, residual in zip(table.gammas, residuals):
+        for k, residual in enumerate(residuals):
             tested += 1
-            for a1, gamma1 in table.buckets.get(rep_index(residual, q), ()):
-                if gamma1.coeffs == gamma.coeffs:
-                    a = a1 + a2
-                    if a.is_zero() or gamma.is_zero():
-                        continue
-                    return AttackResult(SecretPair(a, gamma), tested)
+            for a1 in table.buckets.get((residual, k), ()):
+                a = a1 + a2
+                gamma = table.gammas[k]
+                if a.is_zero() or gamma.is_zero():
+                    continue
+                return AttackResult(SecretPair(a, gamma), tested)
     return AttackResult(None, tested)
 
 
@@ -212,6 +215,8 @@ def run_attack_game(game: str, adversary: Callable, pp: PublicParams,
     return a SecretPair or None; for the computational game an algebra
     element; for the decisional game a bit.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if game == "DPD":
         wins = 0
         for _ in range(trials):

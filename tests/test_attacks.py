@@ -7,7 +7,7 @@ import random
 import pytest
 
 from twisted_dihedral.algebra import (SecretPair, index_h_inv, iter_gamma,
-                                      rep_index, sample_secret_pair)
+                                      sample_secret_pair)
 from twisted_dihedral.attacks import (Challenge, DpdInstance, dpd_verify,
                                       exhaustive_dpd, ddp_challenge,
                                       key_recovery_check,
@@ -123,16 +123,25 @@ def test_exhaustive_capacity_guard(pp333):
 
 # --- meet in the middle ---
 
+def _literal_buckets(pp, t):
+    """The MITM table from the literal (a1*h)*gamma loop: (reps, k) -> the
+    low-slice a1 in index order, with k the index of gamma in Gamma."""
+    alg = pp.algebra
+    buckets = {}
+    for idx in range(alg.field.q ** t):
+        a1 = index_h_inv(idx, alg)
+        a1h = a1 * pp.h
+        for k, gamma in enumerate(iter_gamma(alg)):
+            buckets.setdefault(((a1h * gamma).reps(), k), []).append(a1)
+    return buckets
+
+
 def test_mitm_offline_entry_counts(pp333):
-    alg = pp333.algebra
     assert mitm_offline(pp333, 1).entries == 27  # q^t * |Gamma| = 3 * 9
     assert mitm_offline(pp333, 0).entries == 9
     assert mitm_offline(pp333, 3).entries == 243
-    # table invariant: key = index_h(a1 * h * gamma)
-    table = mitm_offline(pp333, 1)
-    for key, pairs in table.buckets.items():
-        for a1, gamma in pairs:
-            assert rep_index(((a1 * pp333.h) * gamma).reps(), alg.field.q) == key
+    # table invariant: key = (reps of a1 * h * gamma, index of gamma)
+    assert mitm_offline(pp333, 1).buckets == _literal_buckets(pp333, 1)
 
 
 def test_mitm_capacity_guard(pp333):
@@ -190,27 +199,30 @@ def test_mitm_table_keeps_gamma_batch(pp333, pp515):
 def _first_hit(inst, rotations, solutions):
     """The first valid pair over rotations x Gamma in solver order, and the
     candidates tested up to it. Each candidate is the literal (a*h)*gamma;
-    solutions(a, (a*h)*gamma, gamma) lists the rotations it yields."""
+    solutions(a, (a*h)*gamma, k) lists the rotations it yields, with k the
+    index of gamma in Gamma."""
     tested = 0
     gammas = list(iter_gamma(inst.pp.algebra))
     for a in rotations:
         ah = a * inst.pp.h
-        for gamma in gammas:
+        for k, gamma in enumerate(gammas):
             tested += 1
-            for b in solutions(a, ah * gamma, gamma):
+            for b in solutions(a, ah * gamma, k):
                 if not (b.is_zero() or gamma.is_zero()):
                     return SecretPair(b, gamma), tested
     return None, tested
 
 
-# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets are
-# supported on x^0 and x^1, so both scans stop within a few a: the
-# exhaustive bound is raised to the whole space, which the scan never
-# reaches, and the MITM table with t = 1 is 3 * 3^7 entries.
+# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets, and
+# those of (5,1,5), are supported on x^0 and x^1, so both scans stop
+# within a few a: the exhaustive bound is raised to the whole space, which
+# the scan never reaches, and the MITM tables are 3 * 3^7 and 5^2 * 5^3
+# entries.
 @pytest.mark.parametrize("p,m,n,t,seeds,width", [
     (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
-    (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2)],
-    ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12"])
+    (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2),
+    (5, 1, 5, 2, range(3), 2)],
+    ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12", "5-1-5"])
 def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
     # the solvers test phi(gamma)*(a*h*y), every gamma at once through a
     # RotationBatch; same pairs, same counts
@@ -218,18 +230,17 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
     alg = pp.algebra
     q = alg.field.q
     table = mitm_offline(pp, t)
+    buckets = _literal_buckets(pp, t)
     for seed in seeds:
         _, inst = _instance(pp, 300 + seed, width)
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
-                          lambda a, c, gamma: [a] if c == inst.pk else [])
+                          lambda a, c, k: [a] if c == inst.pk else [])
         result = exhaustive_dpd(inst, max_candidates=q ** (n + n // 2 + 1))
         assert (result.pair, result.candidates_tested) == want
         # the high slice x^t .. x^(n-1), in the solver's order
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
-        want = _first_hit(inst, high, lambda a2, c, gamma: [
-            a1 + a2
-            for a1, gamma1 in table.buckets.get(rep_index((inst.pk - c).reps(), q), ())
-            if gamma1 == gamma])
+        want = _first_hit(inst, high, lambda a2, c, k: [
+            a1 + a2 for a1 in buckets.get(((inst.pk - c).reps(), k), ())])
         result = mitm_online(table, inst, t)
         assert (result.pair, result.candidates_tested) == want
         assert want[0] is not None
@@ -284,6 +295,13 @@ def test_ddp_game_random_guess(pp333):
     outcome = run_attack_game("DDP", lambda ch: rng.randrange(2), pp333,
                               rng, trials=400)
     assert outcome.advantage < 0.15  # ~3/sqrt(trials)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("game", ["DPD", "CDP", "DDP"])
+def test_attack_game_needs_a_trial(pp333, game, trials):
+    with pytest.raises(ValueError):
+        run_attack_game(game, lambda ch: None, pp333, random.Random(0), trials=trials)
 
 
 def test_ddp_game_exhaustive_adversary(pp333):

@@ -281,6 +281,25 @@ def test_header_mismatch_rejected(tmp_path, capsys):
     assert "header mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a v1 key header names no field modulus (ROADMAP item 3)")
+def test_encaps_refuses_pk_of_another_modulus(tmp_path, capsys):
+    # a (3,2,3) key written under t^2 + 1, read with a parameter file that
+    # says t^2 + 2t + 2; only the last assert is expected to fail today
+    params, other, pk = tmp_path / "params.txt", tmp_path / "other.txt", tmp_path / "pk.txt"
+    rcs = [run("param-gen", "--p", 3, "--m", 2, "--n", 3, "--out", params, "--seed", 5),
+           run("keygen", "--params", params, "--out-pk", pk,
+               "--out-sk", tmp_path / "sk.txt", "--seed", 6)]
+    text = params.read_text()
+    if rcs != [0, 0] or "modulus=1,0,1\n" not in text:
+        pytest.fail("set-up did not write a key under modulus=1,0,1")
+    other.write_text(text.replace("modulus=1,0,1\n", "modulus=2,2,1\n"))
+    capsys.readouterr()
+    assert run("encaps", "--params", other, "--pk", pk,
+               "--out-ct", tmp_path / "ct.txt",
+               "--out-key", tmp_path / "k.txt", "--seed", 7) == 1
+
+
 def test_seeded_determinism(tmp_path, capsys):
     outputs = []
     for run_dir in ("a", "b"):

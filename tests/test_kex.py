@@ -120,6 +120,18 @@ def test_session_lifecycle(pp333):
         alice.complete(bob.public_key)  # one-shot
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Session does not resample a zero public key as pke_gen "
+                          "does (ROADMAP item 3)")
+@pytest.mark.parametrize("n", [3, 6])
+def test_session_never_publishes_zero_pk(n):
+    # about 8 % of secret pairs give pk = 0 at (3,1,3) and 3 % at (3,1,6)
+    pp = setup_public_params(3, 1, n, random.Random(n))
+    rng = random.Random(7)
+    sessions = [Session("initiator", b"", pp, rng) for _ in range(200)]
+    assert not any(s.public_key.is_zero() for s in sessions)
+
+
 def test_session_role_validation(pp333, rng):
     with pytest.raises(ValueError):
         Session("eavesdropper", b"", pp333, rng)

@@ -23,7 +23,7 @@ from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, _pack, adjunct,
                                       alg_product, index_h_inv, iter_gamma,
                                       kernel_slot_width, rep_deserialize,
-                                      rep_index, rep_serialize,
+                                      rep_serialize,
                                       rotation_products, sample_secret_pair,
                                       sample_subspace, scaled_times_y,
                                       slot_bound, slot_reciprocal, times_y,
@@ -339,9 +339,10 @@ def test_pke_matches_derivations(p, m, n, examples):
     (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
     (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
 def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
-    # the table keys a1*h*gamma as phi(gamma)*(a1*h*y), computed for every
-    # gamma at once by a RotationBatch; the literal (a1*h)*gamma loop, in
-    # the same order, is the oracle
+    # the table keys a1 by the reps of a1*h*gamma, taken as
+    # phi(gamma)*(a1*h*y) for every gamma at once by a RotationBatch, and by
+    # gamma's index k; the literal (a1*h)*gamma loop, in the same order, is
+    # the oracle
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     for t in ts:
@@ -349,9 +350,8 @@ def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
         for idx in range(alg.field.q ** t):
             a1 = index_h_inv(idx, alg)
             a1h = a1 * pp.h
-            for gamma in iter_gamma(alg):
-                key = rep_index((a1h * gamma).reps(), alg.field.q)
-                buckets.setdefault(key, []).append((a1, gamma))
+            for k, gamma in enumerate(iter_gamma(alg)):
+                buckets.setdefault(((a1h * gamma).reps(), k), []).append(a1)
         table = mitm_offline(pp, t)
         assert table.buckets == buckets
         assert list(table.buckets) == list(buckets)
