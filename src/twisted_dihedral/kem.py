@@ -3,8 +3,9 @@
 Encapsulation samples a random message m, derives the encryption
 randomness r deterministically from SHAKE256(rep(m) || rep(pk)), and keys
 the shared secret on SHAKE256(rep(m) || rep(c)). Decapsulation decrypts,
-re-derives r, re-encrypts, and on mismatch returns the implicit-rejection
-key SHAKE256(rep(s) || rep(c)) - never an error signal.
+re-derives r and from it c1 alone (c2 follows from c1), and on mismatch
+returns the implicit-rejection key SHAKE256(rep(s) || rep(c)) - never an
+error signal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraElement, SecretPair, gamma_from_free,
                       rep_serialize, sample_subspace)
-from .kex import PublicParams
+from .kex import PublicParams, derive_public
 from .pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
 
 SHARED_KEY_BITS = 256
@@ -82,8 +83,8 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
 
 def hash_g2(x: bytes, l1: int = SHARED_KEY_BITS) -> bytes:
     """Shared-key hash: l1 bits of SHAKE256 over the domain-separated input."""
-    if l1 % 8 != 0:
-        raise ValueError("key length must be a whole number of bytes")
+    if l1 <= 0 or l1 % 8 != 0:
+        raise ValueError("key length must be a positive whole number of bytes")
     return shake256(G2_PREFIX + x, l1 // 8)
 
 
@@ -103,10 +104,19 @@ def kem_encaps(pk: AlgebraElement, pp: PublicParams,
 
 
 def kem_decaps(kp: KemKeyPair, c: PkeCiphertext, pp: PublicParams) -> bytes:
+    """The FO re-encryption check on c1 alone: one 1-row multiply r'*(h*y).
+
+    With pk = a1'*(h*y) and m = c2 - a1'*lambda(c1*y), re-encryption gives
+    c2' = m + r'*lambda(pk*y); if c1' = r'*(h*y) equals c1, then
+    a1'*lambda(c1*y) = r'*lambda(pk*y) since rotations commute, so c2' = c2.
+    Requires kp.pk == derive_public(kp.sk, pp), as `kem_keygen` and the
+    CLI's secret-key check ensure.
+    """
     m = pke_dec(c, kp.sk, pp)
     m_bytes = rep_serialize(m)
     r = hash_g1(m_bytes + rep_serialize(kp.pk), pp)
-    c_bytes = rep_serialize(c)
-    if hmac.compare_digest(rep_serialize(pke_enc(m, kp.pk, r, pp)), c_bytes):
+    c1_bytes = rep_serialize(c.c1)
+    c_bytes = c1_bytes + rep_serialize(c.c2)
+    if hmac.compare_digest(rep_serialize(derive_public(r, pp)), c1_bytes):
         return hash_g2(m_bytes + c_bytes)
     return hash_g2(rep_serialize(kp.s) + c_bytes)

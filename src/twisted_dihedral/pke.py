@@ -2,7 +2,9 @@
 
 Gen: pk = a1*h*gamma1. Enc: c1 = a2*h*gamma2, c2 = m + a2*pk*adjunct(gamma2).
 Dec: m = c2 - a1*c1*adjunct(gamma1). Enc takes its randomness r2 explicitly
-because the KEM re-derives it deterministically for the re-encryption check.
+because the KEM derives it from the message. The KEM's re-encryption check
+re-derives r2 and compares c1 = derive_public(r2) alone: for a pk made by
+pke_gen, c2 follows from c1 and m (kem.kem_decaps gives the proof).
 
 As in kex.py, a*x*gamma = a'*(x*y) and a*x*adjunct(gamma) =
 a'*(lambda*(x*y)) with a' = a*phi(gamma), kept by the SecretPair. So Enc

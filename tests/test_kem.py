@@ -16,7 +16,7 @@ from twisted_dihedral.algebra import (SecretPair, in_gamma, rep_serialize,
 from twisted_dihedral.kem import (G2_PREFIX, SHARED_KEY_BITS, g1_output_bits,
                                   hash_g1, hash_g2, kem_decaps, kem_encaps,
                                   kem_keygen, shake256)
-from twisted_dihedral.kex import derive_public
+from twisted_dihedral.kex import derive_public, setup_public_params
 from twisted_dihedral.pke import PkeCiphertext
 
 # NIST FIPS 202 example vectors for SHAKE256 (512-bit outputs):
@@ -189,8 +189,9 @@ def test_hash_g2_contract():
     assert k != shake256(b"x", 32)
     assert k == shake256(G2_PREFIX + b"x", 32)
     assert len(hash_g2(b"x", 128)) == 16
-    with pytest.raises(ValueError):
-        hash_g2(b"x", 100)
+    for bad in (100, 0, -8):
+        with pytest.raises(ValueError):
+            hash_g2(b"x", bad)
 
 
 def test_keygen_consistency(pp333, rng):
@@ -250,3 +251,15 @@ def test_implicit_rejection(pp329):
         assert rejected == hash_g2(rep_serialize(kp.s) + rep_serialize(bad))
         assert rejected != key
         assert kem_decaps(kp, bad, pp329) == rejected  # repeatable
+
+
+def test_decaps_rejects_ciphertext_from_another_algebra(pp333):
+    # decapsulation re-derives c1 alone, so c2 reaches no re-encryption;
+    # pke_dec's product is what refuses a half from another algebra
+    kp = kem_keygen(pp333, random.Random(3))
+    c, _key = kem_encaps(kp.pk, pp333, random.Random(4))
+    other_pp = setup_public_params(3, 2, 3, random.Random(0))
+    other = sample_subspace("full", other_pp.algebra, random.Random(5))
+    for bad in (PkeCiphertext(other, c.c2), PkeCiphertext(c.c1, other)):
+        with pytest.raises(ValueError, match="mismatched parameters"):
+            kem_decaps(kp, bad, pp333)

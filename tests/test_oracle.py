@@ -1,6 +1,6 @@
 """The table-driven field core, product kernel with its batches and
-addend rows, PKE, sampler, cocycle verifier and MITM table against
-oracles.
+addend rows, PKE, KEM decapsulation, sampler, cocycle verifier and MITM
+table against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -35,6 +35,7 @@ from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, _poly_mod, _poly_mul,
                                     _poly_powmod, get_lambda)
 from twisted_dihedral.group import DihedralGroup
+from twisted_dihedral.kem import hash_g1, hash_g2, kem_decaps, kem_encaps, kem_keygen
 from twisted_dihedral.kex import (derive_public, derive_shared,
                                   setup_public_params)
 from twisted_dihedral.pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
@@ -332,6 +333,73 @@ def test_pke_matches_derivations(p, m, n, examples):
         assert pke_dec(pke_enc(msg, kp.pk, r2, pp), kp.sk, pp) == msg
 
     check()
+
+
+def full_reencryption_decaps(kp, c, pp):
+    """Decapsulation with the full FO re-encryption check: `pke_enc` of the
+    decrypted message, both halves compared."""
+    m = pke_dec(c, kp.sk, pp)
+    m_bytes = rep_serialize(m)
+    r = hash_g1(m_bytes + rep_serialize(kp.pk), pp)
+    c_bytes = rep_serialize(c)
+    if rep_serialize(pke_enc(m, kp.pk, r, pp)) == c_bytes:
+        return hash_g2(m_bytes + c_bytes)
+    return hash_g2(rep_serialize(kp.s) + c_bytes)
+
+
+def shift_one_rep(x, rng):
+    """x with one coefficient changed to a different field value."""
+    field = x.params.field
+    reps = list(x.reps())
+    i = rng.randrange(len(reps))
+    reps[i] = field.add_rep(reps[i], rng.randrange(1, field.q))
+    return x.params.from_reps(reps)
+
+
+@pytest.mark.parametrize("p,m,n,examples", [
+    (3, 1, 3, 100), (3, 1, 6, 100), (3, 2, 9, 50), (3, 7, 9, 10), (101, 1, 101, 5)])
+def test_kem_decaps_matches_full_reencryption(p, m, n, examples):
+    # decapsulation re-derives c1 alone; the full re-encryption, c1 and c2
+    # compared, is the oracle, on honest, c1-tampered, c2-tampered and
+    # random ciphertexts
+    pp = setup_public_params(p, m, n, random.Random(p * m + n))
+    alg = pp.algebra
+    kp = kem_keygen(pp, random.Random(n))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64))
+    def check(seed):
+        rng = random.Random(seed)
+        c, key = kem_encaps(kp.pk, pp, rng)
+        assert kem_decaps(kp, c, pp) == full_reencryption_decaps(kp, c, pp) == key
+        for bad in (PkeCiphertext(shift_one_rep(c.c1, rng), c.c2),
+                    PkeCiphertext(c.c1, shift_one_rep(c.c2, rng)),
+                    PkeCiphertext(sample_subspace("full", alg, rng),
+                                  sample_subspace("full", alg, rng))):
+            assert kem_decaps(kp, bad, pp) == full_reencryption_decaps(kp, bad, pp)
+
+    check()
+
+
+def test_kem_decaps_accepts_valid_tampers():
+    # at (3,1,6) a few tampered c2 + e_k in a thousand are themselves valid
+    # encapsulations of m + e_k: re-deriving c1 from m + e_k gives c1 back
+    # (5 of these 1200; none for the parameters from random.Random(6)).
+    # That is the branch where c1 alone decides c2; the oracle accepts
+    # such a ciphertext, and decapsulation must accept it too
+    pp = setup_public_params(3, 1, 6, random.Random(0))
+    alg = pp.algebra
+    rng = random.Random(61)
+    kp = kem_keygen(pp, rng)
+    accepted = 0
+    for _ in range(100):
+        c, _key = kem_encaps(kp.pk, pp, rng)
+        for k in range(alg.dim):
+            bad = PkeCiphertext(c.c1, c.c2 + alg.basis(k))
+            want = full_reencryption_decaps(kp, bad, pp)
+            assert kem_decaps(kp, bad, pp) == want
+            accepted += want != hash_g2(rep_serialize(kp.s) + rep_serialize(bad))
+    assert accepted >= 1
 
 
 # (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK
