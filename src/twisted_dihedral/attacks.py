@@ -1,15 +1,16 @@
 """Exponential teaching baselines for the product-decomposition problem.
 
 Implements the attack-game harness (DPD, CDP and DDP product games) and
-two solvers exponential in n: partitioned exhaustive search over the index
-bijection, and a meet-in-the-middle trade-off that splits the rotation
-space into a low-degree and a high-degree slice. The scheme falls instead
-to the polynomial-time linear decomposition attack (Myasnikov and
-Roman'kov 2015; Tsaban 2015), not implemented here. Both solvers test a
-candidate (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a,
-then all gamma from one RotationBatch of the phi(gamma). The MITM table
-keys each a1 by the rep tuple of a1*h*gamma and gamma's index; the scan
-takes each residual pk - a2*h*gamma from the batch as well, as
+two solvers exponential in n, each refused when its whole candidate space
+exceeds max_candidates: exhaustive search, one index-order scan of the
+rotation space, and a meet-in-the-middle trade-off that splits it into a
+low-degree and a high-degree slice. The scheme falls instead to the
+polynomial-time linear decomposition attack (Myasnikov and Roman'kov
+2015; Tsaban 2015), not implemented here. Both solvers test a candidate
+(a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then all
+gamma from one RotationBatch of the phi(gamma). The MITM table keys each
+a1 by the rep tuple of a1*h*gamma and gamma's index; the scan takes each
+residual pk - a2*h*gamma from the batch as well, as
 phi(gamma)*(-(a2*h*y)) + pk with pk the addend of every row, and probes
 the table once per candidate.
 """
@@ -71,31 +72,24 @@ def key_recovery_check(candidate: SecretPair, peer_pk: AlgebraElement,
     return derive_shared(candidate, peer_pk, pp) == real_key
 
 
-def exhaustive_dpd(inst: DpdInstance, partition_index: int = 0,
-                   partition_count: int = 1,
+def _check_candidates(rotations: int, algebra: AlgebraParams, bound: int) -> None:
+    """Refuse a scan of rotations x Gamma candidates beyond the bound."""
+    total = rotations * algebra.field.q ** (algebra.n // 2 + 1)
+    if total > bound:
+        raise CapacityError(f"{total} candidates exceed the bound {bound}")
+
+
+def exhaustive_dpd(inst: DpdInstance,
                    max_candidates: int = DEFAULT_MAX_CANDIDATES) -> AttackResult:
-    """Scan one contiguous index slice of the rotation space against all gamma.
-
-    The rotation space is addressed through the index bijection as the
-    integer range [0, q^n); partition_count tasks may each take one slice.
-    max_candidates bounds the whole q^n * |Gamma| space, not the slice, so
-    partitioning cannot get round it.
-    """
+    """Scan the rotation space [0, q^n) in index order against all gamma;
+    max_candidates bounds the whole q^n * |Gamma| space."""
     algebra = inst.pp.algebra
-    total = algebra.field.q ** algebra.n
-    if not 0 <= partition_index < partition_count:
-        raise ValueError("partition_index out of range")
-    gamma_count = algebra.field.q ** (algebra.n // 2 + 1)
-    if total * gamma_count > max_candidates:
-        raise CapacityError(
-            f"{total * gamma_count} candidates exceed the bound {max_candidates}")
-    lo = total * partition_index // partition_count
-    hi = total * (partition_index + 1) // partition_count
-
+    rotations = algebra.field.q ** algebra.n
+    _check_candidates(rotations, algebra, max_candidates)
     gammas, batch = _gamma_batch(algebra)
     pk = inst.pk.coeffs
     tested = 0
-    for idx in range(lo, hi):
+    for idx in range(rotations):
         a = index_h_inv(idx, algebra)
         for gamma, c in zip(gammas, batch.times(times_y(a * inst.pp.h))):
             tested += 1
@@ -133,16 +127,19 @@ def mitm_offline(pp: PublicParams, t: int,
     return MitmTable(t=t, buckets=buckets, entries=entries, gammas=gammas, batch=batch)
 
 
-def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
+def mitm_online(table: MitmTable, inst: DpdInstance, t: int,
+                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> AttackResult:
     """Scan the complementary high slice for a colliding (a2, gamma).
 
     A collision with the same gamma gives a1*h*gamma = pk - a2*h*gamma, so
     (a1 + a2, gamma) solves the instance; one probe per candidate finds it.
+    max_candidates bounds the whole q^(n-t) * |Gamma| scan.
     """
     if t != table.t:
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
     q, neg = algebra.field.q, algebra.neg
+    _check_candidates(q ** (algebra.n - t), algebra, max_candidates)
     tested = 0
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)

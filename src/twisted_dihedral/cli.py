@@ -31,13 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def _rng(seed):
     if seed is None:
         return random.SystemRandom()
@@ -92,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["exhaustive", "mitm"])
     p.add_argument("--t", type=int, default=1,
                    help="meet-in-the-middle split point")
-    p.add_argument("--partitions", type=_positive_int, default=1,
-                   help="number of exhaustive-search slices to run")
 
     return parser
 
@@ -204,14 +195,7 @@ def _cmd_attack(args) -> int:
     print(f"attack: {args.kind}")
     start = search_start = time.perf_counter()
     if args.kind == "exhaustive":
-        tested = 0
-        result = None
-        for part in range(args.partitions):
-            result = exhaustive_dpd(inst, part, args.partitions)
-            tested += result.candidates_tested
-            if result.pair is not None:
-                break
-        pair = result.pair if result else None
+        result = exhaustive_dpd(inst)
     else:
         print(f"t: {args.t}")
         table = mitm_offline(pp, args.t)
@@ -219,9 +203,8 @@ def _cmd_attack(args) -> int:
         print(f"offline table entries: {table.entries}")
         print(f"offline table build time: {search_start - start:.3f}s")
         result = mitm_online(table, inst, args.t)
-        tested = result.candidates_tested
-        pair = result.pair
     end = time.perf_counter()
+    tested, pair = result.candidates_tested, result.pair
     print(f"candidates tested: {tested}")
     print(f"wall time: {end - start:.3f}s")
     # the rate of the search itself: MITM's offline table build is not in it

@@ -17,7 +17,7 @@ unknowns.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (AlgebraElement, AlgebraParams, SecretPair,
                       sample_secret_pair, sample_subspace, scaled_times_y,
@@ -57,19 +57,14 @@ def validate_h(h: AlgebraElement) -> None:
         raise ParameterError("public element h has a zero reflection part")
 
 
-def setup_public_params(p: int, m: int, n: int, rng: random.Random,
-                        modulus: Optional[Sequence[int]] = None) -> PublicParams:
+def setup_public_params(p: int, m: int, n: int, rng: random.Random) -> PublicParams:
     """Generate fresh public parameters for (p, m, n).
 
     Requires p odd prime with p | 2n (so the algebra is not semisimple and
     the known Maschke-style decomposition attack does not apply).
     """
-    if n < 3:
-        raise ParameterError(f"n={n} must be >= 3")
-    field = FieldParams(p, m, modulus)
-    if (2 * n) % p != 0:
-        raise ParameterError(f"p={p} must divide 2n={2 * n}")
     group = DihedralGroup(n)
+    field = FieldParams(p, m)
     lam = get_lambda(field, rng)
     algebra = AlgebraParams(field, group, lam)
     h = sample_subspace("h_element", algebra, rng)

@@ -68,57 +68,20 @@ def test_exhaustive_finds_valid_pair(pp333):
 
 
 def test_exhaustive_work_factor(pp333):
-    # an instance with no solution in the scanned slice reports the exact
+    # x^2 has no solution at pp333, so the scan reports the exact
     # closed-form candidate count q^n * |Gamma|
-    alg = pp333.algebra
-    inst = DpdInstance(pp333, alg.basis(2))  # x^2: solvable or not, count caps at 243
+    inst = DpdInstance(pp333, pp333.algebra.basis(2))
     result = exhaustive_dpd(inst)
-    if result.pair is None:
-        assert result.candidates_tested == 243
-
-
-def test_exhaustive_partitioning(pp333):
-    secret, inst = _instance(pp333, 7)
-    found = 0
-    total_tested = 0
-    for part in range(3):
-        result = exhaustive_dpd(inst, part, 3)
-        total_tested += result.candidates_tested
-        if result.pair is not None:
-            assert dpd_verify(result.pair, inst)
-            found += 1
-    assert found >= 1
-    assert total_tested <= 243
-
-
-def test_exhaustive_empty_slice(pp333):
-    secret, inst = _instance(pp333, 8)
-    # locate the partition holding every solution, then scan a different one
-    hits = []
-    for part in range(9):
-        if exhaustive_dpd(inst, part, 9).pair is not None:
-            hits.append(part)
-    empty = next(p for p in range(9) if p not in hits)
-    result = exhaustive_dpd(inst, empty, 9)
     assert result.pair is None
-    assert result.candidates_tested == 27 * 9 // 9  # slice width * |Gamma|
-
-
-def test_exhaustive_partition_validation(pp333):
-    _, inst = _instance(pp333, 9)
-    with pytest.raises(ValueError):
-        exhaustive_dpd(inst, 3, 3)
+    assert result.candidates_tested == 243
 
 
 def test_exhaustive_capacity_guard(pp333):
+    # the bound covers the whole 243-candidate space
     _, inst = _instance(pp333, 10)
     with pytest.raises(CapacityError):
-        exhaustive_dpd(inst, max_candidates=100)
-    # the bound covers the whole 243-candidate space, so slicing it into
-    # 27 parts of 9 candidates each does not get round it
-    for part in range(27):
-        with pytest.raises(CapacityError):
-            exhaustive_dpd(inst, part, 27, max_candidates=100)
+        exhaustive_dpd(inst, max_candidates=242)
+    assert exhaustive_dpd(inst, max_candidates=243).pair is not None
 
 
 # --- meet in the middle ---
@@ -147,6 +110,15 @@ def test_mitm_offline_entry_counts(pp333):
 def test_mitm_capacity_guard(pp333):
     with pytest.raises(CapacityError):
         mitm_offline(pp333, 3, max_entries=100)
+
+
+def test_mitm_online_capacity_guard(pp333):
+    # the bound covers the whole q^(n-t) * |Gamma| = 81-candidate scan
+    _, inst = _instance(pp333, 11)
+    table = mitm_offline(pp333, 1)
+    with pytest.raises(CapacityError):
+        mitm_online(table, inst, 1, max_candidates=80)
+    assert mitm_online(table, inst, 1, max_candidates=81).pair is not None
 
 
 def test_mitm_t_validation(pp333):
@@ -215,8 +187,8 @@ def _first_hit(inst, rotations, solutions):
 
 # (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets, and
 # those of (5,1,5), are supported on x^0 and x^1, so both scans stop
-# within a few a: the exhaustive bound is raised to the whole space, which
-# the scan never reaches, and the MITM tables are 3 * 3^7 and 5^2 * 5^3
+# within a few a: both bounds are raised to the whole space, which the
+# scans never reach, and the MITM tables are 3 * 3^7 and 5^2 * 5^3
 # entries.
 @pytest.mark.parametrize("p,m,n,t,seeds,width", [
     (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
@@ -241,7 +213,8 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
         want = _first_hit(inst, high, lambda a2, c, k: [
             a1 + a2 for a1 in buckets.get(((inst.pk - c).reps(), k), ())])
-        result = mitm_online(table, inst, t)
+        result = mitm_online(table, inst, t,
+                             max_candidates=q ** (n - t + n // 2 + 1))
         assert (result.pair, result.candidates_tested) == want
         assert want[0] is not None
 

@@ -185,19 +185,6 @@ def _field(out, name):
     return value
 
 
-def test_attack_partitions_must_be_positive(tmp_path, params_file, capsys):
-    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
-    run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
-        "--seed", 4)
-    capsys.readouterr()
-    for count in (0, -1):
-        assert run("attack", "--params", params_file, "--pk", pk,
-                   "exhaustive", "--partitions", count) == 1
-        captured = capsys.readouterr()
-        assert "--partitions" in captured.err
-        assert "no pair found" not in captured.out
-
-
 def test_attack_capacity_exit_code(tmp_path, capsys):
     params = tmp_path / "big.txt"
     pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
@@ -205,8 +192,11 @@ def test_attack_capacity_exit_code(tmp_path, capsys):
                "--out", params, "--seed", 1) == 0
     assert run("keygen", "--params", params, "--out-pk", pk,
                "--out-sk", sk, "--seed", 2) == 0
-    # 3^12 * 3^7 candidates exceed the default bound
+    # 3^12 * 3^7 candidates exceed the default bound, and so do the
+    # 3^12 * 3^7 of the MITM online scan at t = 0
     assert run("attack", "--params", params, "--pk", pk, "exhaustive") == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert run("attack", "--params", params, "--pk", pk, "mitm", "--t", 0) == 2
     assert "capacity error" in capsys.readouterr().err
 
 
