@@ -87,8 +87,8 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
-from .field import (NATIVE_STEP, FieldElement, FieldParams, digit_width_bytes,
-                    is_square)
+from .field import (NATIVE_STEP, FieldElement, FieldParams, base_digits,
+                    digit_width_bytes, is_square)
 from .group import DihedralGroup
 
 # Native lanes a rep is read into when q >= 256, with their memoryview typecodes.
@@ -636,14 +636,11 @@ def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
 
 
 def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
+    """The element whose 2n reps are the base-q digits of value, lowest first."""
     q = params.field.q
     if not 0 <= value < q ** params.dim:
         raise ValueError("index out of range")
-    reps = []
-    for _ in range(params.dim):
-        reps.append(value % q)
-        value //= q
-    return AlgebraElement(params, tuple(reps))
+    return AlgebraElement(params, base_digits(value, q, params.dim))
 
 
 def rep_serialize(x) -> bytes:

@@ -72,7 +72,8 @@ def key_recovery_check(candidate: SecretPair, peer_pk: AlgebraElement,
     return derive_shared(candidate, peer_pk, pp) == real_key
 
 
-def _check_candidates(rotations: int, algebra: AlgebraParams, bound: int) -> None:
+def check_candidates(rotations: int, algebra: AlgebraParams,
+                     bound: int = DEFAULT_MAX_CANDIDATES) -> None:
     """Refuse a scan of rotations x Gamma candidates beyond the bound."""
     total = rotations * algebra.field.q ** (algebra.n // 2 + 1)
     if total > bound:
@@ -85,7 +86,7 @@ def exhaustive_dpd(inst: DpdInstance,
     max_candidates bounds the whole q^n * |Gamma| space."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
-    _check_candidates(rotations, algebra, max_candidates)
+    check_candidates(rotations, algebra, max_candidates)
     gammas, batch = _gamma_batch(algebra)
     pk = inst.pk.coeffs
     tested = 0
@@ -139,7 +140,7 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int,
         raise ValueError("table was built for a different t")
     algebra = inst.pp.algebra
     q, neg = algebra.field.q, algebra.neg
-    _check_candidates(q ** (algebra.n - t), algebra, max_candidates)
+    check_candidates(q ** (algebra.n - t), algebra, max_candidates)
     tested = 0
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)

@@ -6,7 +6,9 @@ rep = sum digit_i * p^i. Each field builds O(q) tables once, from the
 powers of a primitive element: log/antilog tables for multiplication, the
 negation of each rep, and the bytes of each rep. Reps add digit-wise mod
 p; sums of whole algebra elements go through the product kernel's packed
-slots (algebra.py).
+slots (algebra.py). All arithmetic is on reps, by `FieldParams.*_rep`; a
+`FieldElement` is a typed handle with no arithmetic, for lambda and
+cocycle values.
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -24,22 +26,6 @@ from .errors import ParameterError
 NATIVE_STEP = 1 if sys.byteorder == "little" else -1
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check; fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n by trial division."""
     factors = []
@@ -55,6 +41,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         factors.append((n, 1))
     return factors
+
+
+def base_digits(value: int, base: int, count: int) -> tuple[int, ...]:
+    """The `count` lowest base-`base` digits of value, lowest first."""
+    out = []
+    for _ in range(count):
+        out.append(value % base)
+        value //= base
+    return tuple(out)
 
 
 # --- polynomial helpers over F_p, coefficients ascending degree ---
@@ -148,12 +143,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     for r in range(p ** m):
-        digits = []
-        v = r
-        for _ in range(m):
-            digits.append(v % p)
-            v //= p
-        f = tuple(digits) + (1,)
+        f = base_digits(r, p, m) + (1,)
         if is_irreducible(f, p):
             return f
     raise ParameterError(f"no irreducible polynomial of degree {m} over F_{p}")
@@ -183,10 +173,10 @@ class FieldParams:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
-        # the sampler's precondition; checked first, it also bounds is_prime
+        # the sampler's precondition; checked first, it also bounds factorize
         if p.bit_length() > 32:
             raise ParameterError(f"p={p} must be below 2**32")
-        if not is_prime(p) or p == 2:
+        if p < 3 or factorize(p) != [(p, 1)]:
             raise ParameterError(f"p={p} must be an odd prime")
         if m < 1:
             raise ParameterError(f"m={m} must be >= 1")
@@ -247,11 +237,7 @@ class FieldParams:
     # --- digits <-> integer representation ---
 
     def digits_of(self, rep: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(rep % self.p)
-            rep //= self.p
-        return tuple(out)
+        return base_digits(rep, self.p, self.m)
 
     def rep_of(self, digits: Sequence[int]) -> int:
         rep = 0
@@ -287,9 +273,6 @@ class FieldParams:
         p = self.p
         return self.rep_of([(x + y) % p
                             for x, y in zip(self.digits_of(a), self.digits_of(b))])
-
-    def neg_rep(self, a: int) -> int:
-        return self.neg[a]
 
     def mul_rep(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -334,18 +317,16 @@ class FieldParams:
             reps = [r * p + v for r, v in zip(reps, digits[d::m])]
         return reps
 
-    def random_element(self, rng: random.Random) -> "FieldElement":
-        return self.from_rep(self.random_reps(rng, 1)[0])
-
     def random_unit(self, rng: random.Random) -> "FieldElement":
         while True:
-            a = self.random_element(rng)
-            if a.rep != 0:
-                return a
+            (rep,) = self.random_reps(rng, 1)
+            if rep != 0:
+                return self.from_rep(rep)
 
 
 class FieldElement:
-    """An element of F_{p^m}: immutable, canonical digits, cached rep."""
+    """A typed handle on an element of F_{p^m}, with no arithmetic but
+    `inverse`: compute on its `rep` by the field's `*_rep` methods."""
 
     __slots__ = ("field", "rep")
 
@@ -359,18 +340,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.rep == 0
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.from_rep(self.field.add_rep(self.rep, other.rep))
-
-    def __neg__(self) -> "FieldElement":
-        return self.field.from_rep(self.field.neg_rep(self.rep))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.from_rep(self.field.mul_rep(self.rep, other.rep))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return self.field.from_rep(self.field.pow_rep(self.rep, e))
 
     def inverse(self) -> "FieldElement":
         return self.field.from_rep(self.field.inv_rep(self.rep))

@@ -157,7 +157,8 @@ def test_adjunct_gamma_is_lambda_gamma(alg33, rng):
 def test_adjunct_involution_structure(alg33):
     # exhaustive at q=3, n=3: double adjunct fixes the rotation part and
     # scales the reflection part by lambda^2
-    lam2 = alg33.lam * alg33.lam
+    field, lam = alg33.field, alg33.lam.rep
+    lam2 = field.from_rep(field.mul_rep(lam, lam))
     for value in range(3 ** 6):
         a = index_h_inv(value, alg33)
         twice = adjunct(adjunct(a))
@@ -334,6 +335,18 @@ def test_index_h_roundtrip_exhaustive(alg33):
     for value in range(3 ** 6):
         reps = index_h_inv(value, alg33).reps()
         assert sum(r * 3 ** i for i, r in enumerate(reps)) == value
+
+
+def test_index_h_roundtrip_base_q():
+    # q = 9 != p = 3: the reps are base-q digits, each a whole rep in [0, 9)
+    alg = algebra_at(3, 2, 3)
+    top = 9 ** 6
+    for value in [*range(0, top, 101), top - 1]:
+        reps = index_h_inv(value, alg).reps()
+        assert len(reps) == 6 and all(0 <= r < 9 for r in reps)
+        assert sum(r * 9 ** i for i, r in enumerate(reps)) == value
+    with pytest.raises(ValueError):
+        index_h_inv(top, alg)
 
 
 def test_index_h_inv_range(alg33):

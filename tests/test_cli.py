@@ -185,19 +185,38 @@ def _field(out, name):
     return value
 
 
-def test_attack_capacity_exit_code(tmp_path, capsys):
+@pytest.fixture
+def big_instance(tmp_path):
+    """(3,1,12) parameter and public-key files, as the CI step makes them."""
     params = tmp_path / "big.txt"
     pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
     assert run("param-gen", "--p", 3, "--m", 1, "--n", 12,
                "--out", params, "--seed", 1) == 0
     assert run("keygen", "--params", params, "--out-pk", pk,
                "--out-sk", sk, "--seed", 2) == 0
+    return params, pk
+
+
+def test_attack_capacity_exit_code(big_instance, capsys):
+    params, pk = big_instance
     # 3^12 * 3^7 candidates exceed the default bound, and so do the
     # 3^12 * 3^7 of the MITM online scan at t = 0
     assert run("attack", "--params", params, "--pk", pk, "exhaustive") == 2
     assert "capacity error" in capsys.readouterr().err
     assert run("attack", "--params", params, "--pk", pk, "mitm", "--t", 0) == 2
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_attack_mitm_refused_before_table(big_instance, capsys):
+    # at t = 1 the 3 * 3^7 table entries fit their bound, but the
+    # 3^11 * 3^7 online candidates do not: no table is built for a scan
+    # that would be refused
+    params, pk = big_instance
+    capsys.readouterr()
+    assert run("attack", "--params", params, "--pk", pk, "mitm", "--t", 1) == 2
+    out, err = capsys.readouterr()
+    assert "capacity error" in err
+    assert "offline table entries" not in out
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, factorize, find_irreducible,
-                                    get_lambda, is_prime, is_square,
-                                    mult_order)
+                                    get_lambda, is_square, mult_order)
 
 
 # --- exact values in F_7 ---
 
 def test_f7_add(f7):
-    assert (f7.elem(3) + f7.elem(5)).rep == 1
+    assert f7.add_rep(3, 5) == 1
 
 
 def test_f7_mul(f7):
-    assert (f7.elem(3) * f7.elem(5)).rep == 1
+    assert f7.mul_rep(3, 5) == 1
 
 
 def test_f7_inv(f7):
@@ -60,20 +59,24 @@ def test_inversion_of_zero(f7, f9):
             field.zero().inverse()
 
 
-# --- ring axioms ---
+# --- ring axioms, on reps ---
+
+def check_ring_axioms(field, a, b, c):
+    add, mul = field.add_rep, field.mul_rep
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, field.neg[a]) == 0
+    if a != 0:
+        assert mul(a, field.inv_rep(a)) == 1
+
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.integers(0, 6), b=st.integers(0, 6), c=st.integers(0, 6))
 def test_f7_ring_axioms(a, b, c):
-    f7 = FieldParams(7)
-    x, y, z = f7.elem(a), f7.elem(b), f7.elem(c)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    if x.rep != 0:
-        assert (x * x.inverse()).rep == 1
+    check_ring_axioms(FieldParams(7), a, b, c)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 2), (5, 2)])
@@ -81,17 +84,7 @@ def test_ring_axioms_random(p, m):
     field = FieldParams(p, m)
     rng = random.Random(99)
     for _ in range(1000):
-        a = field.random_element(rng)
-        b = field.random_element(rng)
-        c = field.random_element(rng)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == field.zero()
-        if not a.is_zero():
-            assert a * a.inverse() == field.one()
+        check_ring_axioms(field, *field.random_reps(rng, 3))
 
 
 # --- squares and orders, exhaustive at tiny q ---
@@ -100,7 +93,7 @@ def test_ring_axioms_random(p, m):
 def test_is_square_matches_brute_force(p, m):
     field = FieldParams(p, m)
     units = list(map(field.from_rep, range(1, field.q)))
-    true_squares = {(b * b).rep for b in units}
+    true_squares = {field.mul_rep(b.rep, b.rep) for b in units}
     for a in units:
         assert is_square(a) == (a.rep in true_squares)
     # exactly half the units are squares in odd characteristic
@@ -143,7 +136,7 @@ def test_get_lambda_postcondition(f9, rng):
     for _ in range(50):
         lam = get_lambda(f9, rng)
         # lam^((q-1)/2) = -1
-        assert f9.pow_rep(lam.rep, (f9.q - 1) // 2) == f9.neg_rep(1)
+        assert f9.pow_rep(lam.rep, (f9.q - 1) // 2) == f9.neg[1]
 
 
 # --- parameter validation ---
@@ -152,6 +145,24 @@ def test_p_must_be_odd_prime():
     for p in (2, 4, 9, 1, 0):
         with pytest.raises(ParameterError):
             FieldParams(p)
+
+
+def test_field_accepts_exactly_the_odd_primes():
+    # oracle: a sieve of Eratosthenes, independent of `factorize`
+    limit = 600
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    accepted = []
+    for p in range(-2, limit):
+        try:
+            FieldParams(p)
+        except ParameterError as exc:
+            assert f"p={p} must be an odd prime" in str(exc)
+        else:
+            accepted.append(p)
+    assert accepted == [p for p in range(3, limit) if sieve[p]]
 
 
 def test_m_must_be_positive():
@@ -194,10 +205,22 @@ def test_extension_digit_roundtrip(f9):
     assert e.rep == 2 + 1 * 3
 
 
+@pytest.mark.parametrize("p,m", [(3, 6), (257, 1)])
+def test_digits_of_roundtrip_every_rep(p, m):
+    field = FieldParams(p, m)
+    seen = set()
+    for r in range(field.q):
+        ds = field.digits_of(r)
+        assert len(ds) == m and all(0 <= d < p for d in ds)
+        assert sum(d * p ** i for i, d in enumerate(ds)) == r
+        assert field.rep_of(ds) == r
+        seen.add(ds)
+    assert len(seen) == field.q
+
+
 # --- misc helpers ---
 
-def test_is_prime_and_factorize():
-    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+def test_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]
 
