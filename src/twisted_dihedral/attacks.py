@@ -1,10 +1,11 @@
 """Exponential teaching baselines for the product-decomposition problem.
 
 Implements the attack-game harness (DPD, CDP and DDP product games) and
-two solvers exponential in n, each refused when its whole candidate space
-exceeds max_candidates: exhaustive search, one index-order scan of the
-rotation space, and a meet-in-the-middle trade-off that splits it into a
-low-degree and a high-degree slice. The scheme falls instead to the
+two solvers exponential in n, each refused before any work when its whole
+candidate space exceeds `errors.MAX_CANDIDATES`: exhaustive search, one
+index-order scan of the rotation space, and a meet-in-the-middle trade-off
+that splits it into a low-degree and a high-degree slice (a table of at
+most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
 polynomial-time linear decomposition attack (Myasnikov and Roman'kov
 2015; Tsaban 2015), not implemented here. Both solvers test a candidate
 (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then all
@@ -21,14 +22,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import errors
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
                       index_h_inv, iter_gamma, phi, sample_secret_pair,
                       scaled_times_y, times_y)
-from .errors import CapacityError
 from .kex import PublicParams, derive_public, derive_shared
-
-DEFAULT_MAX_CANDIDATES = 10 ** 7
-DEFAULT_MAX_TABLE_ENTRIES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,11 @@ class MitmTable:
     """Offline table: (reps of a1*h*gamma, k) -> [a1, ...] in index order,
     with k the index of gamma in `gammas`.
 
-    Also keeps Gamma and the batch of its phi(gamma), which the online
-    scan reuses.
+    Also keeps the parameters it was built for, and Gamma and the batch of
+    its phi(gamma), which the online scan reuses.
     """
 
+    pp: PublicParams = field(compare=False)
     t: int
     buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]]
     entries: int
@@ -72,21 +71,19 @@ def key_recovery_check(candidate: SecretPair, peer_pk: AlgebraElement,
     return derive_shared(candidate, peer_pk, pp) == real_key
 
 
-def check_candidates(rotations: int, algebra: AlgebraParams,
-                     bound: int = DEFAULT_MAX_CANDIDATES) -> None:
+def _check_candidates(rotations: int, algebra: AlgebraParams) -> None:
     """Refuse a scan of rotations x Gamma candidates beyond the bound."""
     total = rotations * algebra.field.q ** (algebra.n // 2 + 1)
+    bound = errors.MAX_CANDIDATES
     if total > bound:
-        raise CapacityError(f"{total} candidates exceed the bound {bound}")
+        raise errors.CapacityError(f"{total} candidates exceed the bound {bound}")
 
 
-def exhaustive_dpd(inst: DpdInstance,
-                   max_candidates: int = DEFAULT_MAX_CANDIDATES) -> AttackResult:
-    """Scan the rotation space [0, q^n) in index order against all gamma;
-    max_candidates bounds the whole q^n * |Gamma| space."""
+def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
+    """Scan the rotation space [0, q^n) in index order against all gamma."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
-    check_candidates(rotations, algebra, max_candidates)
+    _check_candidates(rotations, algebra)
     gammas, batch = _gamma_batch(algebra)
     pk = inst.pk.coeffs
     tested = 0
@@ -107,16 +104,17 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
     return gammas, RotationBatch([phi(g) for g in gammas])
 
 
-def mitm_offline(pp: PublicParams, t: int,
-                 max_entries: int = DEFAULT_MAX_TABLE_ENTRIES) -> MitmTable:
-    """Key every low-slice a1 by the reps of a1*h*gamma and gamma's index."""
+def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
+    """Key every low-slice a1 by the reps of a1*h*gamma and gamma's index;
+    an over-bound online scan or table is refused before either is built."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
         raise ValueError("t must be in [0, n]")
     q = algebra.field.q
-    total = q ** t * q ** (algebra.n // 2 + 1)
-    if total > max_entries:
-        raise CapacityError(f"{total} table entries exceed the bound {max_entries}")
+    _check_candidates(q ** (algebra.n - t), algebra)
+    total, bound = q ** t * q ** (algebra.n // 2 + 1), errors.MAX_TABLE_ENTRIES
+    if total > bound:
+        raise errors.CapacityError(f"{total} table entries exceed the bound {bound}")
     buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]] = {}
     entries = 0
     gammas, batch = _gamma_batch(algebra)
@@ -125,22 +123,23 @@ def mitm_offline(pp: PublicParams, t: int,
         for k, c in enumerate(batch.times(times_y(a1 * pp.h))):
             buckets.setdefault((c, k), []).append(a1)
             entries += 1
-    return MitmTable(t=t, buckets=buckets, entries=entries, gammas=gammas, batch=batch)
+    return MitmTable(pp, t, buckets, entries, gammas, batch)
 
 
-def mitm_online(table: MitmTable, inst: DpdInstance, t: int,
-                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> AttackResult:
+def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     """Scan the complementary high slice for a colliding (a2, gamma).
 
     A collision with the same gamma gives a1*h*gamma = pk - a2*h*gamma, so
     (a1 + a2, gamma) solves the instance; one probe per candidate finds it.
-    max_candidates bounds the whole q^(n-t) * |Gamma| scan.
+    The table's parameters and t must be the instance's, as `mitm_offline`
+    checked the scan's bound for them.
     """
     if t != table.t:
         raise ValueError("table was built for a different t")
+    if inst.pp != table.pp:
+        raise ValueError("table was built for other public parameters")
     algebra = inst.pp.algebra
     q, neg = algebra.field.q, algebra.neg
-    check_candidates(q ** (algebra.n - t), algebra, max_candidates)
     tested = 0
     for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)

@@ -14,8 +14,8 @@ import time
 
 from . import kem
 from .algebra import SecretPair, rep_serialize
-from .attacks import (DpdInstance, check_candidates, dpd_verify, exhaustive_dpd,
-                      mitm_offline, mitm_online)
+from .attacks import (DpdInstance, dpd_verify, exhaustive_dpd, mitm_offline,
+                      mitm_online)
 from .cocycle import Cocycle, verify_cocycle
 from .errors import CapacityError, ParameterError
 from .formats import (check_field_size, read_element_file, read_param_file,
@@ -199,8 +199,6 @@ def _cmd_attack(args) -> int:
         result = exhaustive_dpd(inst)
     else:
         print(f"t: {args.t}")
-        if 0 <= args.t <= algebra.n:  # refuse the online scan before its table
-            check_candidates(field.q ** (algebra.n - args.t), algebra)
         table = mitm_offline(pp, args.t)
         search_start = time.perf_counter()
         print(f"offline table entries: {table.entries}")

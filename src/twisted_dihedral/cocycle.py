@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .errors import CapacityError
+from . import errors
 from .field import FieldElement, FieldParams
 from .group import DihedralGroup
 
@@ -179,24 +179,23 @@ def coboundary_of(beta: BetaMap, group: DihedralGroup) -> Cocycle:
 
 
 def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
-                       params: FieldParams,
-                       max_candidates: int = 10 ** 7) -> Optional[BetaMap]:
+                       params: FieldParams) -> Optional[BetaMap]:
     """Brute-force search for a map theta: D_2n -> F_q* with theta(1) = 1 and
 
         c1(g, h) = c2(g, h) * theta(g) * theta(h) * theta(gh)^-1
 
     for all pairs, in logs: c1 - c2 = theta(g) + theta(h) - theta(gh) mod
     q - 1. Enumerates all (q-1)^(2n-1) candidates in mixed-radix order over
-    the units by rep (index 1 least significant); first witness wins.
+    the units by rep (index 1 least significant); first witness wins. A
+    space beyond `errors.MAX_CANDIDATES` is refused.
     """
     if not (c1.field == c2.field == params and c1.n == c2.n == group.n):
         raise ValueError("equivalence search needs two cocycles on the group, "
                          "over the given field")
     n2, order = group.order, params.q - 1
-    total = order ** (n2 - 1)
-    if total > max_candidates:
-        raise CapacityError(
-            f"{total} candidate maps exceed the bound {max_candidates}")
+    total, bound = order ** (n2 - 1), errors.MAX_CANDIDATES
+    if total > bound:
+        raise errors.CapacityError(f"{total} candidate maps exceed the bound {bound}")
 
     unit_logs = [params.log[u] for u in range(1, params.q)]
     triples = [(g, h, group.op(g, h), (c1.logs[g][h] - c2.logs[g][h]) % order)

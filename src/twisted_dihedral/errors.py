@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the capacity bounds."""
+
+# Read at call time as `errors.MAX_CANDIDATES`, so one attribute sets each.
+MAX_CANDIDATES = 10 ** 7  # candidates a brute-force scan may test
+MAX_TABLE_ENTRIES = 10 ** 6  # entries a meet-in-the-middle table may hold
 
 
 class ParameterError(ValueError):
@@ -6,4 +10,4 @@ class ParameterError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A brute-force search space exceeds its configured bound (CLI exit code 2)."""
+    """A brute-force search space exceeds its bound (CLI exit code 2)."""

@@ -15,6 +15,7 @@ NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from typing import Optional, Sequence
@@ -182,11 +183,12 @@ class FieldParams:
             raise ParameterError(f"m={m} must be >= 1")
         if modulus is None:
             modulus = find_irreducible(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[m] != 1:
-            raise ParameterError("modulus must be monic of degree m")
-        if not is_irreducible(modulus, p):
-            raise ParameterError("modulus is not irreducible over F_p")
+        else:  # only a caller's modulus needs checking
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[m] != 1:
+                raise ParameterError("modulus must be monic of degree m")
+            if not is_irreducible(modulus, p):
+                raise ParameterError("modulus is not irreducible over F_p")
         self.p = p
         self.m = m
         self.modulus = modulus
@@ -358,10 +360,10 @@ class FieldElement:
 
 
 def is_square(a: FieldElement) -> bool:
-    """Generalized Euler criterion: a is a square iff a^((q-1)/2) = 1."""
+    """a = g^k is a square iff k is even (q odd, g a generator)."""
     if a.rep == 0:
         raise ValueError("is_square is defined on nonzero elements only")
-    return a.field.pow_rep(a.rep, (a.field.q - 1) // 2) == 1
+    return a.field.log[a.rep] % 2 == 0
 
 
 def get_lambda(params: FieldParams, rng: random.Random) -> FieldElement:
@@ -373,15 +375,8 @@ def get_lambda(params: FieldParams, rng: random.Random) -> FieldElement:
 
 
 def mult_order(a: FieldElement) -> int:
-    """Multiplicative order of a nonzero element; divides q - 1."""
-    field = a.field
+    """Multiplicative order of a = g^k, a nonzero element: (q-1)/gcd(k, q-1)."""
     if a.rep == 0:
         raise ValueError("mult_order is defined on nonzero elements only")
-    order = field.q - 1
-    for prime, exp in factorize(field.q - 1):
-        order //= prime ** exp
-        t = field.pow_rep(a.rep, order)
-        while t != 1:
-            t = field.pow_rep(t, prime)
-            order *= prime
-    return order
+    order = a.field.q - 1
+    return order // math.gcd(a.field.log[a.rep], order)

@@ -61,8 +61,7 @@ def write_element_file(path, algebra: AlgebraParams,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_element_file(path, algebra: AlgebraParams,
-                      expect: int | None = None) -> list[AlgebraElement]:
+def read_element_file(path, algebra: AlgebraParams, expect: int) -> list[AlgebraElement]:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if lines and lines[0] == SECRET_MARKER:
         lines = lines[1:]
@@ -70,7 +69,7 @@ def read_element_file(path, algebra: AlgebraParams,
         raise ParameterError(f"{path}: empty element file")
     check_header(lines[0], algebra)
     elements = [rep_deserialize(bytes.fromhex(ln), algebra) for ln in lines[1:]]
-    if expect is not None and len(elements) != expect:
+    if len(elements) != expect:
         raise ParameterError(
             f"{path}: expected {expect} elements, found {len(elements)}")
     return elements

@@ -81,11 +81,9 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
         start = end
 
 
-def hash_g2(x: bytes, l1: int = SHARED_KEY_BITS) -> bytes:
-    """Shared-key hash: l1 bits of SHAKE256 over the domain-separated input."""
-    if l1 <= 0 or l1 % 8 != 0:
-        raise ValueError("key length must be a positive whole number of bytes")
-    return shake256(G2_PREFIX + x, l1 // 8)
+def hash_g2(x: bytes) -> bytes:
+    """Shared key: SHARED_KEY_BITS bits of SHAKE256 over the domain-separated input."""
+    return shake256(G2_PREFIX + x, SHARED_KEY_BITS // 8)
 
 
 def kem_keygen(pp: PublicParams, rng: random.Random) -> KemKeyPair:

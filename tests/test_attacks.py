@@ -13,8 +13,9 @@ from twisted_dihedral.attacks import (Challenge, DpdInstance, dpd_verify,
                                       key_recovery_check,
                                       mitm_offline, mitm_online,
                                       run_attack_game)
+from twisted_dihedral import attacks, errors
 from twisted_dihedral.errors import CapacityError
-from twisted_dihedral.kex import (derive_public, derive_shared,
+from twisted_dihedral.kex import (PublicParams, derive_public, derive_shared,
                                   setup_public_params)
 
 
@@ -76,12 +77,14 @@ def test_exhaustive_work_factor(pp333):
     assert result.candidates_tested == 243
 
 
-def test_exhaustive_capacity_guard(pp333):
+def test_exhaustive_capacity_guard(pp333, monkeypatch):
     # the bound covers the whole 243-candidate space
     _, inst = _instance(pp333, 10)
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 242)
     with pytest.raises(CapacityError):
-        exhaustive_dpd(inst, max_candidates=242)
-    assert exhaustive_dpd(inst, max_candidates=243).pair is not None
+        exhaustive_dpd(inst)
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 243)
+    assert exhaustive_dpd(inst).pair is not None
 
 
 # --- meet in the middle ---
@@ -107,18 +110,34 @@ def test_mitm_offline_entry_counts(pp333):
     assert mitm_offline(pp333, 1).buckets == _literal_buckets(pp333, 1)
 
 
-def test_mitm_capacity_guard(pp333):
+def test_mitm_capacity_guard(pp333, monkeypatch):
+    # the t = 3 table holds q^t * |Gamma| = 243 entries
+    monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 100)
     with pytest.raises(CapacityError):
-        mitm_offline(pp333, 3, max_entries=100)
+        mitm_offline(pp333, 3)
 
 
-def test_mitm_online_capacity_guard(pp333):
-    # the bound covers the whole q^(n-t) * |Gamma| = 81-candidate scan
+def test_mitm_online_capacity_guard(pp333, monkeypatch):
+    # the candidate bound covers the whole q^(n-t) * |Gamma| = 81-candidate
+    # online scan, and mitm_offline refuses it before building the table
     _, inst = _instance(pp333, 11)
-    table = mitm_offline(pp333, 1)
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 80)
     with pytest.raises(CapacityError):
-        mitm_online(table, inst, 1, max_candidates=80)
-    assert mitm_online(table, inst, 1, max_candidates=81).pair is not None
+        mitm_offline(pp333, 1)
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 81)
+    assert mitm_online(mitm_offline(pp333, 1), inst, 1).pair is not None
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_mitm_offline_refuses_scan_before_table(t, monkeypatch):
+    # at (3,1,12) the online scan of 3^(12-t) * 3^7 candidates is over the
+    # bound while the 3^t * 3^7-entry table is not: refused, nothing built
+    pp = setup_public_params(3, 1, 12, random.Random(12))
+    built = []
+    monkeypatch.setattr(attacks, "_gamma_batch", built.append)
+    with pytest.raises(CapacityError):
+        mitm_offline(pp, t)
+    assert built == []
 
 
 def test_mitm_t_validation(pp333):
@@ -166,6 +185,21 @@ def test_mitm_table_keeps_gamma_batch(pp333, pp515):
         mitm_online(table, other, 1)
 
 
+def test_mitm_table_bound_to_its_parameters():
+    # two h over one algebra: a table of h1 answers an instance of h2
+    # wrongly (no pair where one exists, or one that fails dpd_verify), so
+    # it is refused; equal parameters built apart are accepted
+    pp1 = setup_public_params(3, 1, 6, random.Random(1))
+    pp2 = PublicParams(pp1.algebra, setup_public_params(3, 1, 6, random.Random(2)).h)
+    assert pp2 != pp1
+    table = mitm_offline(pp1, 3)
+    _, inst = _instance(pp2, 7)
+    with pytest.raises(ValueError):
+        mitm_online(table, inst, 3)
+    _, inst = _instance(PublicParams(pp1.algebra, pp1.h), 7)
+    assert dpd_verify(mitm_online(table, inst, 3).pair, inst)
+
+
 # --- the solvers against their two-multiply loops ---
 
 def _first_hit(inst, rotations, solutions):
@@ -187,34 +221,34 @@ def _first_hit(inst, rotations, solutions):
 
 # (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets, and
 # those of (5,1,5), are supported on x^0 and x^1, so both scans stop
-# within a few a: both bounds are raised to the whole space, which the
-# scans never reach, and the MITM tables are 3 * 3^7 and 5^2 * 5^3
-# entries.
+# within a few a: the candidate bound is raised to the whole exhaustive
+# space, which the scans never reach, and the MITM tables are 3 * 3^7 and
+# 5^2 * 5^3 entries.
 @pytest.mark.parametrize("p,m,n,t,seeds,width", [
     (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
     (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2),
     (5, 1, 5, 2, range(3), 2)],
     ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12", "5-1-5"])
-def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width):
+def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch):
     # the solvers test phi(gamma)*(a*h*y), every gamma at once through a
     # RotationBatch; same pairs, same counts
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     q = alg.field.q
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", q ** (n + n // 2 + 1))
     table = mitm_offline(pp, t)
     buckets = _literal_buckets(pp, t)
     for seed in seeds:
         _, inst = _instance(pp, 300 + seed, width)
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
                           lambda a, c, k: [a] if c == inst.pk else [])
-        result = exhaustive_dpd(inst, max_candidates=q ** (n + n // 2 + 1))
+        result = exhaustive_dpd(inst)
         assert (result.pair, result.candidates_tested) == want
         # the high slice x^t .. x^(n-1), in the solver's order
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
         want = _first_hit(inst, high, lambda a2, c, k: [
             a1 + a2 for a1 in buckets.get(((inst.pk - c).reps(), k), ())])
-        result = mitm_online(table, inst, t,
-                             max_candidates=q ** (n - t + n // 2 + 1))
+        result = mitm_online(table, inst, t)
         assert (result.pair, result.candidates_tested) == want
         assert want[0] is not None
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from twisted_dihedral import errors
 from twisted_dihedral.cocycle import (BetaMap, Cocycle, coboundary_of,
                                       equivalence_search, verify_cocycle)
 from twisted_dihedral.errors import CapacityError
@@ -250,8 +251,10 @@ def test_search_rejects_inputs_that_do_not_fit(f7, f9):
         equivalence_search(c7, Cocycle.trivial(f7, 4), group, f7)
 
 
-def test_search_capacity_guard(f7):
+def test_search_capacity_guard(f7, monkeypatch):
+    # D_6 over F_7: 6^5 candidate maps
     group = DihedralGroup(3)
     c = Cocycle.alpha(f7.elem(3), 3)
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 10)
     with pytest.raises(CapacityError):
-        equivalence_search(c, c, group, f7, max_candidates=10)
+        equivalence_search(c, c, group, f7)

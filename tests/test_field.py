@@ -113,6 +113,17 @@ def test_mult_order_divides_q_minus_1(p, m):
                 assert field.pow_rep(a.rep, d) != 1 or d == k
 
 
+@pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (3, 7)])
+def test_mult_order_is_least_power_to_one(p, m):
+    # the least k >= 1 with a^k = 1, by walking the powers of every unit
+    field = FieldParams(p, m)
+    for rep in range(1, field.q):
+        k, power = 1, rep
+        while power != 1:
+            k, power = k + 1, field.mul_rep(power, rep)
+        assert mult_order(field.from_rep(rep)) == k
+
+
 # --- non-square sampling ---
 
 def test_get_lambda_f3(f3, rng):

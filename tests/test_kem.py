@@ -188,10 +188,6 @@ def test_hash_g2_contract():
     # domain separation from the raw XOF used by G1
     assert k != shake256(b"x", 32)
     assert k == shake256(G2_PREFIX + b"x", 32)
-    assert len(hash_g2(b"x", 128)) == 16
-    for bad in (100, 0, -8):
-        with pytest.raises(ValueError):
-            hash_g2(b"x", bad)
 
 
 def test_keygen_consistency(pp333, rng):

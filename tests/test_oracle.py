@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twisted_dihedral import errors
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, _pack, adjunct,
                                       alg_product, index_h_inv, iter_gamma,
@@ -402,17 +403,20 @@ def test_kem_decaps_accepts_valid_tampers():
     assert accepted >= 1
 
 
-# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK
+# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK; its online scans at
+# t = 0 and 1 are over the candidate bound, which is raised to the whole
+# space so that mitm_offline builds their tables
 @pytest.mark.parametrize("p,m,n,ts", [
     (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
     (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
-def test_mitm_table_matches_two_multiply_loop(p, m, n, ts):
+def test_mitm_table_matches_two_multiply_loop(p, m, n, ts, monkeypatch):
     # the table keys a1 by the reps of a1*h*gamma, taken as
     # phi(gamma)*(a1*h*y) for every gamma at once by a RotationBatch, and by
     # gamma's index k; the literal (a1*h)*gamma loop, in the same order, is
     # the oracle
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", alg.field.q ** (n + n // 2 + 1))
     for t in ts:
         buckets = {}
         for idx in range(alg.field.q ** t):
