@@ -70,29 +70,24 @@ bound. The even slots, masked, lie 2W bits apart and bound*M < 2^(2W), so
 one multiply by M and one shift by k leave each quotient in its own
 field; the odd slots, shifted down by W, the same; and one subtraction of
 p times the quotients leaves every slot below p. Then one read, all in
-C, takes the low byte of each digit slot by stride and joins the m digits
-of all reps by a big-integer Horner; when q >= 256 the digits' low bytes
-are first gathered into native lanes that hold a rep, read by one
-memoryview cast. When a and b are both rotation-only, b packs as b0
-alone and only the n slots of c0 are read.
+C, takes the low byte of each slot by stride where m = 1 and p < 256, and
+otherwise `FieldParams.reps_of_digits` joins the m digit slots of all
+reps: by a big-integer Horner, or when q >= 256 through native lanes
+that hold a rep, read by one memoryview cast. When a and b are both
+rotation-only, b packs as b0 alone and only the n slots of c0 are read.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
-from .field import (NATIVE_STEP, FieldElement, FieldParams, base_digits,
-                    digit_width_bytes, is_square)
+from .field import FieldElement, FieldParams, base_digits, is_square
 from .group import DihedralGroup
-
-# Native lanes a rep is read into when q >= 256, with their memoryview typecodes.
-LANE_TYPES = ((2, "H"), (4, "I"), (8, "Q"))
 
 
 def slot_bound(p: int, m: int, n: int) -> int:
@@ -152,11 +147,10 @@ class AlgebraParams:
     - on the join route, `slot_bytes[rep]`: one position of the kernel,
       the base-p digits of rep in little-endian slots of `slot_bits` bits,
       then m - 1 zero slots (None on the byte route);
-    - the fold masks and constants; the mod-p byte table of 8-bit slots,
-      or for wider slots (k, M) of `slot_reciprocal` and the masks of the
-      even slots and of their quotient fields;
-    - the bytes of the lane a rep is read into: 1 when q < 256, else the
-      smallest of LANE_TYPES that holds q - 1.
+    - the fold masks and constants; for slots wider than 8 bits (k, M)
+      of `slot_reciprocal` and the masks of the even slots and of their
+      quotient fields (8-bit slots, which hold only p < 256, are reduced
+      by `FieldParams.mod_p_bytes`).
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -187,8 +181,6 @@ class AlgebraParams:
                 b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
                 .ljust(pos // 8, b"\0") for r in range(field.q)]
             self._pad = bytes(n * pos // 8)  # fills a block after n positions
-        # 8-bit slots: entry v is v mod p, the residues 0 .. p-1 over and over
-        self._mod_p = (bytes(range(p)) * (256 // p + 1))[:256] if bits == 8 else None
         # wider slots: slot i of a group (the even slots, or the odd moved
         # down) starts 2W bits after slot i - 1, and its quotient fills
         # 2W - k bits there after the shift by k; `evens` has a 1 at the
@@ -212,12 +204,9 @@ class AlgebraParams:
             (k * bits, sum(d << (i * bits) for i, d in
                            enumerate(field.digits_of(field.pow_rep(p, k)))))
             for k in range(m, 2 * m - 1)]
-        # the bits of n positions; the bytes of a slot, of a position and
-        # of the lane of a rep, and the lane's typecode
+        # the bits of n positions; the bytes of a slot and of a position
         self._npos = n * pos
-        lane, code = (1, "B") if field.q < 256 else next(
-            (size, code) for size, code in LANE_TYPES if field.q <= 1 << 8 * size)
-        self._read = (bits // 8, pos // 8, lane, code)
+        self._read = (bits // 8, pos // 8)
 
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
         reps = tuple(reps)
@@ -454,7 +443,7 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         for shift, t_k in params._fold_t:
             reduced += ((folded >> shift) & slot0) * t_k
         folded = reduced
-    p, m, bits = params.field.p, params.field.m, params.slot_bits
+    p, bits = params.field.p, params.slot_bits
     if bits > 8:  # v - p*floor(v*M / 2^k) in every slot, the even and the odd slots at once
         k, mult = params._reciprocal
         folded -= p * ((((folded & evens) * mult >> k) & quotients)
@@ -466,26 +455,12 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         size, stride = halves * npos // 8, 4 * npos // 8
         slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
     if bits == 8:  # a byte string is its own sequence of 8-bit slots
-        slots = slots.translate(params._mod_p)
+        slots = slots.translate(params.field.mod_p_bytes)
     # every slot is below p now; digit d of each rep is slot d of its position
-    slot, step, lane, code = params._read
-    if lane == 1:  # q < 256 (test_byte_slots_hold_a_rep): a digit is a slot's low byte
-        if m == 1:
-            return tuple(slots if slot == 1 else slots[::slot])
-        reps = int.from_bytes(slots[(m - 1) * slot::step], "little")
-        for d in reversed(range(m - 1)):
-            reps = reps * p + int.from_bytes(slots[d * slot::step], "little")
-        return tuple(reps.to_bytes(len(slots) // step, "little"))
-    # q >= 256: the digit_width_bytes(p) low bytes of digit d of every rep
-    # gathered into lanes that hold a rep, so no rep carries into the next
-    total, reps = len(slots) // step, 0
-    for d in reversed(range(m)):
-        lanes = bytearray(lane * total)
-        for j in range(digit_width_bytes(p)):
-            lanes[j::lane] = slots[d * slot + j::step]
-        reps = reps * p + int.from_bytes(lanes, "little")
-    # native lanes, which a big-endian host lists last first
-    return tuple(memoryview(reps.to_bytes(lane * total, sys.byteorder)).cast(code)[::NATIVE_STEP])
+    slot, step = params._read
+    if params.byte_reps:  # a rep is the low byte of its one slot
+        return tuple(slots if slot == 1 else slots[::slot])
+    return params.field.reps_of_digits(slots, slot, step)
 
 
 # Left operands a RotationBatch packs into one integer, which bounds the

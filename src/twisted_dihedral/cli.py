@@ -16,7 +16,7 @@ from . import kem
 from .algebra import SecretPair, rep_serialize
 from .attacks import (DpdInstance, dpd_verify, exhaustive_dpd, mitm_offline,
                       mitm_online)
-from .cocycle import Cocycle, verify_cocycle
+from .cocycle import Cocycle, check_triples, verify_cocycle
 from .errors import CapacityError, ParameterError
 from .formats import (check_field_size, read_element_file, read_param_file,
                       write_element_file, write_param_file)
@@ -166,6 +166,7 @@ def _cmd_kex_demo(args) -> int:
 def _cmd_cocycle_check(args) -> int:
     pp = read_param_file(args.params)
     algebra = pp.algebra
+    check_triples(algebra.n)  # before the (2n)^2 table of either cocycle
     if args.beta_lambda is not None:
         digits = [int(d) for d in args.beta_lambda.split(",")]
         lam = algebra.field.elem(digits)

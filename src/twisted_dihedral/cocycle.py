@@ -137,17 +137,27 @@ def _first_failure(logs, group, exp) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def check_triples(n: int) -> None:
+    """Refuse a cocycle check on D_2n whose (2n)^3 triples exceed the
+    candidate bound, before any table is built."""
+    total, bound = (2 * n) ** 3, errors.MAX_CANDIDATES
+    if total > bound:
+        raise errors.CapacityError(f"{total} cocycle triples exceed the bound {bound}")
+
+
 def verify_cocycle(c: Cocycle, group: DihedralGroup) -> CocycleCheck:
     """Check the cocycle equation over all (2n)^3 triples.
 
     Works on the (2n)^2 logs, so its memory is O(n^2). Also evaluates the
     two pair predicates that license the protocol algebra: symmetry of c
     on rotation pairs (i, j-i) vs (j-i, i), and the literal reflection-pair
-    identity over all i, j.
+    identity over all i, j. Raises CapacityError, by `check_triples`, when
+    (2n)^3 exceeds errors.MAX_CANDIDATES.
     """
     if c.n != group.n:
         raise ValueError(f"cocycle on D_{2 * c.n} checked against {group!r}")
     n = group.n
+    check_triples(n)
     logs, exp = c.logs, c.field.exp
     counterexample = _first_failure(logs, group, exp)
     identity_ok = logs[0][0] == 0

@@ -10,6 +10,12 @@ slots (algebra.py). All arithmetic is on reps, by `FieldParams.*_rep`; a
 `FieldElement` is a typed handle with no arithmetic, for lambda and
 cocycle values.
 
+Where p < 256 a digit is one byte, and digits are read in C: the sampler
+takes the top byte of each random word and rejects and shifts all of them
+by one `bytes.translate`, and `FieldParams.reps_of_digits` joins the m
+digit bytes of every rep at once, for the sampler, the KEM's hash and the
+product kernel's read alike.
+
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
 
@@ -22,9 +28,12 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError
 
-# Sampler words and product-kernel slots are unpacked in native byte
-# order; on a big-endian host that lists them last first.
+# Sampler words and the lanes of reps are unpacked in native byte order;
+# on a big-endian host that lists them last first.
 NATIVE_STEP = 1 if sys.byteorder == "little" else -1
+
+# Native lanes a rep is read into when q >= 256, with their memoryview typecodes.
+LANE_TYPES = ((2, "H"), (4, "I"), (8, "Q"))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -170,7 +179,13 @@ class FieldParams:
       big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
       Where m = 1 and p < 256, rep_bytes[rep] == bytes([rep]), and
       `rep_serialize` takes that byte route without it; `rep_deserialize`
-      looks each rep up in `bytes_rep` on both routes.
+      looks each rep up in `bytes_rep` on both routes;
+    - where p < 256 (else None), `mod_p_bytes`, the `bytes.translate`
+      table of b mod p for every byte b, and the sampler's table and
+      deletions (see `random_reps`);
+    - the bytes and memoryview typecode of the lane a rep is read into by
+      `reps_of_digits`: 1 when q < 256, else the smallest of LANE_TYPES
+      that holds q - 1.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -205,6 +220,14 @@ class FieldParams:
         self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
                           for ds in digits]
         self.bytes_rep = {data: rep for rep, data in enumerate(self.rep_bytes)}
+        self.mod_p_bytes = self._sample_bytes = None
+        if p < 256:  # a sampled digit is the top byte of a word >> s, kept below p << s
+            s = 8 - p.bit_length()
+            self.mod_p_bytes = (bytes(range(p)) * (256 // p + 1))[:256]
+            self._sample_bytes = (bytes([b >> s for b in range(256)]),
+                                  bytes(range(p << s, 256)))
+        self._lane = (1, "B") if q < 256 else next(
+            (size, code) for size, code in LANE_TYPES if q <= 1 << 8 * size)
 
     def _primitive_powers(self) -> list[int]:
         """Reps of g^0 .. g^(q-2) for the least rep g of order q - 1.
@@ -300,12 +323,25 @@ class FieldParams:
         attempt and rejects values >= p; getrandbits(32 * k) returns k such
         words, first lowest. Each refill asks only for the digits still
         missing, so the reps (m digits each, lowest first) and the state of
-        `rng` afterwards equal those of the randrange calls. Needs p < 2**32,
-        checked on construction. SystemRandom words are uniform, so its reps
-        are too.
+        `rng` afterwards equal those of the randrange calls. Where p < 256 a
+        digit is the top byte b of its word shifted by s = 8 - p.bit_length(),
+        so a refill is the bytes of the words taken at stride 4 from the top
+        byte of the first, then one `translate` that deletes every b >=
+        p << s and maps the rest to b >> s; `reps_of_digits` joins them for
+        m > 1. Needs p < 2**32, checked on construction. SystemRandom words
+        are uniform, so its reps are too.
         """
-        p, m, shift = self.p, self.m, self._sample_shift
+        p, m = self.p, self.m
         need = count * m
+        if p < 256:
+            table, delete = self._sample_bytes
+            data = b""
+            while len(data) < need:
+                k = need - len(data)
+                words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+                data += words[3::4].translate(table, delete)
+            return list(data if m == 1 else self.reps_of_digits(data, 1, m))
+        shift = self._sample_shift
         digits: list[int] = []
         while len(digits) < need:
             k = need - len(digits)
@@ -318,6 +354,34 @@ class FieldParams:
         for d in reversed(range(m)):
             reps = [r * p + v for r, v in zip(reps, digits[d::m])]
         return reps
+
+    def reps_of_digits(self, data: bytes, slot: int, step: int) -> tuple[int, ...]:
+        """The reps whose digits `data` holds, one rep every `step` bytes:
+        digit d of a rep, lowest first, in the low digit_width_bytes(p)
+        bytes, little-endian, of the `slot` bytes at d * slot.
+
+        Where q < 256 the digit bytes of each d are taken at stride `step`
+        and joined by a big-integer Horner, one byte per rep; where q >= 256
+        each digit's bytes are first gathered into native lanes that hold a
+        rep, so no rep carries into the next, and read by one memoryview
+        cast.
+        """
+        p, m = self.p, self.m
+        lane, code = self._lane
+        if lane == 1:
+            reps = int.from_bytes(data[(m - 1) * slot::step], "little")
+            for d in reversed(range(m - 1)):
+                reps = reps * p + int.from_bytes(data[d * slot::step], "little")
+            return tuple(reps.to_bytes(len(data) // step, "little"))
+        total, reps = len(data) // step, 0
+        for d in reversed(range(m)):
+            lanes = bytearray(lane * total)
+            for j in range(digit_width_bytes(p)):
+                lanes[j::lane] = data[d * slot + j::step]
+            reps = reps * p + int.from_bytes(lanes, "little")
+        # native lanes, which a big-endian host lists last first
+        native = memoryview(reps.to_bytes(lane * total, sys.byteorder)).cast(code)
+        return tuple(native[::NATIVE_STEP])
 
     def random_unit(self, rng: random.Random) -> "FieldElement":
         while True:

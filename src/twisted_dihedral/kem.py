@@ -10,10 +10,12 @@ error signal.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .algebra import (AlgebraElement, SecretPair, gamma_from_free,
                       rep_serialize, sample_subspace)
@@ -38,11 +40,38 @@ def shake256(data: bytes, out_bytes: int) -> bytes:
 
 
 def g1_output_bits(pp: PublicParams) -> int:
-    """ceil(log2 p) * m * (n + ceil((n+1)/2)) bits per squeezed block."""
+    """ceil(log2 p) * m * (n + n//2 + 1) bits per squeezed block."""
     field = pp.algebra.field
-    n = pp.algebra.n
-    w = (field.p - 1).bit_length()
-    return w * field.m * (n + (n + 1 + 1) // 2)
+    return _g1_plan(field.p, field.m, pp.algebra.n)[0]
+
+
+@functools.lru_cache
+def _g1_plan(p: int, m: int, n: int) -> tuple[int, int, int, Optional[tuple]]:
+    """(bits, w, count, steps) of a `hash_g1` block at (p, m, n): its
+    count = m * (n + n//2 + 1) chunks of w = ceil(log2 p) bits, and where
+    p < 256 the `_spread_steps` that move them one to a byte (else None)."""
+    w = (p - 1).bit_length()
+    count = m * (n + n // 2 + 1)
+    return w * count, w, count, _spread_steps(w, count) if p < 256 else None
+
+
+def _spread_steps(w: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (mask, shift) steps that move `count` w-bit chunks (w <= 8),
+    packed from the low end, one to a byte: chunk j moves up j*(8 - w) bits,
+    2^b * (8 - w) of them in the step for bit b of j, highest b first.
+    Before that step the chunks lie in groups of 2^(b+1), each starting a
+    whole 2^(b+1) bytes after the last, so the mask of every group's upper
+    half is one byte pattern repeated; a moved chunk lands on zero bits,
+    below the next group. No steps when w = 8."""
+    if w == 8:
+        return ()
+    steps = []
+    for b in reversed(range((count - 1).bit_length())):
+        half = 1 << b
+        pattern = (((1 << half * w) - 1) << half * w).to_bytes(2 * half, "little")
+        steps.append((int.from_bytes(pattern * -(-count // (2 * half)), "little"),
+                      half * (8 - w)))
+    return tuple(steps)
 
 
 def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
@@ -52,17 +81,22 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     of `g1_output_bits` bits. A block is split into ceil(log2 p)-bit
     big-endian chunks, each reduced mod p (a small documented bias when p
     is not a power of two). The first m*n digits build the rotation
-    component, the remaining m*ceil((n+1)/2) digits the free coefficients
+    component, the remaining m*(n//2 + 1) digits the free coefficients
     of the mirrored gamma, each m consecutive digits lowest first. On a
     zero component the next block of the same stream is parsed instead,
     keeping the derivation deterministic.
+
+    Where p < 256 the chunks are read in C: the steps of `_spread_steps`,
+    built once per (p, m, n), move every chunk into a byte of its own,
+    one `translate` reduces those bytes mod p, and for m > 1
+    `FieldParams.reps_of_digits` joins each m digits. Where p >= 256 each
+    chunk is one shift of the block.
     """
     algebra = pp.algebra
     field = algebra.field
     n, m, p = algebra.n, field.m, field.p
-    w = (p - 1).bit_length()
+    bits, w, count, steps = _g1_plan(p, m, n)
     mask = (1 << w) - 1
-    bits = g1_output_bits(pp)
     xof = hashlib.shake_256(x)
     start = 0
     while True:
@@ -71,9 +105,18 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
         end = start + bits
         first, last = start // 8, (end + 7) // 8
         block = int.from_bytes(xof.digest(last)[first:], "big") >> (8 * last - end)
-        digits = tuple([((block >> s) & mask) % p for s in range(bits - w, -1, -w)])
-        reps = digits if m == 1 else tuple([field.rep_of(digits[k:k + m])
-                                            for k in range(0, len(digits), m)])
+        if steps is not None:
+            if start % 8:  # the first byte read holds bits of the block before
+                block &= (1 << bits) - 1
+            for spread, shift in steps:
+                t = block & spread
+                block += (t << shift) - t
+            digits = block.to_bytes(count, "big").translate(field.mod_p_bytes)
+            reps = tuple(digits) if m == 1 else field.reps_of_digits(digits, 1, m)
+        else:
+            digits = tuple([((block >> s) & mask) % p for s in range(bits - w, -1, -w)])
+            reps = digits if m == 1 else tuple([field.rep_of(digits[k:k + m])
+                                                for k in range(0, len(digits), m)])
         a, g = reps[:n], reps[n:]
         if any(a) and any(g):
             return SecretPair(AlgebraElement(algebra, a + (0,) * n),

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import twisted_dihedral
+from twisted_dihedral import errors
 from twisted_dihedral.cli import main
+from twisted_dihedral.cocycle import Cocycle
 from twisted_dihedral.formats import SECRET_MARKER, read_param_file
 
 
@@ -147,6 +149,23 @@ def test_cocycle_check_beta_invalid(params_file, capsys):
                "--beta-lambda", "2") == 1
     out = capsys.readouterr().out
     assert "counterexample" in out
+
+
+def test_cocycle_check_capacity(params_file, capsys, monkeypatch):
+    # (2n)^3 = 216 triples at n = 3: refused by a bound of 215, before
+    # either cocycle's table is built
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 215)
+    built = []
+    monkeypatch.setattr(Cocycle, "_on_reflections",
+                        classmethod(lambda cls, *args: built.append(args)))
+    for extra in ((), ("--beta-lambda", "2")):
+        assert run("cocycle-check", "--params", params_file, *extra) == 2
+        captured = capsys.readouterr()
+        assert "capacity error" in captured.err and captured.out == ""
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 216)
+    assert run("cocycle-check", "--params", params_file) == 0
 
 
 def test_attack_exhaustive(tmp_path, params_file, capsys):

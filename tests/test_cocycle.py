@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from twisted_dihedral import errors
-from twisted_dihedral.cocycle import (BetaMap, Cocycle, coboundary_of,
-                                      equivalence_search, verify_cocycle)
+from twisted_dihedral import cocycle, errors
+from twisted_dihedral.cocycle import (BetaMap, Cocycle, check_triples,
+                                      coboundary_of, equivalence_search,
+                                      verify_cocycle)
 from twisted_dihedral.errors import CapacityError
 from twisted_dihedral.field import FieldParams, is_square, mult_order
 from twisted_dihedral.group import DihedralGroup
@@ -249,6 +250,23 @@ def test_search_rejects_inputs_that_do_not_fit(f7, f9):
         equivalence_search(c7, c7, DihedralGroup(4), f7)
     with pytest.raises(ValueError):  # cocycles on D_6 and D_8
         equivalence_search(c7, Cocycle.trivial(f7, 4), group, f7)
+
+
+def test_verify_capacity_guard(f7, monkeypatch):
+    # (2n)^3 triples: 216 at n = 3, 512 at n = 4
+    monkeypatch.setattr(errors, "MAX_CANDIDATES", 216)
+    assert verify_cocycle(Cocycle.alpha(f7.elem(3), 3), DihedralGroup(3)).valid
+    c4 = Cocycle.alpha(f7.elem(3), 4)
+    monkeypatch.setattr(cocycle, "_first_failure", None)  # refused before any check
+    with pytest.raises(CapacityError):
+        verify_cocycle(c4, DihedralGroup(4))
+
+
+def test_triples_bound_edge():
+    # at the default bound of 10^7: 214^3 = 9800344 triples pass, 216^3 do not
+    check_triples(107)
+    with pytest.raises(CapacityError):
+        check_triples(108)
 
 
 def test_search_capacity_guard(f7, monkeypatch):

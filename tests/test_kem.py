@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from twisted_dihedral.algebra import (SecretPair, in_gamma, rep_serialize,
                                       sample_subspace)
-from twisted_dihedral.kem import (G2_PREFIX, SHARED_KEY_BITS, g1_output_bits,
-                                  hash_g1, hash_g2, kem_decaps, kem_encaps,
-                                  kem_keygen, shake256)
+from twisted_dihedral.kem import (G2_PREFIX, SHARED_KEY_BITS, _spread_steps,
+                                  g1_output_bits, hash_g1, hash_g2, kem_decaps,
+                                  kem_encaps, kem_keygen, shake256)
 from twisted_dihedral.kex import derive_public, setup_public_params
 from twisted_dihedral.pke import PkeCiphertext
 
@@ -118,9 +118,18 @@ def test_hash_g1_retry_inputs(pp333):
         assert hash_g1(x, pp333) == pair
 
 
-@pytest.mark.parametrize("name", ["pp333", "pp515", "pp329"])
+# The fixtures' sets, and sets at the edges of the two routes: (101,1,101)
+# spreads 7-bit chunks, (3,7,9) joins digits into native lanes (q >= 256),
+# (131,1,131) reads 8-bit chunks with no spread step, and (257,1,257) takes
+# the one-shift-per-chunk read of p >= 256.
+@pytest.mark.parametrize("name", ["pp333", "pp515", "pp329", (101, 1, 101),
+                                  (3, 7, 9), (131, 1, 131), (257, 1, 257)],
+                         ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
 def test_hash_g1_matches_bit_reader(name, request):
-    pp = request.getfixturevalue(name)
+    if isinstance(name, str):
+        pp = request.getfixturevalue(name)
+    else:
+        pp = setup_public_params(*name, random.Random(sum(name)))
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.binary(max_size=40))
@@ -130,6 +139,23 @@ def test_hash_g1_matches_bit_reader(name, request):
         assert hash_g1(x, pp) == hash_g1_bitwise(x, pp)[0]
 
     check()
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_spread_steps_match_chunk_shifts(w):
+    # every chunk of the block in a byte of its own, first chunk first, as
+    # one shift and mask per chunk reads them
+    rng = random.Random(w)
+    for count in range(1, 301):
+        steps = _spread_steps(w, count)
+        assert len(steps) == (0 if w == 8 else (count - 1).bit_length())
+        for block in (rng.getrandbits(w * count), (1 << w * count) - 1):
+            want = bytes([(block >> w * (count - 1 - i)) & ((1 << w) - 1)
+                          for i in range(count)])
+            for mask, shift in steps:
+                t = block & mask
+                block += (t << shift) - t
+            assert block.to_bytes(count, "big") == want, (w, count)
 
 
 def chunk_digit_distribution(p):

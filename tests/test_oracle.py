@@ -711,7 +711,10 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (101, 1), (3, 2), (3, 7)])
+# p = 131 and 251 keep the whole top byte of a word (s = 0); p = 257 takes
+# the 32-bit word read of p >= 256
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (101, 1), (3, 2), (3, 7),
+                                 (131, 1), (251, 1), (257, 1)])
 def test_random_reps_match_randrange(p, m):
     field = field_of(p, m)
 
@@ -726,9 +729,10 @@ def test_random_reps_match_randrange(p, m):
 
     check()
     # at these sizes every seed rejects some digit, so the refill path runs
+    # (p = 251 rejects 5 words in 256)
     for seed in range(10):
         rng = CountingRandom(seed)
-        field.random_reps(rng, 100)
+        field.random_reps(rng, 1000)
         assert rng.calls > 1
 
 
