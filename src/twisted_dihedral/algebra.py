@@ -86,7 +86,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
-from .field import FieldElement, FieldParams, base_digits, is_square
+from .field import FieldElement, FieldParams, base_digits, is_square, rep_table
 from .group import DihedralGroup
 
 
@@ -146,7 +146,8 @@ class AlgebraParams:
       indexes like a list for the other maps;
     - on the join route, `slot_bytes[rep]`: one position of the kernel,
       the base-p digits of rep in little-endian slots of `slot_bits` bits,
-      then m - 1 zero slots (None on the byte route);
+      then m - 1 zero slots, joined a digit at a time by
+      `field.rep_table` (None on the byte route);
     - the fold masks and constants; for slots wider than 8 bits (k, M)
       of `slot_reciprocal` and the masks of the even slots and of their
       quotient fields (8-bit slots, which hold only p < 256, are reduced
@@ -166,7 +167,8 @@ class AlgebraParams:
         self.n, self.dim = n, group.order
         self.lam = lam
         self.byte_reps = m == 1 and p < 256
-        lam_mul = [field.mul_rep(lam.rep, r) for r in range(field.q)]
+        exp, shift = field.exp, field.log[lam.rep]  # lambda * g^k = g^(k + shift)
+        lam_mul = [0] + [exp[k + shift] for k in field.log[1:]]
         tables = lam_mul, [field.neg[r] for r in lam_mul], field.neg
         if self.byte_reps:  # `translate` takes 256 entries; those past q - 1 are never read
             tables = [bytes(t).ljust(256, b"\0") for t in tables]
@@ -177,9 +179,9 @@ class AlgebraParams:
         if self.byte_reps:  # n zero bytes after each n reps, before the spread
             self.slot_bytes, self._pad = None, bytes(n)
         else:
-            self.slot_bytes = [
-                b"".join([d.to_bytes(bits // 8, "little") for d in field.digits_of(r)])
-                .ljust(pos // 8, b"\0") for r in range(field.q)]
+            slots = [d.to_bytes(bits // 8, "little") for d in range(p)]
+            top = bytes((m - 1) * bits // 8)  # the m - 1 zero slots
+            self.slot_bytes = rep_table([slots] * (m - 1) + [[d + top for d in slots]])
             self._pad = bytes(n * pos // 8)  # fills a block after n positions
         # wider slots: slot i of a group (the even slots, or the odd moved
         # down) starts 2W bits after slot i - 1, and its quotient fills
@@ -196,7 +198,7 @@ class AlgebraParams:
         # low m slots of each position that the folded c0 and c1 fill.
         # `_unpack` adds those of more rows, keyed by the row count.
         low = (1 << n * pos) - 1
-        ones = sum(1 << (i * pos) for i in range(2 * n))
+        ones = int.from_bytes((b"\1" + bytes(pos // 8 - 1)) * (2 * n), "little")
         self._masks = {1: (low | (low << 2 * n * pos), low, ones * ((1 << bits) - 1),
                            ones * ((1 << (m * bits)) - 1), *reduce)}
         # m > 1: t^k mod f(t) in slots for k = m .. 2m-2

@@ -2,13 +2,14 @@
 
 Elements are vectors of m base-p digits (ascending degree) modulo a monic
 irreducible polynomial, named by their integer representation
-rep = sum digit_i * p^i. Each field builds O(q) tables once, from the
-powers of a primitive element: log/antilog tables for multiplication, the
-negation of each rep, and the bytes of each rep. Reps add digit-wise mod
-p; sums of whole algebra elements go through the product kernel's packed
-slots (algebra.py). All arithmetic is on reps, by `FieldParams.*_rep`; a
-`FieldElement` is a typed handle with no arithmetic, for lambda and
-cocycle values.
+rep = sum digit_i * p^i. Each field builds O(q) tables once: log/antilog
+tables from the powers of a primitive element, found on plain ints where
+m = 1 and by the polynomial helpers only where m > 1, and the negation
+and the bytes of each rep, built a digit at a time by `rep_table`. Reps
+add digit-wise mod p; sums of whole algebra elements go through the
+product kernel's packed slots (algebra.py). All arithmetic is on reps, by
+`FieldParams.*_rep`; a `FieldElement` is a typed handle with no
+arithmetic, for lambda and cocycle values.
 
 Where p < 256 a digit is one byte, and digits are read in C: the sampler
 takes the top byte of each random word and rejects and shifts all of them
@@ -159,6 +160,16 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise ParameterError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+def rep_table(digit_values: Sequence[Sequence]) -> list:
+    """Entry rep: digit_values[0][d_0] + ... + digit_values[m-1][d_(m-1)]
+    for the base-p digits d_i of rep (ints add; bytes join, digit 0 first),
+    grown a digit at a time with no call per rep."""
+    table = list(digit_values[0])
+    for values in digit_values[1:]:
+        table = [low + v for v in values for low in table]
+    return table
+
+
 def digit_width_bytes(p: int) -> int:
     """Bytes per base-p digit in the canonical serialization."""
     bits = (p - 1).bit_length()
@@ -170,7 +181,8 @@ class FieldParams:
 
     Construction builds the O(q) tables that arithmetic on integer reps
     reads, indexed by rep or by the discrete logarithm k to a generator g
-    of F_q*; a rep has no packed form, and `add_rep` adds digits mod p:
+    of F_q*; a rep has no packed form, and `add_rep` adds digits mod p.
+    `neg` and `rep_bytes` are built by `rep_table`:
 
     - `exp[k]`: the rep of g^k, over two periods so that a sum of two logs
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
@@ -214,12 +226,11 @@ class FieldParams:
         self.log: list[Optional[int]] = [None] * q
         for k, rep in enumerate(powers):
             self.log[rep] = k
-        digits = [self.digits_of(rep) for rep in range(q)]
-        self.neg = [self.rep_of([-d % p for d in ds]) for ds in digits]
+        negated = [0, *range(p - 1, 0, -1)]  # -d mod p for each digit d
+        self.neg = rep_table([[d * p ** i for d in negated] for i in range(m)])
         width = digit_width_bytes(p)
-        self.rep_bytes = [b"".join(d.to_bytes(width, "big") for d in ds)
-                          for ds in digits]
-        self.bytes_rep = {data: rep for rep, data in enumerate(self.rep_bytes)}
+        self.rep_bytes = rep_table([[d.to_bytes(width, "big") for d in range(p)]] * m)
+        self.bytes_rep = dict(zip(self.rep_bytes, range(q)))
         self.mod_p_bytes = self._sample_bytes = None
         if p < 256:  # a sampled digit is the top byte of a word >> s, kept below p << s
             s = 8 - p.bit_length()
@@ -233,10 +244,20 @@ class FieldParams:
         """Reps of g^0 .. g^(q-2) for the least rep g of order q - 1.
 
         F_q* is cyclic, so such a g exists; g has order q - 1 iff
-        g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        g^((q-1)/r) != 1 for every prime r dividing q - 1. Where m = 1 (a
+        rep is a residue mod p) this runs on plain ints, else on digit
+        vectors by the polynomial helpers.
         """
         p, q, f = self.p, self.q, self.modulus
         primes = [r for r, _ in factorize(q - 1)]
+        if self.m == 1:
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+            powers, cur = [1], 1
+            for _ in range(p - 2):
+                cur = cur * g % p
+                powers.append(cur)
+            return powers
         for g in range(2, q):
             g_digits = self.digits_of(g)
             if all(_poly_powmod(g_digits, (q - 1) // r, f, p) != (1,) for r in primes):

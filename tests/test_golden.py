@@ -42,6 +42,15 @@ GOLDEN = {
         "key_dec": "8b9dc69a98338b46a46769fa579201ecd8d1b07483afe89f1cf33e697a8c5f4e",
         "kex-demo": "4bc9f4fbf139a329102a480a514c7ea48793383d55d91e172ebba9e83d672fbc",
     },
+    (101, 1, 101): {
+        "params": "f1b3b25efd22c479c8f8d138fe705afbaf8a7cbdcc86dd0d08dbd849f4ec3d3e",
+        "pk": "0b06f64b461f1dc92ed63654a250e7ca0d19e6b15957953176430690f4bfaa81",
+        "sk": "f3fa1f3c24f783d35b9ae168f329e30c317618c198630909be05890714a82781",
+        "ct": "c4e6a1bb9c274bb794476c09ae852427295d439723c6e7736dff6d3be2a273b0",
+        "key_enc": "3574701b5a62ea5b1df6b45e5b42c731705d587fe78e6566af93f8f7003eae3d",
+        "key_dec": "3574701b5a62ea5b1df6b45e5b42c731705d587fe78e6566af93f8f7003eae3d",
+        "kex-demo": "351b9dbdb1873ae95f28a9a1bed02636f069dc4ee773ae51b3f730815ab702f7",
+    },
 }
 
 

@@ -1,6 +1,6 @@
-"""The table-driven field core, product kernel with its batches and
-addend rows, PKE, KEM decapsulation, sampler, cocycle verifier and MITM
-table against oracles.
+"""The table-driven field core and its build, product kernel with its
+tables, batches and addend rows, PKE, KEM decapsulation, sampler, cocycle
+verifier and MITM table against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -8,11 +8,14 @@ the rep arithmetic of `FieldParams`, so they share no code with the
 log/antilog tables, the packed big-integer product or the log-domain
 cocycle check they test. The product oracle reads its twisting values,
 lambda and 1, from `Cocycle.alpha`, the cocycle that `cocycle-check`
-verifies. Fields run up to q=65537. The sampler oracle draws one
-`randrange(p)` per digit.
+verifies. The field-build oracle finds the primitive element and its
+powers by the polynomial helpers, and each table one rep at a time.
+Fields run up to q=65537. The sampler oracle draws one `randrange(p)` per
+digit.
 """
 
 import functools
+import math
 import random
 
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_dihedral import errors
+from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, _pack, adjunct,
                                       alg_product, index_h_inv, iter_gamma,
@@ -699,6 +703,95 @@ def test_field_ops_match_polynomials(p, m):
             assert field.pow_rep(a, e) == power
 
     check()
+
+
+def oracle_field_tables(p, m, modulus):
+    """exp, log, neg, rep_bytes and bytes_rep of F_{p^m} mod `modulus`,
+    one rep at a time: the least rep g with g^((q-1)/r) != 1 for each prime
+    r dividing q - 1, its powers, both by the polynomial helpers, and each
+    rep's negation and bytes from its digits."""
+    q = p ** m
+    primes = [r for r in range(2, q) if (q - 1) % r == 0
+              and all(r % d for d in range(2, math.isqrt(r) + 1))]
+    g = next(g for g in range(2, q)
+             if all(_poly_powmod(digits(g, p, m), (q - 1) // r, modulus, p) != (1,)
+                    for r in primes))
+    powers, cur = [1], (1,)
+    for _ in range(q - 2):
+        cur = _poly_mod(_poly_mul(cur, digits(g, p, m), p), modulus, p)
+        powers.append(rep_of(cur, p))
+    log = [None] * q
+    for k, rep in enumerate(powers):
+        log[rep] = k
+    width = ((p - 1).bit_length() + 7) // 8
+    rep_bytes = [b"".join(d.to_bytes(width, "big") for d in digits(r, p, m)) for r in range(q)]
+    return {"exp": powers + powers, "log": log,
+            "neg": [rep_of([-d % p for d in digits(r, p, m)], p) for r in range(q)],
+            "rep_bytes": rep_bytes, "bytes_rep": {b: r for r, b in enumerate(rep_bytes)}}
+
+
+# every odd prime below 600 (those test_field_accepts_exactly_the_odd_primes
+# accepts), 257 and 65521, whose digits are two bytes, and 65537, three
+ODD_PRIMES = [p for p in range(3, 600, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+@pytest.mark.parametrize("primes", [ODD_PRIMES, [257], [65521], [65537]],
+                         ids=["below-600", "257", "65521", "65537"])
+def test_prime_field_tables_match_polynomial_search(primes):
+    # m = 1 builds on plain ints; the oracle searches and powers x mod
+    # the modulus x by the polynomial helpers
+    for p in primes:
+        field = FieldParams(p)
+        want = oracle_field_tables(p, 1, (0, 1))
+        assert {k: getattr(field, k) for k in want} == want, p
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 6), (3, 7), (5, 3), (7, 2)])
+def test_field_tables_match_per_rep(p, m):
+    # the tables built a digit at a time equal those built rep by rep
+    field = field_of(p, m)
+    want = oracle_field_tables(p, m, field.modulus)
+    assert {k: getattr(field, k) for k in want} == want
+
+
+def test_prime_field_builds_without_polynomials(monkeypatch):
+    # no polynomial helper runs where m = 1, with or without a caller's
+    # degree-1 modulus; m = 2 shows that the patched helpers are reached
+    def refuse(*args):
+        raise AssertionError("polynomial helper called")
+
+    for name in [n for n in vars(field_module) if n.startswith("_poly_")]:
+        monkeypatch.setattr(field_module, name, refuse)
+    for p in (3, 101, 257, 65521):
+        FieldParams(p)
+        FieldParams(p, 1, (2, 1))
+    with pytest.raises(AssertionError, match="polynomial helper"):
+        FieldParams(3, 2)
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 6, 9), (101, 1, 101),
+                                   (257, 1, 4)])
+def test_kernel_tables_match_per_position(p, m, n):
+    # the fold masks as sums over positions and slot pairs, and on the
+    # join route each rep's slots joined from its digits
+    alg = algebra_of(p, m, n)
+    bits = alg.slot_bits
+    width, pos = 2 * m - 1, (2 * m - 1) * bits
+    ones = sum(1 << (i * pos) for i in range(2 * n))
+    low = (1 << n * pos) - 1
+    reduce = (0, 0)
+    if bits > 8:
+        k = alg._reciprocal[0]
+        evens = sum(1 << (2 * bits * i) for i in range(2 * n * width))
+        reduce = (evens * ((1 << bits) - 1), evens * ((1 << (2 * bits - k)) - 1))
+    assert alg._masks[1] == (low | (low << 2 * n * pos), low, ones * ((1 << bits) - 1),
+                             ones * ((1 << (m * bits)) - 1), *reduce)
+    if alg.byte_reps:
+        assert alg.slot_bytes is None
+    else:
+        assert alg.slot_bytes == [
+            b"".join(d.to_bytes(bits // 8, "little") for d in digits(r, p, m)).ljust(pos // 8, b"\0")
+            for r in range(p ** m)]
 
 
 class CountingRandom(random.Random):
