@@ -48,12 +48,13 @@ positions) apart, so with the b_k and the c_k each one after another,
 The n positions of x times the 3n of pack(b_k) fill 4n - 1, so rows never
 overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
 k, which the fold keeps, so the addend counts once. `alg_product` with a
-rotation-only a is the one-row case, and with a1 != 0 it is a1*(y*b) with
-the addend a0*b. A `RotationBatch` is the dual: rotation-only left
-operands packed once as rows, so that one multiply by pack(b), plus
-pack(c) in every row, holds x_k*b + c in row k. A sum x + y is
-pack(x) + pack(y) read as one row: the fold adds only zero pad
-positions, and a slot holds at most 2(p - 1), within the bound below.
+rotation-only a, such as a secret's a', is the one-row case, and with
+a1 != 0 it is a1*(y*b) with the addend a0*b. A `RotationBatch` is the
+dual: rotation-only left operands packed once as rows, so that one
+multiply by pack(b), plus pack(c) in every row, holds x_k*b + c in row
+k. A sum x + y is pack(x) + pack(y) read as one row: the fold adds only
+zero pad positions, and a slot holds at most 2(p - 1), within the bound
+below.
 These slots are the only packed form of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
@@ -73,16 +74,16 @@ p times the quotients leaves every slot below p. Then one read, all in
 C, takes the low byte of each slot by stride where m = 1 and p < 256, and
 otherwise `FieldParams.reps_of_digits` joins the m digit slots of all
 reps: by a big-integer Horner, or when q >= 256 through native lanes
-that hold a rep, read by one memoryview cast. When a and b are both
-rotation-only, b packs as b0 alone and only the n slots of c0 are read.
+that hold a rep, read by one memoryview cast. A secret pair makes its
+a' = a*phi(gamma), rotation times rotation, as pack(a0) times the n
+reflection reps of gamma packed alone, so c1 reads as n zero reps.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
@@ -270,9 +271,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         """pack(self) + pack(other), read as one product (see the module docstring)."""
         params = self.params
-        _check_params(other, params)
-        return AlgebraElement(params, _unpack(
-            params, _pack(params, self.coeffs) + _pack(params, other.coeffs), 1))
+        s = _pack(params, self.coeffs) + _packed(params, other)
+        return AlgebraElement(params, _unpack(params, s, 1))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + -other
@@ -307,10 +307,14 @@ class SecretPair:
 
     Both components must be nonzero; zero components produce a zero public
     key and a trivially known shared key, so the samplers resample on zero.
+    Construction checks this and that a and gamma share their params, then
+    makes a_phi, a' = a*phi(gamma), by one kernel call (the rotation reps of
+    phi(gamma) are the reflection reps of gamma).
     """
 
     a: AlgebraElement
     gamma: AlgebraElement
+    a_phi: AlgebraElement = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.a.in_rotation_subalgebra():
@@ -319,11 +323,10 @@ class SecretPair:
             raise ValueError("secret 'gamma' must lie in the reversible subspace")
         if self.a.is_zero() or self.gamma.is_zero():
             raise ValueError("secret components must be nonzero")
-
-    @cached_property
-    def a_phi(self) -> AlgebraElement:
-        """a' = a*phi(gamma), the rotation part every derivation multiplies by."""
-        return self.a * phi(self.gamma)
+        params, n = self.a.params, self.a.params.n
+        _check_params(self.gamma, params)  # the kernel reads bare reps
+        s = _pack(params, self.a.coeffs[:n]) * _pack(params, self.gamma.coeffs[n:])
+        object.__setattr__(self, "a_phi", AlgebraElement(params, _unpack(params, s, 1)))
 
 
 def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
@@ -335,21 +338,16 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Twisted product a*b = a0*b + a1*(y*b) (see the module docstring).
 
     A rotation-only a is the one-row case of the kernel behind
-    `rotation_products`, and with b1 = 0 as well b packs as b0 alone and
-    only the n slots of c0 are read. Otherwise a1*(y*b) takes a0*b as its
-    addend, one more multiply.
+    `rotation_products`. Otherwise a1*(y*b) takes a0*b as its addend, one
+    more multiply.
     """
-    params = a.params
-    if b.params is not params:
-        _check_params(b, params)
+    params, ac = a.params, a.coeffs
     n = params.n
-    ac, bc = a.coeffs, b.coeffs
+    c = _unpack(params, _pack(params, ac[:n]) * _packed(params, b), 1)
     if any(ac[n:]):  # a1*(y*b), with the addend a0*b
-        a0b = _products(params, ac[:n], bc, (), 2)
-        return AlgebraElement(params, _products(params, ac[n:], y_times(b).coeffs, a0b, 2))
-    if any(bc[n:]):
-        return AlgebraElement(params, _products(params, ac[:n], bc, (), 2))
-    return AlgebraElement(params, _products(params, ac[:n], bc[:n], (), 1) + (0,) * n)
+        s = _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs) + _pack(params, c)
+        c = _unpack(params, s, 1)
+    return AlgebraElement(params, c)
 
 
 def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
@@ -363,7 +361,9 @@ def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
         raise ValueError("the left operand must be rotation-only")
     if not rights or len(addends) > len(rights):
         raise ValueError("expected right operands, and at most one addend each")
-    reps = _products(params, x.coeffs[:n], _rows(params, rights), _rows(params, addends), 2)
+    s = (_pack(params, x.coeffs[:n]) * _pack(params, _rows(params, rights))
+         + _pack(params, _rows(params, addends)))
+    reps = _unpack(params, s, len(rights))
     dim = params.dim
     return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
 
@@ -379,15 +379,11 @@ def _rows(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> list[int
     return reps
 
 
-def _products(params: AlgebraParams, x0: Sequence[int], rights: Sequence[int],
-              addends: Sequence[int], halves: int) -> tuple[int, ...]:
-    """The halves * n reps of each x0*b_k + c_k, with the b_k and c_k the
-    rows of `rights` and `addends`, halves * n reps each:
-    S = pack(x0)*pack(rights) + pack(addends), one `_unpack`."""
-    s = _pack(params, x0) * _pack(params, rights)
-    if addends:
-        s += _pack(params, addends)
-    return _unpack(params, s, len(rights) // (halves * params.n), halves)
+def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
+    """pack(x), after checking that x has these params."""
+    if x.params is not params:
+        _check_params(x, params)
+    return _pack(params, x.coeffs)
 
 
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
@@ -417,9 +413,9 @@ def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
     return int.from_bytes(params._pad.join(map(b"".join, zip(*[map(sb, reps)] * n))), "little")
 
 
-def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple[int, ...]:
-    """The halves * n reps of each of `count` products in turn; row k of s
-    is the k-th.
+def _unpack(params: AlgebraParams, s: int, count: int) -> tuple[int, ...]:
+    """The 2n reps of each of `count` products in turn; row k of s is the
+    k-th.
 
     Adding each block's high n positions to its low n folds c0 and c1 mod
     x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
@@ -427,8 +423,7 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
     replaced by their multiples of t^k mod f(t). Every slot is then
     reduced mod p, by `translate` for 8-bit slots and in the integer for
     wider ones, and the reps are read from the low bytes of their digit
-    slots (see the module docstring). With halves = 1 only the n reps of
-    each c0 are read.
+    slots (see the module docstring).
     """
     npos = params._npos
     masks = params._masks.get(count)
@@ -450,11 +445,11 @@ def _unpack(params: AlgebraParams, s: int, count: int, halves: int = 2) -> tuple
         k, mult = params._reciprocal
         folded -= p * ((((folded & evens) * mult >> k) & quotients)
                        + (((((folded >> bits) & evens) * mult >> k) & quotients) << bits))
-    # count - 1 rows of 4n positions, then the halves * n read from the last
-    nbytes = (4 * count - 4 + halves) * npos // 8
+    # count - 1 rows of 4n positions, then the 2n read from the last
+    nbytes = (4 * count - 2) * npos // 8
     slots = folded.to_bytes(nbytes, "little")
     if count > 1:  # the slots read from each row, a slice at a time
-        size, stride = halves * npos // 8, 4 * npos // 8
+        size, stride = 2 * npos // 8, 4 * npos // 8
         slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
     if bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = slots.translate(params.field.mod_p_bytes)
@@ -492,11 +487,9 @@ class RotationBatch:
         zero, one multiply per chunk; pack(c) is added to every row, as
         `rotation_products` adds its addends."""
         params = self.params
-        _check_params(b, params)
-        dim, right = params.dim, _pack(params, b.coeffs)
+        dim, right = params.dim, _packed(params, b)
         if addend is not None:
-            _check_params(addend, params)
-            row = _pack(params, addend.coeffs).to_bytes(4 * params._npos // 8, "little")
+            row = _packed(params, addend).to_bytes(4 * params._npos // 8, "little")
         for packed, count in self._chunks:
             s = packed * right
             if addend is not None:
@@ -585,24 +578,25 @@ def sample_subspace(which: str, params: AlgebraParams,
     if which == "full":
         return AlgebraElement(params, tuple(field.random_reps(rng, 2 * n)))
     if which == "h_element":  # a nonzero rotation half and a nonzero reflection half
-        rotation = _nonzero(lambda: sample_subspace("C_n", params, rng))
-        reflection = _nonzero(lambda: sample_subspace("C_n_y", params, rng))
-        return AlgebraElement(params, rotation.coeffs[:n] + reflection.coeffs[n:])
+        return AlgebraElement(params, (*_nonzero_reps(field, rng, n),
+                                       *_nonzero_reps(field, rng, n)))
     raise ValueError(f"unknown subspace {which!r}")
 
 
-def _nonzero(draw) -> AlgebraElement:
-    """The first nonzero element that `draw()` returns."""
+def _nonzero_reps(field: FieldParams, rng: random.Random, count: int) -> list[int]:
+    """The first `count` reps of `field.random_reps` that are not all zero."""
     while True:
-        x = draw()
-        if not x.is_zero():
-            return x
+        reps = field.random_reps(rng, count)
+        if any(reps):
+            return reps
 
 
 def sample_secret_pair(params: AlgebraParams, rng: random.Random) -> SecretPair:
-    """Uniform nonzero (a, gamma) secret pair."""
-    return SecretPair(_nonzero(lambda: sample_subspace("C_n", params, rng)),
-                      _nonzero(lambda: sample_gamma(params, rng)))
+    """Uniform nonzero (a, gamma) secret pair: the n reps of a, then the
+    n//2 + 1 free reps of gamma, each drawn again while all zero."""
+    field, n = params.field, params.n
+    a = AlgebraElement(params, (*_nonzero_reps(field, rng, n), *(0,) * n))
+    return SecretPair(a, gamma_from_free(params, _nonzero_reps(field, rng, n // 2 + 1)))
 
 
 def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:

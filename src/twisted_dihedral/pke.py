@@ -7,12 +7,12 @@ re-derives r2 and compares c1 = derive_public(r2) alone: for a pk made by
 pke_gen, c2 follows from c1 and m (kem.kem_decaps gives the proof).
 
 As in kex.py, a*x*gamma = a'*(x*y) and a*x*adjunct(gamma) =
-a'*(lambda*(x*y)) with a' = a*phi(gamma), kept by the SecretPair. So Enc
-is one `rotation_products` call, left a2', rights lambda*(pk*y) and h*y,
-addend m on the first; Dec is one call, left a1', right -lambda*(c1*y),
-addend c2. Neither makes an element addition or subtraction: Enc takes
-two big-integer multiplies (a2' once per r2, then the call), and Dec one
-with a pke_gen key, which holds a1'.
+a'*(lambda*(x*y)) with a' = a*phi(gamma), made when the SecretPair is
+built. So Enc is one `rotation_products` call, left a2', rights
+lambda*(pk*y) and h*y, addend m on the first; Dec is one call, left a1',
+right -lambda*(c1*y), addend c2. Neither makes an element addition or
+subtraction: Enc takes two big-integer multiplies (a2' when r2 is built,
+then the call), and Dec one, as the key holds a1'.
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM

@@ -252,7 +252,9 @@ def test_times_y_and_gamma_through_y(p, m, n):
     check()
 
 
-@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (101, 1, 101)])
+# (3,7,9), q = 2187: 16-bit slots and the lane read of reps, which no
+# benchmark workload runs
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (5, 1, 5), (3, 2, 9), (3, 7, 9), (101, 1, 101)])
 def test_secret_pair_a_phi(p, m, n):
     alg = algebra_at(p, m, n)
 
@@ -261,14 +263,16 @@ def test_secret_pair_a_phi(p, m, n):
     def check(seed):
         pair = sample_secret_pair(alg, random.Random(seed))
         twin = SecretPair(pair.a, pair.gamma)
-        before = (repr(pair), hash(pair))
         a_phi = pair.a_phi
-        assert a_phi == pair.a * phi(pair.gamma)
+        # made when the pair was built, by one kernel call on the reps of
+        # a and gamma; the element product with phi(gamma) is the oracle
+        assert a_phi == pair.a * phi(pair.gamma) == twin.a_phi
         assert a_phi.in_rotation_subalgebra()
-        assert pair.a_phi is a_phi  # computed once, then read back
-        # reading a_phi changes neither equality, hash nor repr
+        assert pair.a_phi is a_phi and a_phi is not twin.a_phi
+        # a_phi is no part of equality, hash or repr
         assert pair == twin and twin == pair
-        assert (repr(pair), hash(pair)) == before == (repr(twin), hash(twin))
+        assert (repr(pair), hash(pair)) == (repr(twin), hash(twin))
+        assert "a_phi" not in repr(pair)
         assert len({pair, twin}) == 1
 
     check()
@@ -326,6 +330,43 @@ def test_secret_pair_validation(alg33, rng):
     pair = sample_secret_pair(alg33, rng)
     assert pair.a.in_rotation_subalgebra() and not pair.a.is_zero()
     assert in_gamma(pair.gamma) and not pair.gamma.is_zero()
+    with pytest.raises(TypeError):
+        SecretPair(pair.a, pair.gamma, pair.a_phi)  # a' is made, not given
+
+
+def test_secret_pair_rejects_components_of_two_algebras(rng):
+    # over F_5, lambda = 2 and lambda = 3 give two algebras of the same
+    # shape, so the reps of a and gamma would pass every other check and
+    # the kernel would make an a' from them; construction must refuse
+    field = FieldParams(5)
+    alg2, alg3 = (AlgebraParams(field, DihedralGroup(5), field.elem(lam))
+                  for lam in (2, 3))
+    a2, gamma3 = alg2.one(), gamma_from_free(alg3, [1, 2, 3])
+    with pytest.raises(ValueError, match="mismatched parameters"):
+        SecretPair(a2, gamma3)
+    with pytest.raises(ValueError, match="mismatched parameters"):
+        SecretPair(alg3.one(), gamma_from_free(alg2, [1, 2, 3]))
+    assert SecretPair(alg3.one(), gamma3).a_phi == phi(gamma3)
+
+
+def test_sample_secret_pair_draws():
+    # a's n reps, then gamma's n//2 + 1 free reps, each drawn again while
+    # all zero: the draws of the element samplers, in the same order, and
+    # the generator left in the same state
+    alg = algebra_at(3, 1, 3)
+    redrawn = 0
+    for seed in range(200):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        pair = sample_secret_pair(alg, rng)
+        a = sample_subspace("C_n", alg, oracle)
+        while a.is_zero():
+            a, redrawn = sample_subspace("C_n", alg, oracle), redrawn + 1
+        gamma = sample_gamma(alg, oracle)
+        while gamma.is_zero():
+            gamma, redrawn = sample_gamma(alg, oracle), redrawn + 1
+        assert (pair.a, pair.gamma) == (a, gamma)
+        assert rng.getstate() == oracle.getstate()
+    assert redrawn > 0
 
 
 # --- index bijection ---

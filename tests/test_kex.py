@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twisted_dihedral.algebra import (AlgebraParams, SecretPair,
+from twisted_dihedral.algebra import (AlgebraParams, SecretPair, adjunct,
                                       sample_secret_pair)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import FieldParams
@@ -102,6 +102,23 @@ def test_derivations_reject_a_secret_from_another_algebra(rng):
         derive_public(foreign, pp3)
     with pytest.raises(ValueError):
         derive_shared(foreign, pk3, pp3)
+
+
+def test_derive_shared_rejects_a_peer_key_from_another_algebra(rng):
+    # the secret and pp are of one algebra, the peer key of the other
+    # same-shape one: the kernel call on a' checks the peer key's params
+    field = FieldParams(5)
+    alg2, alg3 = (AlgebraParams(field, DihedralGroup(5), field.elem(lam))
+                  for lam in (2, 3))
+    h = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    pp2, pp3 = PublicParams(alg2, alg2.from_reps(h)), PublicParams(alg3, alg3.from_reps(h))
+    secret = sample_secret_pair(alg3, rng)
+    foreign_pk = derive_public(sample_secret_pair(alg2, rng), pp2)
+    with pytest.raises(ValueError, match="mismatched parameters"):
+        derive_shared(secret, foreign_pk, pp3)
+    # the same reps from the secret's own algebra are accepted
+    own_pk = alg3.from_reps(foreign_pk.reps())
+    assert derive_shared(secret, own_pk, pp3) == (secret.a * own_pk) * adjunct(secret.gamma)
 
 
 def test_session_lifecycle(pp333):

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
-                                      RotationBatch, _pack, adjunct,
-                                      alg_product, index_h_inv, iter_gamma,
-                                      kernel_slot_width, rep_deserialize,
+                                      RotationBatch, SecretPair,
+                                      _pack, adjunct, alg_product,
+                                      gamma_from_free, index_h_inv, iter_gamma,
+                                      kernel_slot_width, phi, rep_deserialize,
                                       rep_serialize,
                                       rotation_products, sample_secret_pair,
                                       sample_subspace, scaled_times_y,
@@ -186,6 +187,11 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     zero = alg.zero()
     for x, y in [(top, top), (zero, top), (top, zero), (rotation_part(top), top)]:
         assert alg_product(x, y).reps() == schoolbook_product(x, y)
+    # a secret pair's a', rotation times rotation, and its product by a
+    # full element, each with every digit at p - 1
+    pair = SecretPair(rotation_part(top), gamma_from_free(alg, [q - 1] * (n // 2 + 1)))
+    assert pair.a_phi.reps() == schoolbook_product(pair.a, phi(pair.gamma))
+    assert (pair.a_phi * top).reps() == schoolbook_product(pair.a_phi, top)
     # a batch row holds the same worst case as one product: every slot of
     # the rotation-only left and of the right operand at p - 1, and with
     # the addend top, p - 1 more. More than BATCH_CHUNK lefts take a full
@@ -286,11 +292,14 @@ def test_batch_rejects_bad_operands():
         list(RotationBatch([rot]).times(rot, other.one()))
 
 
+# (3,7,9), q = 2187: 16-bit slots and the lane read of reps, which no
+# benchmark workload runs
 @pytest.mark.parametrize("p,m,n,examples", [
-    (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 100), (101, 1, 101, 20)])
+    (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 100), (3, 7, 9, 20), (101, 1, 101, 20)])
 def test_derivations_match_literal_formulas(p, m, n, examples):
-    # the derivations go through x*gamma = phi(gamma)*(x*y); the literal
-    # a*h*gamma and a*pk*adjunct(gamma) are the oracle
+    # the derivations go through x*gamma = phi(gamma)*(x*y), as one kernel
+    # row on the a' a pair makes when it is built; the literal a*h*gamma
+    # and a*pk*adjunct(gamma) are the oracle
     pp = setup_public_params(p, m, n, random.Random(p * m * n))
     alg = pp.algebra
 
@@ -303,8 +312,8 @@ def test_derivations_match_literal_formulas(p, m, n, examples):
         assert pk2 == (s2.a * pp.h) * s2.gamma
         for peer in (pk2, sample_subspace("full", alg, rng)):
             assert derive_shared(s1, peer, pp) == (s1.a * peer) * adjunct(s1.gamma)
-        # s1 first computed its a*phi(gamma) in derive_shared; the public
-        # key read back from it must still be the literal one
+        # s1 used its a' in derive_shared first; the public key from the
+        # same a' must still be the literal one
         assert derive_public(s1, pp) == (s1.a * pp.h) * s1.gamma
 
     check()
