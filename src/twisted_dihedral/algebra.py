@@ -16,15 +16,16 @@ times full elements,
 and a rotation x times b = b0 + b1*y is x*b0 + (x*b1)*y: two cyclic
 convolutions, computed by Kronecker substitution. Each coefficient is a
 position of 2m - 1 slots of W bits that holds its base-p digits in the
-low m slots; `_pack` writes reps n at a time, each n followed by n zero
-positions: n reps as n positions, 2n reps as b0 + b1*Y with
-Y = 2^(2n positions), one more than an n x n convolution needs. So
-pack(x)*pack(b) holds, before reduction mod x^n - 1, x*b0 in block 0 and
-x*b1 in block 1, with no cross terms: one row of 4n positions.
+low m slots; `_pack` packs one element: n reps as n positions, 2n reps
+as b0 + b1*Y with Y = 2^(2n positions), one more than an n x n
+convolution needs. So pack(x)*pack(b) holds, before reduction mod
+x^n - 1, x*b0 in block 0 and x*b1 in block 1, with no cross terms: one
+row of 4n positions. An element keeps pack(x) from its first product
+(`_packed`); a rotation-only x packs its n rotation reps alone.
 
 `_pack` takes one of two routes, which `AlgebraParams` chooses once from
 (p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
-byte route): `bytes(reps)` with n zero bytes put after each n reps is
+byte route): `bytes(reps)` with n zero bytes put after the first n is
 already the integer's little-endian bytes for 8-bit slots, and for wider
 slots one strided write, `buf[::W/8] = ...` into a zeroed bytearray, puts
 each rep in the low byte of its slot, the mirror of `_unpack`'s strided
@@ -33,15 +34,16 @@ byte route also serializes an element as `bytes(reps)`, and
 `scaled_times_y`, which every encaps, decaps and kex runs, maps its reps
 by two `bytes.translate` through 256-byte tables. Where m > 1 or p >= 256
 (the join route) each rep is looked up in `slot_bytes`, its digits in
-little-endian slots, and the positions are joined, with zero blocks
-between each n; reps serialize by a join of `FieldParams.rep_bytes`. The
-other maps by lambda or by negation look reps up one at a time on both
-routes, as a 256-byte table indexes like a list.
+little-endian slots, and the positions of each half are joined, with a
+zero block between them; reps serialize by a join of
+`FieldParams.rep_bytes`. The other maps by lambda or by negation look
+reps up one at a time on both routes, as a 256-byte table indexes like a
+list.
 
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
-multiply and one `_unpack`. 2n*k reps pack as k rows at Z = 2^(4n
-positions) apart, so with the b_k and the c_k each one after another,
+multiply and one `_unpack`. Rows lie Z = 2^(4n positions) apart, shifted
+together from the kept integers (`_stack`), so
 
     S = pack(x) * sum_k pack(b_k)*Z^k + sum_k pack(c_k)*Z^k.
 
@@ -50,12 +52,11 @@ overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
 k, which the fold keeps, so the addend counts once. `alg_product` with a
 rotation-only a, such as a secret's a', is the one-row case, and with
 a1 != 0 it is a1*(y*b) with the addend a0*b. A `RotationBatch` is the
-dual: rotation-only left operands packed once as rows, so that one
+dual: rotation-only left operands joined once as rows, so that one
 multiply by pack(b), plus pack(c) in every row, holds x_k*b + c in row
 k. A sum x + y is pack(x) + pack(y) read as one row: the fold adds only
 zero pad positions, and a slot holds at most 2(p - 1), within the bound
-below.
-These slots are the only packed form of a rep.
+below. These slots are the only packed form of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
@@ -75,8 +76,8 @@ C, takes the low byte of each slot by stride where m = 1 and p < 256, and
 otherwise `FieldParams.reps_of_digits` joins the m digit slots of all
 reps: by a big-integer Horner, or when q >= 256 through native lanes
 that hold a rep, read by one memoryview cast. A secret pair makes its
-a' = a*phi(gamma), rotation times rotation, as pack(a0) times the n
-reflection reps of gamma packed alone, so c1 reads as n zero reps.
+a' = a*phi(gamma) as pack(a0) times the n reflection reps of gamma: c1
+is n zero reps, so the reduced slots of that row (`_reduce`) are pack(a').
 """
 
 from __future__ import annotations
@@ -250,11 +251,13 @@ class AlgebraElement:
     The constructor trusts its reps; `AlgebraParams.from_reps` checks them.
     """
 
-    __slots__ = ("params", "coeffs")
+    __slots__ = ("params", "coeffs", "_int")
 
-    def __init__(self, params: AlgebraParams, coeffs: tuple[int, ...]):
+    def __init__(self, params: AlgebraParams, coeffs: tuple[int, ...],
+                 packed: Optional[int] = None):
         self.params = params
         self.coeffs = coeffs
+        self._int = packed  # pack(self), which `_packed` fills on first use
 
     def reps(self) -> tuple[int, ...]:
         return self.coeffs
@@ -271,8 +274,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         """pack(self) + pack(other), read as one product (see the module docstring)."""
         params = self.params
-        s = _pack(params, self.coeffs) + _packed(params, other)
-        return AlgebraElement(params, _unpack(params, s, 1))
+        s = _packed(params, self) + _packed(params, other)
+        return AlgebraElement(params, _unpack(params, _reduce(params, s, 1)))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + -other
@@ -309,7 +312,8 @@ class SecretPair:
     key and a trivially known shared key, so the samplers resample on zero.
     Construction checks this and that a and gamma share their params, then
     makes a_phi, a' = a*phi(gamma), by one kernel call (the rotation reps of
-    phi(gamma) are the reflection reps of gamma).
+    phi(gamma) are the reflection reps of gamma), whose slots are pack(a'):
+    a_phi keeps them as its kernel integer, so no product packs it again.
     """
 
     a: AlgebraElement
@@ -326,7 +330,9 @@ class SecretPair:
         params, n = self.a.params, self.a.params.n
         _check_params(self.gamma, params)  # the kernel reads bare reps
         s = _pack(params, self.a.coeffs[:n]) * _pack(params, self.gamma.coeffs[n:])
-        object.__setattr__(self, "a_phi", AlgebraElement(params, _unpack(params, s, 1)))
+        slots = _reduce(params, s, 1)  # c1 is n zero positions
+        a_phi = AlgebraElement(params, _unpack(params, slots), int.from_bytes(slots, "little"))
+        object.__setattr__(self, "a_phi", a_phi)
 
 
 def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
@@ -343,11 +349,12 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """
     params, ac = a.params, a.coeffs
     n = params.n
-    c = _unpack(params, _pack(params, ac[:n]) * _packed(params, b), 1)
-    if any(ac[n:]):  # a1*(y*b), with the addend a0*b
-        s = _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs) + _pack(params, c)
-        c = _unpack(params, s, 1)
-    return AlgebraElement(params, c)
+    if not any(ac[n:]):  # pack(a) is pack(a0)
+        return AlgebraElement(params, _unpack(params, _reduce(
+            params, _packed(params, a, n) * _packed(params, b), 1)))
+    c = _unpack(params, _reduce(params, _pack(params, ac[:n]) * _packed(params, b), 1))
+    s = _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs) + _pack(params, c)
+    return AlgebraElement(params, _unpack(params, _reduce(params, s, 1)))
 
 
 def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
@@ -361,46 +368,43 @@ def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
         raise ValueError("the left operand must be rotation-only")
     if not rights or len(addends) > len(rights):
         raise ValueError("expected right operands, and at most one addend each")
-    s = (_pack(params, x.coeffs[:n]) * _pack(params, _rows(params, rights))
-         + _pack(params, _rows(params, addends)))
-    reps = _unpack(params, s, len(rights))
+    s = _packed(params, x, n) * _stack(params, rights) + _stack(params, addends)
+    reps = _unpack(params, _reduce(params, s, len(rights)))
     dim = params.dim
     return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
 
 
-def _rows(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> list[int]:
-    """The 2n reps of each element in turn, the rows that `_pack` packs Z
-    apart; every element must have these params."""
-    reps = []
-    for e in elements:
-        if e.params is not params:
-            _check_params(e, params)
-        reps += e.coeffs
-    return reps
+def _stack(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> int:
+    """pack(e_k) in row k, Z apart, for a few rows; `_packed` checks params."""
+    rows, shift = 0, 4 * params._npos
+    for e in reversed(elements):
+        rows = rows << shift | _packed(params, e)
+    return rows
 
 
-def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
-    """pack(x), after checking that x has these params."""
+def _packed(params: AlgebraParams, x: AlgebraElement, size: Optional[int] = None) -> int:
+    """pack(x), kept on x from its first use, after checking x's params; a
+    rotation-only x may give size n, to pack its n rotation reps alone."""
     if x.params is not params:
         _check_params(x, params)
-    return _pack(params, x.coeffs)
+    if x._int is None:
+        x._int = _pack(params, x.coeffs[:size])
+    return x._int
 
 
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
-    """The kernel integer of reps taken n at a time, each n followed by n
-    zero positions: n reps as n positions, 2n reps as b0 + b1*Y, and
-    2n*k reps as k rows at Z apart.
+    """The kernel integer of one element's reps: n reps as n positions,
+    and 2n reps as b0 + b1*Y, n zero positions after b0.
 
-    On the byte route this is `bytes(reps)` with n zero bytes after each
-    n, spread by one strided write when slots are wider than a byte; on
-    the join route, a join of `slot_bytes` (see the module docstring).
-    Both give the same integer.
+    On the byte route, `bytes(reps)` with n zero bytes after the first n,
+    spread by one strided write for slots wider than a byte; on the join
+    route, two joins of `slot_bytes` around the pad. Both give one integer.
     """
     n = params.n
     if params.byte_reps:
         data = bytes(reps)
         if len(data) > n:
-            data = params._pad.join([data[i:i + n] for i in range(0, len(data), n)])
+            data = data[:n] + params._pad + data[n:]
         slot = params._read[0]
         if slot > 1:  # each rep in the low byte of its slot
             buf = bytearray(len(data) * slot)
@@ -408,22 +412,23 @@ def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
             data = buf
         return int.from_bytes(data, "little")
     sb = params.slot_bytes.__getitem__
-    if len(reps) == n:
-        return int.from_bytes(b"".join(map(sb, reps)), "little")
-    return int.from_bytes(params._pad.join(map(b"".join, zip(*[map(sb, reps)] * n))), "little")
+    data = b"".join(map(sb, reps[:n]))
+    if len(reps) > n:
+        data += params._pad + b"".join(map(sb, reps[n:]))
+    return int.from_bytes(data, "little")
 
 
-def _unpack(params: AlgebraParams, s: int, count: int) -> tuple[int, ...]:
-    """The 2n reps of each of `count` products in turn; row k of s is the
-    k-th.
+def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
+    """The slots of each of `count` products in turn, every one below p;
+    row k of s is the k-th.
 
     Adding each block's high n positions to its low n folds c0 and c1 mod
     x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
     positions of row k. For m > 1 the slots of t^m .. t^(2m-2) are then
     replaced by their multiples of t^k mod f(t). Every slot is then
     reduced mod p, by `translate` for 8-bit slots and in the integer for
-    wider ones, and the reps are read from the low bytes of their digit
-    slots (see the module docstring).
+    wider ones (see the module docstring). The slots of one product are
+    the little-endian bytes of its pack.
     """
     npos = params._npos
     masks = params._masks.get(count)
@@ -453,7 +458,11 @@ def _unpack(params: AlgebraParams, s: int, count: int) -> tuple[int, ...]:
         slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
     if bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = slots.translate(params.field.mod_p_bytes)
-    # every slot is below p now; digit d of each rep is slot d of its position
+    return slots
+
+
+def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
+    """The reps in slots from `_reduce`: digit d is slot d of a position."""
     slot, step = params._read
     if params.byte_reps:  # a rep is the low byte of its one slot
         return tuple(slots if slot == 1 else slots[::slot])
@@ -475,11 +484,12 @@ class RotationBatch:
             raise ValueError("expected rotation-only batch left operands, at least one")
         params = lefts[0].params
         self.params = params
-        # each x_k packs with its zero x_k1, so as a row of 4n positions;
-        # `_rows` checks the params
-        self._chunks = [(_pack(params, _rows(params, lefts[i:i + BATCH_CHUNK])),
-                         len(lefts[i:i + BATCH_CHUNK]))
-                        for i in range(0, len(lefts), BATCH_CHUNK)]
+        # each x_k's integer in a row of 4n positions; joining rows is linear
+        row, n = 4 * params._npos // 8, params.n
+        rows = [_packed(params, x, n).to_bytes(row, "little") for x in lefts]
+        self._chunks = [(int.from_bytes(b"".join(rows[i:i + BATCH_CHUNK]), "little"),
+                         len(rows[i:i + BATCH_CHUNK]))
+                        for i in range(0, len(rows), BATCH_CHUNK)]
 
     def times(self, b: AlgebraElement,
               addend: Optional[AlgebraElement] = None) -> Iterator[tuple[int, ...]]:
@@ -494,7 +504,7 @@ class RotationBatch:
             s = packed * right
             if addend is not None:
                 s += int.from_bytes(row * count, "little")
-            reps = _unpack(params, s, count)
+            reps = _unpack(params, _reduce(params, s, count))
             for i in range(0, count * dim, dim):
                 yield reps[i:i + dim]
 

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twisted_dihedral.algebra import (AlgebraParams, SecretPair, adjunct,
+from test_oracle import oracle_sum, schoolbook_product
+from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
+                                      _pack, adjunct, alg_product,
                                       gamma_from_free, in_gamma,
                                       index_h_inv, iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
+                                      rotation_products,
                                       sample_gamma, sample_secret_pair,
                                       sample_subspace, times_y, y_times)
 from twisted_dihedral.errors import ParameterError
-from twisted_dihedral.field import FieldParams
+from twisted_dihedral.field import FieldParams, is_square
+from twisted_dihedral.formats import read_param_file, write_param_file
 from twisted_dihedral.group import DihedralGroup
 from twisted_dihedral.kex import setup_public_params
 from twisted_dihedral.pke import PkeCiphertext
@@ -276,6 +280,67 @@ def test_secret_pair_a_phi(p, m, n):
         assert len({pair, twin}) == 1
 
     check()
+
+
+# The kernel integer an element keeps, at each slot width: 8 and 24 bits
+# on the byte route, 8, 16 and 32 bits on the join route
+KEPT_SETS = [(3, 1, 3, 8), (3, 1, 6, 8), (5, 1, 5, 8), (3, 2, 9, 8), (3, 6, 9, 16),
+             (3, 7, 9, 16), (101, 1, 101, 24), (257, 1, 257, 32)]
+
+
+def other_algebra(alg):
+    """An algebra of the same n, so of the same dim, unequal to alg: another
+    non-square lambda where the field has one, else F_5 with lambda 2."""
+    field = alg.field
+    for rep in range(2, field.q):
+        lam = field.from_rep(rep)
+        if rep != alg.lam.rep and not is_square(lam):
+            return AlgebraParams(field, alg.group, lam)
+    f5 = FieldParams(5)
+    return AlgebraParams(f5, alg.group, f5.elem(2))
+
+
+@pytest.mark.parametrize("p,m,n,bits", KEPT_SETS)
+def test_kept_kernel_integer(p, m, n, bits, tmp_path):
+    pp = setup_public_params(p, m, n, random.Random(p * m * n))
+    alg = pp.algebra
+    assert alg.slot_bits == bits
+    rng = random.Random(n)
+    # a pair's a' keeps the reduced slots of its kernel call, which are
+    # its pack, and a fresh rotation-only left operand packs its n
+    # rotation reps alone, the integer of all 2n
+    pair = sample_secret_pair(alg, rng)
+    assert pair.a_phi._int == _pack(alg, pair.a_phi.coeffs)
+    x, b = sample_subspace("C_n", alg, rng), sample_subspace("full", alg, rng)
+    assert (x * b).reps() == schoolbook_product(x, b)
+    assert x._int == _pack(alg, x.coeffs) and b._int == _pack(alg, b.coeffs)
+    # integers filled under alg serve the equal params read back from the
+    # parameter file, a distinct object
+    write_param_file(tmp_path / "params.txt", pp)
+    twin = read_param_file(tmp_path / "params.txt").algebra
+    assert twin == alg and twin is not alg
+    tx = twin.from_reps(sample_subspace("C_n", alg, rng).reps())
+    tc = twin.from_reps(sample_subspace("full", alg, rng).reps())
+    for left, right in [(tx, b), (tx, pair.a_phi), (tx, x), (pair.a_phi, tc)]:
+        assert alg_product(left, right).reps() == schoolbook_product(left, right)
+    # tc's integer, filled under alg just above, serves twin
+    [row] = rotation_products(tx, [b], [tc])
+    assert row.reps() == oracle_sum(alg.field, schoolbook_product(tx, b), tc.reps())
+    assert list(RotationBatch([tx, x]).times(tc)) == [
+        schoolbook_product(tx, tc), schoolbook_product(x, tc)]
+    # and an operand of other params is refused after its integer is filled
+    other = other_algebra(alg)
+    assert other != alg and other.dim == alg.dim
+    ox = other.from_reps(x.reps())
+    ob = other.from_reps(b.reps())
+    alg_product(ox, ob)
+    assert ox._int is not None and ob._int is not None
+    for call in (lambda: alg_product(x, ob), lambda: rotation_products(x, [ob]),
+                 lambda: rotation_products(x, [b], [ob]),
+                 lambda: RotationBatch([x, ox]), lambda: list(RotationBatch([x]).times(ob)),
+                 lambda: list(RotationBatch([x]).times(b, ob))):
+        with pytest.raises(ValueError, match="mismatched parameters"):
+            call()
 
 
 def test_gamma_commutation(alg33, rng):

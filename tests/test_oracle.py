@@ -26,7 +26,7 @@ from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, SecretPair,
-                                      _pack, adjunct, alg_product,
+                                      _pack, _stack, adjunct, alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
                                       rep_serialize,
@@ -598,18 +598,24 @@ ROUTE_SETS = [(3, 1, 6), (3, 1, 63), (3, 1, 64), (7, 1, 7), (101, 1, 6), (101, 1
 
 @pytest.mark.parametrize("p,m,n", ROUTE_SETS)
 def test_pack_matches_slot_join(p, m, n):
-    # `_pack` on either route gives the integer of the slot join, for n,
-    # 2n and 2n*k reps, of operands of all-(p-1) digits, of zeros and at
-    # random, and for the rows of a full RotationBatch chunk. A pad of
-    # n - 1 bytes, a spread at a stride off by one, or the byte route
+    # `_pack` on either route gives the integer of the slot join, for n
+    # and 2n reps, of operands of all-(p-1) digits, of zeros and at
+    # random; the rows shifted together from element integers give it
+    # for 2n*k reps, as the right operand of `rotation_products` and as a
+    # full RotationBatch chunk. A pad of n - 1 bytes, a spread at a stride
+    # off by one, a row shift off by one position, or the byte route
     # taken at p = 257 fails here.
     alg = algebra_of(p, m, n)
     assert alg.byte_reps == (m == 1 and p < 256)
     q, dim = alg.field.q, alg.dim
     rng = random.Random(p * m * n)
-    for size in (n, dim, 3 * dim):
+    for size in (n, dim):
         for reps in ([q - 1] * size, [0] * size, [rng.randrange(q) for _ in range(size)]):
             assert _pack(alg, reps) == join_pack(alg, reps), size
+    size = 3 * dim
+    for reps in ([q - 1] * size, [0] * size, [rng.randrange(q) for _ in range(size)]):
+        rights = [alg.from_reps(reps[i:i + dim]) for i in range(0, size, dim)]
+        assert _stack(alg, rights) == join_pack(alg, reps)
     top = alg.from_reps([q - 1] * n + [0] * n)
     lefts = [top, alg.zero()] + [sample_subspace("C_n", alg, rng)
                                  for _ in range(BATCH_CHUNK - 2)]
