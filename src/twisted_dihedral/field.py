@@ -2,14 +2,16 @@
 
 Elements are vectors of m base-p digits (ascending degree) modulo a monic
 irreducible polynomial, named by their integer representation
-rep = sum digit_i * p^i. Each field builds O(q) tables once: log/antilog
-tables from the powers of a primitive element, found on plain ints where
-m = 1 and by the polynomial helpers only where m > 1, and the negation
-and the bytes of each rep, built a digit at a time by `rep_table`. Reps
-add digit-wise mod p; sums of whole algebra elements go through the
-product kernel's packed slots (algebra.py). All arithmetic is on reps, by
-`FieldParams.*_rep`; a `FieldElement` is a typed handle with no
-arithmetic, for lambda and cocycle values.
+rep = sum digit_i * p^i. A field refuses q > MAX_Q = 2^16 before it
+builds anything, so a rep fits two bytes, and m = 1 where p > 255. Each
+field builds O(q) tables once: log/antilog tables from the powers of a
+primitive element, found on plain ints where m = 1 and by the polynomial
+helpers only where m > 1, and the negation and the bytes of each rep,
+built a digit at a time by `rep_table`. Reps add digit-wise mod p; sums
+of whole algebra elements go through the product kernel's packed slots
+(algebra.py). All arithmetic is on reps, by `FieldParams.*_rep`; a
+`FieldElement` is a typed handle with no arithmetic, for lambda and
+cocycle values.
 
 Where p < 256 a digit is one byte, and digits are read in C: the sampler
 takes the top byte of each random word and rejects and shifts all of them
@@ -33,8 +35,23 @@ from .errors import ParameterError
 # on a big-endian host that lists them last first.
 NATIVE_STEP = 1 if sys.byteorder == "little" else -1
 
-# Native lanes a rep is read into when q >= 256, with their memoryview typecodes.
-LANE_TYPES = ((2, "H"), (4, "I"), (8, "Q"))
+# The largest field order q = p^m: each field builds O(q) tables.
+MAX_Q = 2 ** 16
+
+
+def check_field_size(p: int, m: int) -> None:
+    """Refuse q = p^m above MAX_Q, before any field table is built."""
+    # p above MAX_Q is refused whatever m is, which also bounds factorize;
+    # q >= 2^m for any p > 1, so a long m is refused without computing p^m
+    if p > MAX_Q or p > 1 and m > 0 and (m >= MAX_Q.bit_length() or p ** m > MAX_Q):
+        raise ParameterError(f"q={p}^{m} exceeds the bound {MAX_Q}")
+
+
+def _checked_digits(digits: Sequence[int], p: int) -> tuple[int, ...]:
+    """The digits as a tuple, refused unless each lies in [0, p)."""
+    if bad := [d for d in digits if not 0 <= d < p]:
+        raise ParameterError(f"digit {bad[0]} outside [0, {p})")
+    return tuple(digits)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -72,12 +89,6 @@ def _trim(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(a[:i])
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -89,30 +100,14 @@ def _poly_mul(a, b, p):
     return _trim(out)
 
 
-def _poly_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    quo = [0] * max(0, len(a) - db)
-    while len(a := list(_trim(a))) > db:
-        da = len(a) - 1
-        coef = (a[-1] * binv) % p
-        quo[da - db] = coef
-        for i in range(len(b)):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-    return _trim(quo), _trim(a)
-
-
 def _poly_mod(a, f, p):
-    return _poly_divmod(a, f, p)[1]
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+    """a mod the monic f."""
+    a, d = list(a), len(f) - 1
+    for i in reversed(range(d, len(a))):
+        if c := a[i]:
+            for j in range(d + 1):
+                a[i - d + j] = (a[i - d + j] - c * f[j]) % p
+    return _trim(a[:d])
 
 
 def _poly_powmod(a, e, f, p):
@@ -127,26 +122,16 @@ def _poly_powmod(a, e, f, p):
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Check a monic polynomial over F_p for irreducibility.
+    """Check a monic polynomial over F_p for irreducibility, by trial division.
 
-    A reducible degree-m polynomial has an irreducible factor of degree
-    k <= m/2, which divides x^{p^k} - x; so it suffices that
-    gcd(x^{p^k} - x, f) is constant for k = 1..m//2.
+    A reducible f of degree m has a monic factor of degree k <= m/2, so f
+    is irreducible iff no monic polynomial of degree 1..m//2 divides it.
+    Where p^m <= MAX_Q there are at most 1.5 * sqrt(MAX_Q) = 384 of them.
     """
     f = _trim(modulus)
     m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x = (0, 1)
-    cur = x
-    for _ in range(m // 2):
-        cur = _poly_powmod(cur, p, f, p)  # now x^{p^k} mod f
-        g = _poly_gcd(_poly_sub(cur, x, p), f, p)
-        if len(g) > 1:
-            return False
-    return True
+    return m >= 1 and all(_poly_mod(f, base_digits(r, p, k) + (1,), p)
+                          for k in range(1, m // 2 + 1) for r in range(p ** k))
 
 
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -179,10 +164,11 @@ def digit_width_bytes(p: int) -> int:
 class FieldParams:
     """The field F_{p^m} with a fixed monic irreducible modulus polynomial.
 
-    Construction builds the O(q) tables that arithmetic on integer reps
-    reads, indexed by rep or by the discrete logarithm k to a generator g
-    of F_q*; a rep has no packed form, and `add_rep` adds digits mod p.
-    `neg` and `rep_bytes` are built by `rep_table`:
+    Construction refuses q > MAX_Q first, then builds the O(q) tables
+    that arithmetic on integer reps reads, indexed by rep or by the
+    discrete logarithm k to a generator g of F_q*; a rep has no packed
+    form, and `add_rep` adds digits mod p. `neg` and `rep_bytes` are
+    built by `rep_table`:
 
     - `exp[k]`: the rep of g^k, over two periods so that a sum of two logs
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
@@ -194,16 +180,11 @@ class FieldParams:
       looks each rep up in `bytes_rep` on both routes;
     - where p < 256 (else None), `mod_p_bytes`, the `bytes.translate`
       table of b mod p for every byte b, and the sampler's table and
-      deletions (see `random_reps`);
-    - the bytes and memoryview typecode of the lane a rep is read into by
-      `reps_of_digits`: 1 when q < 256, else the smallest of LANE_TYPES
-      that holds q - 1.
+      deletions (see `random_reps`).
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
-        # the sampler's precondition; checked first, it also bounds factorize
-        if p.bit_length() > 32:
-            raise ParameterError(f"p={p} must be below 2**32")
+        check_field_size(p, m)
         if p < 3 or factorize(p) != [(p, 1)]:
             raise ParameterError(f"p={p} must be an odd prime")
         if m < 1:
@@ -211,7 +192,7 @@ class FieldParams:
         if modulus is None:
             modulus = find_irreducible(p, m)
         else:  # only a caller's modulus needs checking
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = _checked_digits(modulus, p)
             if len(modulus) != m + 1 or modulus[m] != 1:
                 raise ParameterError("modulus must be monic of degree m")
             if not is_irreducible(modulus, p):
@@ -220,7 +201,6 @@ class FieldParams:
         self.m = m
         self.modulus = modulus
         self.q = q = p ** m
-        self._sample_shift = 32 - p.bit_length()
         powers = self._primitive_powers()
         self.exp = powers + powers
         self.log: list[Optional[int]] = [None] * q
@@ -237,8 +217,6 @@ class FieldParams:
             self.mod_p_bytes = (bytes(range(p)) * (256 // p + 1))[:256]
             self._sample_bytes = (bytes([b >> s for b in range(256)]),
                                   bytes(range(p << s, 256)))
-        self._lane = (1, "B") if q < 256 else next(
-            (size, code) for size, code in LANE_TYPES if q <= 1 << 8 * size)
 
     def _primitive_powers(self) -> list[int]:
         """Reps of g^0 .. g^(q-2) for the least rep g of order q - 1.
@@ -294,10 +272,10 @@ class FieldParams:
     # --- element constructors ---
 
     def elem(self, digits) -> "FieldElement":
-        """Element from an integer (for m=1, or a rep) or a digit sequence."""
+        """Element from an integer (for m=1, or a rep) or digits in [0, p)."""
         if isinstance(digits, int):
             return self.from_rep(digits % self.q)
-        ds = tuple(int(d) % self.p for d in digits)
+        ds = _checked_digits(digits, self.p)
         if len(ds) != self.m:
             raise ValueError(f"expected {self.m} digits, got {len(ds)}")
         return self.from_rep(self.rep_of(ds))
@@ -349,8 +327,8 @@ class FieldParams:
         so a refill is the bytes of the words taken at stride 4 from the top
         byte of the first, then one `translate` that deletes every b >=
         p << s and maps the rest to b >> s; `reps_of_digits` joins them for
-        m > 1. Needs p < 2**32, checked on construction. SystemRandom words
-        are uniform, so its reps are too.
+        m > 1. Where p > 255, m = 1 under MAX_Q, and each digit is a rep.
+        SystemRandom words are uniform, so its reps are too.
         """
         p, m = self.p, self.m
         need = count * m
@@ -362,19 +340,14 @@ class FieldParams:
                 words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
                 data += words[3::4].translate(table, delete)
             return list(data if m == 1 else self.reps_of_digits(data, 1, m))
-        shift = self._sample_shift
+        shift = 32 - p.bit_length()
         digits: list[int] = []
         while len(digits) < need:
             k = need - len(digits)
             words = rng.getrandbits(32 * k).to_bytes(4 * k, sys.byteorder)
             digits += [d for w in memoryview(words).cast("I")[::NATIVE_STEP]
                        if (d := w >> shift) < p]
-        if m == 1:
-            return digits
-        reps = [0] * count
-        for d in reversed(range(m)):
-            reps = [r * p + v for r, v in zip(reps, digits[d::m])]
-        return reps
+        return digits
 
     def reps_of_digits(self, data: bytes, slot: int, step: int) -> tuple[int, ...]:
         """The reps whose digits `data` holds, one rep every `step` bytes:
@@ -383,25 +356,24 @@ class FieldParams:
 
         Where q < 256 the digit bytes of each d are taken at stride `step`
         and joined by a big-integer Horner, one byte per rep; where q >= 256
-        each digit's bytes are first gathered into native lanes that hold a
-        rep, so no rep carries into the next, and read by one memoryview
-        cast.
+        each digit's bytes are first gathered into native 2-byte lanes, which
+        hold a rep (q <= MAX_Q), so no rep carries into the next, and read
+        by one memoryview cast.
         """
         p, m = self.p, self.m
-        lane, code = self._lane
-        if lane == 1:
+        if self.q < 256:
             reps = int.from_bytes(data[(m - 1) * slot::step], "little")
             for d in reversed(range(m - 1)):
                 reps = reps * p + int.from_bytes(data[d * slot::step], "little")
             return tuple(reps.to_bytes(len(data) // step, "little"))
         total, reps = len(data) // step, 0
         for d in reversed(range(m)):
-            lanes = bytearray(lane * total)
+            lanes = bytearray(2 * total)
             for j in range(digit_width_bytes(p)):
-                lanes[j::lane] = data[d * slot + j::step]
+                lanes[j::2] = data[d * slot + j::step]
             reps = reps * p + int.from_bytes(lanes, "little")
         # native lanes, which a big-endian host lists last first
-        native = memoryview(reps.to_bytes(lane * total, sys.byteorder)).cast(code)
+        native = memoryview(reps.to_bytes(2 * total, sys.byteorder)).cast("H")
         return tuple(native[::NATIVE_STEP])
 
     def random_unit(self, rng: random.Random) -> "FieldElement":

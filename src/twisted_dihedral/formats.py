@@ -4,6 +4,9 @@ All binary material is lowercase hex inside line-oriented text files with
 a v1 header; secret files carry an extra leading SECRET line. Element
 files do not repeat the field modulus, so they are always read against a
 parameter file, with the header serving as a consistency check.
+
+A parameter file whose q exceeds the field's bound (`field.MAX_Q`) is
+refused on its text alone, before `FieldParams` would refuse it.
 """
 
 from __future__ import annotations
@@ -14,24 +17,12 @@ from typing import Sequence
 from .algebra import (AlgebraElement, AlgebraParams, rep_deserialize,
                       rep_serialize)
 from .errors import ParameterError
-from .field import FieldParams, digit_width_bytes
+from .field import FieldParams, check_field_size, digit_width_bytes
 from .group import DihedralGroup
 from .kex import PublicParams
 
 HEADER_PREFIX = "twisted-dihedral v1"
 SECRET_MARKER = "SECRET"
-
-# The largest field order q = p^m a parameter file (or param-gen) may ask
-# for: each field builds O(q) tables. The largest q that any test, golden
-# file or benchmark uses is 3^7 = 2187.
-MAX_Q = 2 ** 16
-
-
-def check_field_size(p: int, m: int) -> None:
-    """Refuse q = p^m above MAX_Q, before any field table is built."""
-    # q >= 2^m for any p > 1, so a long m is refused without computing p^m
-    if p > 1 and m > 0 and (m >= MAX_Q.bit_length() or p ** m > MAX_Q):
-        raise ParameterError(f"q={p}^{m} exceeds the bound {MAX_Q}")
 
 
 def _lambda_digits(algebra: AlgebraParams) -> str:

@@ -89,8 +89,8 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     Where p < 256 the chunks are read in C: the steps of `_spread_steps`,
     built once per (p, m, n), move every chunk into a byte of its own,
     one `translate` reduces those bytes mod p, and for m > 1
-    `FieldParams.reps_of_digits` joins each m digits. Where p >= 256 each
-    chunk is one shift of the block.
+    `FieldParams.reps_of_digits` joins each m digits. Where p >= 256 (so
+    m = 1 under the field's bound) each chunk is one shift of the block.
     """
     algebra = pp.algebra
     field = algebra.field
@@ -114,9 +114,7 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
             digits = block.to_bytes(count, "big").translate(field.mod_p_bytes)
             reps = tuple(digits) if m == 1 else field.reps_of_digits(digits, 1, m)
         else:
-            digits = tuple([((block >> s) & mask) % p for s in range(bits - w, -1, -w)])
-            reps = digits if m == 1 else tuple([field.rep_of(digits[k:k + m])
-                                                for k in range(0, len(digits), m)])
+            reps = tuple([((block >> s) & mask) % p for s in range(bits - w, -1, -w)])
         a, g = reps[:n], reps[n:]
         if any(a) and any(g):
             return SecretPair(AlgebraElement(algebra, a + (0,) * n),

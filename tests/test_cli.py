@@ -151,6 +151,44 @@ def test_cocycle_check_beta_invalid(params_file, capsys):
     assert "counterexample" in out
 
 
+# A digit of lambda or of the modulus outside [0, p), read mod p, would run
+# the commands under another lambda or modulus than the file names, and
+# keygen would write keys under the reduced header.
+@pytest.mark.parametrize("key", ["lambda", "modulus"])
+@pytest.mark.parametrize("shift", [3, -3])
+def test_param_file_digit_outside_field_refused(tmp_path, capsys, key, shift):
+    params = tmp_path / "params.txt"
+    assert run("param-gen", "--p", 3, "--m", 2, "--n", 9, "--seed", 1,
+               "--out", params) == 0
+    lines = params.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(key + "="))
+    digits = lines[i].split("=")[1].split(",")
+    digits[0] = str(int(digits[0]) + shift)
+    lines[i] = f"{key}={','.join(digits)}"
+    params.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
+    for argv in (("kex-demo", "--params", params, "--seed", 1),
+                 ("keygen", "--params", params, "--out-pk", pk, "--out-sk", sk,
+                  "--seed", 2)):
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert "outside [0, 3)" in captured.err and captured.out == ""
+    assert not pk.exists() and not sk.exists()
+
+
+def test_cocycle_check_beta_digit_outside_field_refused(tmp_path, capsys):
+    params = tmp_path / "params.txt"
+    assert run("param-gen", "--p", 3, "--m", 2, "--n", 9, "--seed", 1,
+               "--out", params) == 0
+    capsys.readouterr()
+    for digits in ("2,3", "5,0"):
+        assert run("cocycle-check", "--params", params,
+                   "--beta-lambda", digits) == 1
+        captured = capsys.readouterr()
+        assert "outside [0, 3)" in captured.err and captured.out == ""
+
+
 def test_cocycle_check_capacity(params_file, capsys, monkeypatch):
     # (2n)^3 = 216 triples at n = 3: refused by a bound of 215, before
     # either cocycle's table is built

@@ -1,6 +1,8 @@
-"""Field arithmetic: exact small-field values, ring axioms, square/order laws."""
+"""Field arithmetic: exact small-field values, ring axioms, square/order
+laws, the size bound and irreducibility."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import (FieldParams, factorize, find_irreducible,
-                                    get_lambda, is_square, mult_order)
+                                    get_lambda, is_irreducible, is_square,
+                                    mult_order)
+from twisted_dihedral.kex import setup_public_params
 
 
 # --- exact values in F_7 ---
@@ -182,9 +186,54 @@ def test_m_must_be_positive():
 
 
 def test_p_must_fit_a_sampler_word():
-    # 2**61 - 1 is prime; the width check runs before trial division
+    # 2**61 - 1 is prime; the size bound runs before trial division
     with pytest.raises(ParameterError):
         FieldParams(2 ** 61 - 1)
+
+
+# each would build O(q) tables (177147 entries at 3^11) if it were admitted;
+# the field refuses it first, however it is reached
+@pytest.mark.parametrize("build", [
+    lambda: FieldParams(3, 11), lambda: FieldParams(257, 2),
+    lambda: FieldParams(65537), lambda: FieldParams(2 ** 61 - 1, 0),
+    lambda: setup_public_params(3, 11, 3, random.Random(0))],
+    ids=["3^11", "257^2", "65537", "(2^61-1)^0", "setup_public_params"])
+def test_field_refuses_q_over_the_bound(build):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="exceeds the bound"):
+        build()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_modulus_digits_must_lie_in_the_field():
+    # read mod 3, the modulus digit 4 would name x^2 + 1 and the digit -2 be 1
+    with pytest.raises(ParameterError, match=r"outside \[0, 3\)"):
+        FieldParams(3, 2, [4, 0, 1])
+    f9 = FieldParams(3, 2)
+    with pytest.raises(ParameterError, match=r"outside \[0, 3\)"):
+        f9.elem([-2, 1])
+
+
+def _monic(p, k):
+    return [tuple(r // p ** i % p for i in range(k)) + (1,) for r in range(p ** k)]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2),
+                                 (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_is_irreducible_matches_definition(p, m):
+    # f is reducible iff f = g*h for monic g, h of degree >= 1: every such
+    # product (deg g <= deg h), by schoolbook, against every monic f
+    reducible = set()
+    for k in range(1, m // 2 + 1):
+        for g in _monic(p, k):
+            for h in _monic(p, m - k):
+                prod = [0] * (m + 1)
+                for i, a in enumerate(g):
+                    for j, b in enumerate(h):
+                        prod[i + j] = (prod[i + j] + a * b) % p
+                reducible.add(tuple(prod))
+    for f in _monic(p, m):
+        assert is_irreducible(f, p) == (f not in reducible), f
 
 
 def test_modulus_must_be_irreducible():
