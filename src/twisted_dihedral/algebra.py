@@ -54,9 +54,12 @@ rotation-only a, such as a secret's a', is the one-row case, and with
 a1 != 0 it is a1*(y*b) with the addend a0*b. A `RotationBatch` is the
 dual: rotation-only left operands joined once as rows, so that one
 multiply by pack(b), plus pack(c) in every row, holds x_k*b + c in row
-k. A sum x + y is pack(x) + pack(y) read as one row: the fold adds only
-zero pad positions, and a slot holds at most 2(p - 1), within the bound
-below. These slots are the only packed form of a rep.
+k. It yields each row's reduced slots, not reps: every slot is below p
+and a position's m - 1 high slots are zero, so the bytes encode x_k*b +
+c canonically, as `slot_key` does x; the solvers match them. A sum x + y
+is pack(x) + pack(y) read as one row: the fold adds only zero pad
+positions, and a slot holds at most 2(p - 1), within the bound below.
+These slots are the only packed form of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
@@ -420,7 +423,7 @@ def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
 
 def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
     """The slots of each of `count` products in turn, every one below p;
-    row k of s is the k-th.
+    row k of s is the k-th, and lies 4n positions apart in the bytes (`_rows`).
 
     Adding each block's high n positions to its low n folds c0 and c1 mod
     x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
@@ -450,19 +453,22 @@ def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
         k, mult = params._reciprocal
         folded -= p * ((((folded & evens) * mult >> k) & quotients)
                        + (((((folded >> bits) & evens) * mult >> k) & quotients) << bits))
-    # count - 1 rows of 4n positions, then the 2n read from the last
-    nbytes = (4 * count - 2) * npos // 8
-    slots = folded.to_bytes(nbytes, "little")
-    if count > 1:  # the slots read from each row, a slice at a time
-        size, stride = 2 * npos // 8, 4 * npos // 8
-        slots = b"".join([slots[i:i + size] for i in range(0, nbytes, stride)])
+    slots = folded.to_bytes((4 * count - 2) * npos // 8, "little")
     if bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = slots.translate(params.field.mod_p_bytes)
     return slots
 
 
+def _rows(params: AlgebraParams, slots: bytes) -> list[bytes]:
+    """The read region, the low 2n positions, of each row in slots from `_reduce`."""
+    size, stride = 2 * params._npos // 8, 4 * params._npos // 8
+    return [slots[i:i + size] for i in range(0, len(slots), stride)]
+
+
 def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
-    """The reps in slots from `_reduce`: digit d is slot d of a position."""
+    """The reps in slots from `_reduce`, row by row: digit d is slot d of a position."""
+    if len(slots) > 2 * params._npos // 8:  # more than one row
+        slots = b"".join(_rows(params, slots))
     slot, step = params._read
     if params.byte_reps:  # a rep is the low byte of its one slot
         return tuple(slots if slot == 1 else slots[::slot])
@@ -470,14 +476,14 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
 
 
 # Left operands a RotationBatch packs into one integer, which bounds the
-# memory of a product and its reps however many operands the batch has.
+# memory of a product and its slot bytes however many operands the batch has.
 BATCH_CHUNK = 256
 
 
 class RotationBatch:
     """Rotation-only left operands x_0, x_1, ..., packed once, BATCH_CHUNK
     rows to an integer (see the module docstring); `times` multiplies each
-    such integer by b."""
+    such integer by b and slices its reduced rows, making no reps."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
@@ -492,21 +498,25 @@ class RotationBatch:
                         for i in range(0, len(rows), BATCH_CHUNK)]
 
     def times(self, b: AlgebraElement,
-              addend: Optional[AlgebraElement] = None) -> Iterator[tuple[int, ...]]:
-        """The reps of x_k*b + c for every k in order, with c the addend or
+              addend: Optional[AlgebraElement] = None) -> Iterator[bytes]:
+        """slot_key(x_k*b + c) for every k in order, with c the addend or
         zero, one multiply per chunk; pack(c) is added to every row, as
-        `rotation_products` adds its addends."""
+        `rotation_products` adds its addends. `_unpack` reads a row's reps."""
         params = self.params
-        dim, right = params.dim, _packed(params, b)
+        right = _packed(params, b)
         if addend is not None:
             row = _packed(params, addend).to_bytes(4 * params._npos // 8, "little")
         for packed, count in self._chunks:
             s = packed * right
             if addend is not None:
                 s += int.from_bytes(row * count, "little")
-            reps = _unpack(params, _reduce(params, s, count))
-            for i in range(0, count * dim, dim):
-                yield reps[i:i + dim]
+            yield from _rows(params, _reduce(params, s, count))
+
+
+def slot_key(x: AlgebraElement) -> bytes:
+    """The reduced slots of pack(x) read as one row, as a batch row of x holds them."""
+    params = x.params
+    return _reduce(params, _packed(params, x), 1)
 
 
 def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> AlgebraElement:

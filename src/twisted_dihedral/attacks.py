@@ -9,11 +9,11 @@ most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
 polynomial-time linear decomposition attack (Myasnikov and Roman'kov
 2015; Tsaban 2015), not implemented here. Both solvers test a candidate
 (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then all
-gamma from one RotationBatch of the phi(gamma). The MITM table keys each
-a1 by the rep tuple of a1*h*gamma and gamma's index; the scan takes each
-residual pk - a2*h*gamma from the batch as well, as
-phi(gamma)*(-(a2*h*y)) + pk with pk the addend of every row, and probes
-the table once per candidate.
+gamma from one RotationBatch of the phi(gamma), whose rows are reduced
+kernel slots, canonical bytes read into no reps. The exhaustive scan
+compares each row with `slot_key(pk)`. The MITM table keys each a1 by the
+row of a1*h*gamma and gamma's index; the scan probes it once per
+candidate with the row of pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import errors
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
                       index_h_inv, iter_gamma, phi, sample_secret_pair,
-                      scaled_times_y, times_y)
+                      scaled_times_y, slot_key, times_y)
 from .kex import PublicParams, derive_public, derive_shared
 
 
@@ -39,8 +39,8 @@ class DpdInstance:
 
 @dataclass
 class MitmTable:
-    """Offline table: (reps of a1*h*gamma, k) -> [a1, ...] in index order,
-    with k the index of gamma in `gammas`.
+    """Offline table: (slot_key(a1*h*gamma), k) -> [a1, ...] in index order,
+    with k the index of gamma in `gammas`, keyed by the batch's row bytes.
 
     Also keeps the parameters it was built for, and Gamma and the batch of
     its phi(gamma), which the online scan reuses.
@@ -48,7 +48,7 @@ class MitmTable:
 
     pp: PublicParams = field(compare=False)
     t: int
-    buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]]
+    buckets: dict[tuple[bytes, int], list[AlgebraElement]]  # (row slots, k) -> a1
     entries: int
     gammas: list[AlgebraElement] = field(compare=False, repr=False)
     batch: RotationBatch = field(compare=False, repr=False)
@@ -85,13 +85,13 @@ def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
     rotations = algebra.field.q ** algebra.n
     _check_candidates(rotations, algebra)
     gammas, batch = _gamma_batch(algebra)
-    pk = inst.pk.coeffs
+    key = slot_key(inst.pk)
     tested = 0
     for idx in range(rotations):
         a = index_h_inv(idx, algebra)
         for gamma, c in zip(gammas, batch.times(times_y(a * inst.pp.h))):
             tested += 1
-            if c == pk:
+            if c == key:
                 if a.is_zero() or gamma.is_zero():
                     continue  # cannot form a valid secret pair
                 return AttackResult(SecretPair(a, gamma), tested)
@@ -105,7 +105,7 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
 
 
 def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
-    """Key every low-slice a1 by the reps of a1*h*gamma and gamma's index;
+    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index;
     an over-bound online scan or table is refused before either is built."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
@@ -115,7 +115,7 @@ def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
     total, bound = q ** t * q ** (algebra.n // 2 + 1), errors.MAX_TABLE_ENTRIES
     if total > bound:
         raise errors.CapacityError(f"{total} table entries exceed the bound {bound}")
-    buckets: dict[tuple[tuple[int, ...], int], list[AlgebraElement]] = {}
+    buckets: dict[tuple[bytes, int], list[AlgebraElement]] = {}
     entries = 0
     gammas, batch = _gamma_batch(algebra)
     for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_oracle import oracle_sum, schoolbook_product
+from test_oracle import batch_reps, oracle_sum, schoolbook_product
 from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
                                       _pack, adjunct, alg_product,
                                       gamma_from_free, in_gamma,
@@ -326,7 +326,7 @@ def test_kept_kernel_integer(p, m, n, bits, tmp_path):
     # tc's integer, filled under alg just above, serves twin
     [row] = rotation_products(tx, [b], [tc])
     assert row.reps() == oracle_sum(alg.field, schoolbook_product(tx, b), tc.reps())
-    assert list(RotationBatch([tx, x]).times(tc)) == [
+    assert batch_reps(RotationBatch([tx, x]), tc) == [
         schoolbook_product(tx, tc), schoolbook_product(x, tc)]
     # and an operand of other params is refused after its integer is filled
     other = other_algebra(alg)

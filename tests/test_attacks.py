@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from test_oracle import buckets_by_reps
 from twisted_dihedral.algebra import (SecretPair, index_h_inv, iter_gamma,
                                       sample_secret_pair)
 from twisted_dihedral.attacks import (Challenge, DpdInstance, dpd_verify,
@@ -91,7 +92,8 @@ def test_exhaustive_capacity_guard(pp333, monkeypatch):
 
 def _literal_buckets(pp, t):
     """The MITM table from the literal (a1*h)*gamma loop: (reps, k) -> the
-    low-slice a1 in index order, with k the index of gamma in Gamma."""
+    low-slice a1 in index order, with k the index of gamma in Gamma; the
+    table's own keys are row slots, which `buckets_by_reps` reads."""
     alg = pp.algebra
     buckets = {}
     for idx in range(alg.field.q ** t):
@@ -106,8 +108,8 @@ def test_mitm_offline_entry_counts(pp333):
     assert mitm_offline(pp333, 1).entries == 27  # q^t * |Gamma| = 3 * 9
     assert mitm_offline(pp333, 0).entries == 9
     assert mitm_offline(pp333, 3).entries == 243
-    # table invariant: key = (reps of a1 * h * gamma, index of gamma)
-    assert mitm_offline(pp333, 1).buckets == _literal_buckets(pp333, 1)
+    # table invariant: key = (slots of a1 * h * gamma, index of gamma)
+    assert buckets_by_reps(mitm_offline(pp333, 1)) == _literal_buckets(pp333, 1)
 
 
 def test_mitm_capacity_guard(pp333, monkeypatch):
@@ -238,6 +240,7 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch)
     monkeypatch.setattr(errors, "MAX_CANDIDATES", q ** (n + n // 2 + 1))
     table = mitm_offline(pp, t)
     buckets = _literal_buckets(pp, t)
+    assert buckets_by_reps(table) == buckets
     for seed in seeds:
         _, inst = _instance(pp, 300 + seed, width)
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),

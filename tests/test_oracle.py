@@ -1,6 +1,6 @@
 """The table-driven field core and its build, product kernel with its
-tables, batches and addend rows, PKE, KEM decapsulation, sampler, cocycle
-verifier and MITM table against oracles.
+tables, batches, slot keys and addend rows, PKE, KEM decapsulation,
+sampler, cocycle verifier and MITM table against oracles.
 
 The product and cocycle oracles work on digit vectors with the polynomial
 helpers (the product oracle on plain ints mod p when m = 1) and never call
@@ -26,14 +26,15 @@ from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
                                       RotationBatch, SecretPair,
-                                      _pack, _stack, adjunct, alg_product,
+                                      _pack, _packed, _stack, _unpack, adjunct,
+                                      alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
                                       rep_serialize,
                                       rotation_products, sample_secret_pair,
                                       sample_subspace, scaled_times_y,
-                                      slot_bound, slot_reciprocal, times_y,
-                                      y_times)
+                                      slot_bound, slot_key, slot_reciprocal,
+                                      times_y, y_times)
 from twisted_dihedral.attacks import mitm_offline
 from twisted_dihedral.cocycle import (BetaMap, Cocycle, CocycleCheck,
                                       coboundary_of, verify_cocycle)
@@ -121,6 +122,17 @@ def schoolbook_product(a, b):
     return tuple(rep_of(d, p) for d in out)
 
 
+def batch_reps(batch, *args):
+    """The reps of every row of `batch.times(*args)`, read by `_unpack`."""
+    return [_unpack(batch.params, row) for row in batch.times(*args)]
+
+
+def buckets_by_reps(table):
+    """A MITM table's buckets with each key's row slots read as reps."""
+    alg = table.pp.algebra
+    return {(_unpack(alg, row), k): a1s for (row, k), a1s in table.buckets.items()}
+
+
 def oracle_sum(field, x, y):
     """The reps of x + y, digit-wise mod p."""
     p, m = field.p, field.m
@@ -204,8 +216,8 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     batch = RotationBatch(lefts)
     for y in (top, rot, ramp):
         want = {x: schoolbook_product(x, y) for x in (rot, zero, ramp)}
-        assert list(batch.times(y)) == [want[x] for x in lefts]
-        assert list(batch.times(y, top)) == [
+        assert batch_reps(batch, y) == [want[x] for x in lefts]
+        assert batch_reps(batch, y, top) == [
             oracle_sum(alg.field, want[x], top.reps()) for x in lefts]
     # rotation_products rows hold the same worst case plus an addend, at
     # most p - 1 more in a slot: one row and two, full and rotation-only
@@ -253,8 +265,8 @@ def test_batch_matches_single_products(p, m, n, examples, size):
         full, c = sample_subspace("full", alg, rng), sample_subspace("full", alg, rng)
         for b in (full, rotation_part(full), reflection_part(full)):
             want = [alg_product(x, b).reps() for x in lefts]
-            assert list(batch.times(b)) == want
-            assert list(batch.times(b, c)) == [oracle_sum(alg.field, w, c.reps())
+            assert batch_reps(batch, b) == want
+            assert batch_reps(batch, b, c) == [oracle_sum(alg.field, w, c.reps())
                                                for w in want]
 
     check()
@@ -291,6 +303,43 @@ def test_batch_rejects_bad_operands():
         list(RotationBatch([rot]).times(other.one()))
     with pytest.raises(ValueError):
         list(RotationBatch([rot]).times(rot, other.one()))
+
+
+# 8-, 16-, 24- and 32-bit slots, on the byte route and the join route
+@pytest.mark.parametrize("p,m,n,bits", [
+    (3, 1, 3, 8), (3, 1, 6, 8), (3, 2, 9, 8), (3, 6, 9, 16), (3, 7, 9, 16),
+    (101, 1, 101, 24), (257, 1, 257, 32)])
+def test_slot_key_is_a_batch_row(p, m, n, bits):
+    # slot_key(x) is the reduced slots of pack(x) read as one row: `_unpack`
+    # reads x back from it, distinct elements give distinct keys, and every
+    # RotationBatch row, with and without an addend, is the slot_key of the
+    # schoolbook product (plus the addend)
+    alg = algebra_of(p, m, n)
+    assert alg.slot_bits == bits
+    q, dim = alg.field.q, alg.dim
+    rng = random.Random(p * m * n)
+    top, zero = alg.from_reps([q - 1] * dim), alg.zero()
+    xs = [top, zero, rotation_part(top), reflection_part(top)]
+    xs += [sample_subspace(which, alg, rng) for which in ("full", "C_n", "C_n_y") * 4]
+    xs += [alg.basis(i) for i in range(dim)]  # one nonzero coefficient each
+    xs += [alg.from_reps([q - 1 if i == j else 0 for i in range(dim)]) for j in range(dim)]
+    for x in xs:
+        assert _unpack(alg, slot_key(x)) == x.reps()
+        fresh = alg.from_reps(x.reps())
+        if fresh.in_rotation_subalgebra():  # packed from its n rotation reps alone
+            _packed(alg, fresh, n)
+        assert slot_key(fresh) == slot_key(x)
+    distinct = set(xs)
+    assert len({slot_key(x) for x in distinct}) == len(distinct)
+    lefts = [rotation_part(top), zero, sample_subspace("C_n", alg, rng)]
+    batch = RotationBatch(lefts)
+    for b in (top, sample_subspace("full", alg, rng)):
+        c = sample_subspace("full", alg, rng)
+        products = [alg.from_reps(schoolbook_product(x, b)) for x in lefts]
+        assert list(batch.times(b)) == [slot_key(w) for w in products]
+        assert list(batch.times(b, c)) == [
+            slot_key(alg.from_reps(oracle_sum(alg.field, w.reps(), c.reps())))
+            for w in products]
 
 
 # (3,7,9), q = 2187: 16-bit slots and the lane read of reps, which no
@@ -424,10 +473,10 @@ def test_kem_decaps_accepts_valid_tampers():
     (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
     (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
 def test_mitm_table_matches_two_multiply_loop(p, m, n, ts, monkeypatch):
-    # the table keys a1 by the reps of a1*h*gamma, taken as
+    # the table keys a1 by the row slots of a1*h*gamma, taken as
     # phi(gamma)*(a1*h*y) for every gamma at once by a RotationBatch, and by
-    # gamma's index k; the literal (a1*h)*gamma loop, in the same order, is
-    # the oracle
+    # gamma's index k; the literal (a1*h)*gamma loop, keyed by reps in the
+    # same order, is the oracle, against the table's keys read by `_unpack`
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     monkeypatch.setattr(errors, "MAX_CANDIDATES", alg.field.q ** (n + n // 2 + 1))
@@ -439,8 +488,9 @@ def test_mitm_table_matches_two_multiply_loop(p, m, n, ts, monkeypatch):
             for k, gamma in enumerate(iter_gamma(alg)):
                 buckets.setdefault(((a1h * gamma).reps(), k), []).append(a1)
         table = mitm_offline(pp, t)
-        assert table.buckets == buckets
-        assert list(table.buckets) == list(buckets)
+        assert len(table.buckets) == len(buckets)
+        assert buckets_by_reps(table) == buckets
+        assert list(buckets_by_reps(table)) == list(buckets)
         assert table.entries == sum(map(len, buckets.values()))
 
 
