@@ -52,14 +52,15 @@ overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
 k, which the fold keeps, so the addend counts once. `alg_product` with a
 rotation-only a, such as a secret's a', is the one-row case, and with
 a1 != 0 it is a1*(y*b) with the addend a0*b. A `RotationBatch` is the
-dual: rotation-only left operands joined once as rows, so that one
-multiply by pack(b), plus pack(c) in every row, holds x_k*b + c in row
-k. It yields each row's reduced slots, not reps: every slot is below p
-and a position's m - 1 high slots are zero, so the bytes encode x_k*b +
-c canonically, as `slot_key` does x; the solvers match them. A sum x + y
-is pack(x) + pack(y) read as one row: the fold adds only zero pad
-positions, and a slot holds at most 2(p - 1), within the bound below.
-These slots are the only packed form of a rep.
+dual: rotation-only left operands joined once as the rows of one
+integer, so that one multiply by pack(b), plus pack(c) in every row,
+holds x_k*b + c in row k. It returns each row's reduced slots, not
+reps: every slot is below p and a position's m - 1 high slots are zero,
+so the bytes encode x_k*b + c canonically, as `slot_key` does x; the
+solvers match them. A sum x + y is pack(x) + pack(y) read as one row:
+the fold adds only zero pad positions, and a slot holds at most
+2(p - 1), within the bound below. These slots are the only packed form
+of a rep.
 
 A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
 to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
@@ -475,42 +476,33 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
     return params.field.reps_of_digits(slots, slot, step)
 
 
-# Left operands a RotationBatch packs into one integer, which bounds the
-# memory of a product and its slot bytes however many operands the batch has.
-BATCH_CHUNK = 256
-
-
 class RotationBatch:
-    """Rotation-only left operands x_0, x_1, ..., packed once, BATCH_CHUNK
-    rows to an integer (see the module docstring); `times` multiplies each
-    such integer by b and slices its reduced rows, making no reps."""
+    """Rotation-only left operands x_0, x_1, ..., packed once as the rows of
+    one integer, and their count (see the module docstring). The solvers'
+    capacity bounds alone size it: their batch of every phi(gamma) has
+    q^(n//2+1) rows, at most 2401 (131 KiB) at (7,1,7), t = 3."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
             raise ValueError("expected rotation-only batch left operands, at least one")
         params = lefts[0].params
-        self.params = params
+        self.params, self.count = params, len(lefts)
         # each x_k's integer in a row of 4n positions; joining rows is linear
         row, n = 4 * params._npos // 8, params.n
-        rows = [_packed(params, x, n).to_bytes(row, "little") for x in lefts]
-        self._chunks = [(int.from_bytes(b"".join(rows[i:i + BATCH_CHUNK]), "little"),
-                         len(rows[i:i + BATCH_CHUNK]))
-                        for i in range(0, len(rows), BATCH_CHUNK)]
+        self._int = int.from_bytes(b"".join(
+            [_packed(params, x, n).to_bytes(row, "little") for x in lefts]), "little")
 
     def times(self, b: AlgebraElement,
-              addend: Optional[AlgebraElement] = None) -> Iterator[bytes]:
+              addend: Optional[AlgebraElement] = None) -> list[bytes]:
         """slot_key(x_k*b + c) for every k in order, with c the addend or
-        zero, one multiply per chunk; pack(c) is added to every row, as
+        zero, from one multiply; pack(c) is added to every row, as
         `rotation_products` adds its addends. `_unpack` reads a row's reps."""
         params = self.params
-        right = _packed(params, b)
+        s = self._int * _packed(params, b)
         if addend is not None:
             row = _packed(params, addend).to_bytes(4 * params._npos // 8, "little")
-        for packed, count in self._chunks:
-            s = packed * right
-            if addend is not None:
-                s += int.from_bytes(row * count, "little")
-            yield from _rows(params, _reduce(params, s, count))
+            s += int.from_bytes(row * self.count, "little")
+        return _rows(params, _reduce(params, s, self.count))
 
 
 def slot_key(x: AlgebraElement) -> bytes:

@@ -9,11 +9,15 @@ most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
 polynomial-time linear decomposition attack (Myasnikov and Roman'kov
 2015; Tsaban 2015), not implemented here. Both solvers test a candidate
 (a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then all
-gamma from one RotationBatch of the phi(gamma), whose rows are reduced
-kernel slots, canonical bytes read into no reps. The exhaustive scan
-compares each row with `slot_key(pk)`. The MITM table keys each a1 by the
-row of a1*h*gamma and gamma's index; the scan probes it once per
-candidate with the row of pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk.
+gamma from one multiply of a RotationBatch of the phi(gamma), whose rows
+are reduced kernel slots, canonical bytes read into no reps. The
+exhaustive scan compares each row with `slot_key(pk)`. The MITM table
+keys each a1 by the row of a1*h*gamma and gamma's index; the scan probes
+it once per candidate with the row of pk - a2*h*gamma =
+phi(gamma)*(-(a2*h*y)) + pk. Each count is derived from a position, not
+kept: a hit at rotation idx and gamma k of a scan has tested
+idx*|Gamma| + k + 1 candidates, a full scan rotations x |Gamma|, and a
+table holds the q^t x |Gamma| entries its bound was checked for.
 """
 
 from __future__ import annotations
@@ -31,10 +35,15 @@ from .kex import PublicParams, derive_public, derive_shared
 
 @dataclass(frozen=True)
 class DpdInstance:
-    """A decomposition challenge: public parameters and pk = a*h*gamma."""
+    """A decomposition challenge: public parameters and pk = a*h*gamma;
+    a pk of another algebra is refused, as no candidate could match it."""
 
     pp: PublicParams
     pk: AlgebraElement
+
+    def __post_init__(self):
+        if self.pk.params != self.pp.algebra:
+            raise ValueError("the public key lives in another algebra than pp")
 
 
 @dataclass
@@ -74,28 +83,25 @@ def key_recovery_check(candidate: SecretPair, peer_pk: AlgebraElement,
 def _check_candidates(rotations: int, algebra: AlgebraParams) -> None:
     """Refuse a scan of rotations x Gamma candidates beyond the bound."""
     total = rotations * algebra.field.q ** (algebra.n // 2 + 1)
-    bound = errors.MAX_CANDIDATES
-    if total > bound:
-        raise errors.CapacityError(f"{total} candidates exceed the bound {bound}")
+    errors.check_capacity(total, errors.MAX_CANDIDATES, "candidates")
 
 
 def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
-    """Scan the rotation space [0, q^n) in index order against all gamma."""
+    """Scan the rotation space [0, q^n) in index order against all gamma,
+    every gamma of one a from one batch multiply."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
     _check_candidates(rotations, algebra)
     gammas, batch = _gamma_batch(algebra)
     key = slot_key(inst.pk)
-    tested = 0
     for idx in range(rotations):
         a = index_h_inv(idx, algebra)
-        for gamma, c in zip(gammas, batch.times(times_y(a * inst.pp.h))):
-            tested += 1
+        for k, c in enumerate(batch.times(times_y(a * inst.pp.h))):
             if c == key:
-                if a.is_zero() or gamma.is_zero():
+                if a.is_zero() or gammas[k].is_zero():
                     continue  # cannot form a valid secret pair
-                return AttackResult(SecretPair(a, gamma), tested)
-    return AttackResult(None, tested)
+                return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
+    return AttackResult(None, rotations * len(gammas))
 
 
 def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], RotationBatch]:
@@ -105,25 +111,23 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
 
 
 def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
-    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index;
-    an over-bound online scan or table is refused before either is built."""
+    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index,
+    q^t x |Gamma| entries; an over-bound online scan or table is refused
+    before either is built."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
         raise ValueError("t must be in [0, n]")
     q = algebra.field.q
     _check_candidates(q ** (algebra.n - t), algebra)
-    total, bound = q ** t * q ** (algebra.n // 2 + 1), errors.MAX_TABLE_ENTRIES
-    if total > bound:
-        raise errors.CapacityError(f"{total} table entries exceed the bound {bound}")
+    total = q ** t * q ** (algebra.n // 2 + 1)  # one entry per (a1, gamma)
+    errors.check_capacity(total, errors.MAX_TABLE_ENTRIES, "table entries")
     buckets: dict[tuple[bytes, int], list[AlgebraElement]] = {}
-    entries = 0
     gammas, batch = _gamma_batch(algebra)
     for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)
         a1 = index_h_inv(idx, algebra)
         for k, c in enumerate(batch.times(times_y(a1 * pp.h))):
             buckets.setdefault((c, k), []).append(a1)
-            entries += 1
-    return MitmTable(pp, t, buckets, entries, gammas, batch)
+    return MitmTable(pp, t, buckets, total, gammas, batch)
 
 
 def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
@@ -139,21 +143,19 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if inst.pp != table.pp:
         raise ValueError("table was built for other public parameters")
     algebra = inst.pp.algebra
-    q, neg = algebra.field.q, algebra.neg
-    tested = 0
-    for idx in range(q ** (algebra.n - t)):  # the high slice, x^t .. x^(n-1)
+    q, neg, gammas = algebra.field.q, algebra.neg, table.gammas
+    rotations = q ** (algebra.n - t)
+    for idx in range(rotations):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
         # pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk, every gamma at once
         residuals = table.batch.times(scaled_times_y(a2 * inst.pp.h, neg), inst.pk)
         for k, residual in enumerate(residuals):
-            tested += 1
             for a1 in table.buckets.get((residual, k), ()):
                 a = a1 + a2
-                gamma = table.gammas[k]
-                if a.is_zero() or gamma.is_zero():
+                if a.is_zero() or gammas[k].is_zero():
                     continue
-                return AttackResult(SecretPair(a, gamma), tested)
-    return AttackResult(None, tested)
+                return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
+    return AttackResult(None, rotations * len(gammas))
 
 
 # --- attack-game harness ---

@@ -140,9 +140,7 @@ def _first_failure(logs, group, exp) -> Optional[tuple[int, int, int]]:
 def check_triples(n: int) -> None:
     """Refuse a cocycle check on D_2n whose (2n)^3 triples exceed the
     candidate bound, before any table is built."""
-    total, bound = (2 * n) ** 3, errors.MAX_CANDIDATES
-    if total > bound:
-        raise errors.CapacityError(f"{total} cocycle triples exceed the bound {bound}")
+    errors.check_capacity((2 * n) ** 3, errors.MAX_CANDIDATES, "cocycle triples")
 
 
 def verify_cocycle(c: Cocycle, group: DihedralGroup) -> CocycleCheck:
@@ -203,9 +201,7 @@ def equivalence_search(c1: Cocycle, c2: Cocycle, group: DihedralGroup,
         raise ValueError("equivalence search needs two cocycles on the group, "
                          "over the given field")
     n2, order = group.order, params.q - 1
-    total, bound = order ** (n2 - 1), errors.MAX_CANDIDATES
-    if total > bound:
-        raise errors.CapacityError(f"{total} candidate maps exceed the bound {bound}")
+    errors.check_capacity(order ** (n2 - 1), errors.MAX_CANDIDATES, "candidate maps")
 
     unit_logs = [params.log[u] for u in range(1, params.q)]
     triples = [(g, h, group.op(g, h), (c1.logs[g][h] - c2.logs[g][h]) % order)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the capacity bounds."""
+"""Exception types shared across the package, the capacity bounds and their check."""
 
 # Read at call time as `errors.MAX_CANDIDATES`, so one attribute sets each.
 MAX_CANDIDATES = 10 ** 7  # candidates a brute-force scan may test
@@ -11,3 +11,9 @@ class ParameterError(ValueError):
 
 class CapacityError(RuntimeError):
     """A brute-force search space exceeds its bound (CLI exit code 2)."""
+
+
+def check_capacity(total: int, bound: int, what: str) -> None:
+    """Refuse a brute-force search of `total` `what` beyond `bound`."""
+    if total > bound:
+        raise CapacityError(f"{total} {what} exceed the bound {bound}")

@@ -78,6 +78,16 @@ def test_exhaustive_work_factor(pp333):
     assert result.candidates_tested == 243
 
 
+def test_instance_refuses_a_key_of_another_algebra(pp333):
+    # a (3,1,3) key under (3,1,6) parameters matches no candidate's layout:
+    # the exhaustive scan would test all 59049 candidates for no pair and
+    # the MITM scan fail in the kernel, so the instance refuses it
+    pp = setup_public_params(3, 1, 6, random.Random(6))
+    _, inst = _instance(pp333, 1)
+    with pytest.raises(ValueError):
+        DpdInstance(pp, inst.pk)
+
+
 def test_exhaustive_capacity_guard(pp333, monkeypatch):
     # the bound covers the whole 243-candidate space
     _, inst = _instance(pp333, 10)
@@ -221,11 +231,11 @@ def _first_hit(inst, rotations, solutions):
     return None, tested
 
 
-# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK. Its secrets, and
-# those of (5,1,5), are supported on x^0 and x^1, so both scans stop
-# within a few a: the candidate bound is raised to the whole exhaustive
-# space, which the scans never reach, and the MITM tables are 3 * 3^7 and
-# 5^2 * 5^3 entries.
+# (3,1,12) has |Gamma| = 3^7, a batch of more than 256 rows. Its
+# secrets, and those of (5,1,5), are supported on x^0 and x^1, so both
+# scans stop within a few a: the candidate bound is raised to the whole
+# exhaustive space, which the scans never reach, and the MITM tables are
+# 3 * 3^7 and 5^2 * 5^3 entries.
 @pytest.mark.parametrize("p,m,n,t,seeds,width", [
     (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
     (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2),

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
-from twisted_dihedral.algebra import (BATCH_CHUNK, AlgebraParams,
-                                      RotationBatch, SecretPair,
+from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
                                       _pack, _packed, _stack, _unpack, adjunct,
                                       alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
@@ -207,12 +206,11 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     assert (pair.a_phi * top).reps() == schoolbook_product(pair.a_phi, top)
     # a batch row holds the same worst case as one product: every slot of
     # the rotation-only left and of the right operand at p - 1, and with
-    # the addend top, p - 1 more. More than BATCH_CHUNK lefts take a full
-    # chunk and a second one of two rows; the ramp tells rows and digits
-    # apart
+    # the addend top, p - 1 more. 258 lefts make a batch of more than 256
+    # rows in one integer; the ramp tells rows and digits apart
     rot = rotation_part(top)
     ramp = alg.from_reps([i * 7 % q for i in range(n)] + [0] * n)
-    lefts = [rot, zero, ramp] * (BATCH_CHUNK // 3 + 1)
+    lefts = [rot, zero, ramp] * 86
     batch = RotationBatch(lefts)
     for y in (top, rot, ramp):
         want = {x: schoolbook_product(x, y) for x in (rot, zero, ramp)}
@@ -247,13 +245,12 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
     check()
 
 
-@pytest.mark.parametrize("size", [1, 2, BATCH_CHUNK + 1])
+@pytest.mark.parametrize("size", [1, 2, 257])
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 20), (5, 1, 5, 20), (3, 2, 9, 10), (3, 7, 9, 5), (101, 1, 101, 2)])
 def test_batch_matches_single_products(p, m, n, examples, size):
     # row k of a batch is x_k * b, and x_k * b + c with the addend c;
-    # BATCH_CHUNK + 1 left operands take two chunks, the second of a
-    # single row
+    # 257 left operands make one integer of more than 256 rows
     alg = algebra_of(p, m, n)
 
     @settings(max_examples=examples, deadline=None)
@@ -466,9 +463,9 @@ def test_kem_decaps_accepts_valid_tampers():
     assert accepted >= 1
 
 
-# (3,1,12) has |Gamma| = 3^7, more than BATCH_CHUNK; its online scans at
-# t = 0 and 1 are over the candidate bound, which is raised to the whole
-# space so that mitm_offline builds their tables
+# (3,1,12) has |Gamma| = 3^7, a batch of more than 256 rows; its online
+# scans at t = 0 and 1 are over the candidate bound, which is raised to
+# the whole space so that mitm_offline builds their tables
 @pytest.mark.parametrize("p,m,n,ts", [
     (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
     (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
@@ -652,8 +649,9 @@ def test_pack_matches_slot_join(p, m, n):
     # `_pack` on either route gives the integer of the slot join, for n
     # and 2n reps, of operands of all-(p-1) digits, of zeros and at
     # random; the rows shifted together from element integers give it
-    # for 2n*k reps, as the right operand of `rotation_products` and as a
-    # full RotationBatch chunk. A pad of n - 1 bytes, a spread at a stride
+    # for 2n*k reps, as the right operand of `rotation_products`, and the
+    # rows joined once give it as the one integer of a 256-row
+    # RotationBatch. A pad of n - 1 bytes, a spread at a stride
     # off by one, a row shift off by one position, or the byte route
     # taken at p = 257 fails here.
     alg = algebra_of(p, m, n)
@@ -669,10 +667,10 @@ def test_pack_matches_slot_join(p, m, n):
         assert _stack(alg, rights) == join_pack(alg, reps)
     top = alg.from_reps([q - 1] * n + [0] * n)
     lefts = [top, alg.zero()] + [sample_subspace("C_n", alg, rng)
-                                 for _ in range(BATCH_CHUNK - 2)]
-    [(packed, rows)] = RotationBatch(lefts)._chunks
-    assert rows == BATCH_CHUNK
-    assert packed == join_pack(alg, [r for x in lefts for r in x.reps()])
+                                 for _ in range(254)]
+    batch = RotationBatch(lefts)
+    assert batch.count == 256
+    assert batch._int == join_pack(alg, [r for x in lefts for r in x.reps()])
 
 
 @pytest.mark.parametrize("p,m,n", ROUTE_SETS)
