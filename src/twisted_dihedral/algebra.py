@@ -20,8 +20,8 @@ low m slots; `_pack` packs one element: n reps as n positions, 2n reps
 as b0 + b1*Y with Y = 2^(2n positions), one more than an n x n
 convolution needs. So pack(x)*pack(b) holds, before reduction mod
 x^n - 1, x*b0 in block 0 and x*b1 in block 1, with no cross terms: one
-row of 4n positions. An element keeps pack(x) from its first product
-(`_packed`); a rotation-only x packs its n rotation reps alone.
+row of 4n positions. An element keeps pack(x) of all its 2n reps from its
+first product (`_packed`).
 
 `_pack` takes one of two routes, which `AlgebraParams` chooses once from
 (p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
@@ -36,9 +36,9 @@ by two `bytes.translate` through 256-byte tables. Where m > 1 or p >= 256
 (the join route) each rep is looked up in `slot_bytes`, its digits in
 little-endian slots, and the positions of each half are joined, with a
 zero block between them; reps serialize by a join of
-`FieldParams.rep_bytes`. The other maps by lambda or by negation look
-reps up one at a time on both routes, as a 256-byte table indexes like a
-list.
+`FieldParams.rep_bytes`. The other maps by lambda look reps up one at a
+time on both routes, as a 256-byte table indexes like a list, and
+negation looks them up in `FieldParams.neg`.
 
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
@@ -146,10 +146,10 @@ class AlgebraParams:
     digit; `_pack`, `rep_serialize` and `scaled_times_y` then run on byte
     strings. It also builds the O(q + n) tables of the product kernel:
 
-    - `lam_mul[rep]`, `neg_lam_mul[rep]` and `neg[rep]`: the reps of
-      lambda * rep, -lambda * rep and -rep; on the byte route each is a
-      256-byte `bytes`, the `translate` table of `scaled_times_y`, which
-      indexes like a list for the other maps;
+    - `lam_mul[rep]` and `neg_lam_mul[rep]`: the reps of lambda * rep and
+      -lambda * rep; on the byte route each is a 256-byte `bytes`, the
+      `translate` table of `scaled_times_y`, which indexes like a list for
+      the other maps;
     - on the join route, `slot_bytes[rep]`: one position of the kernel,
       the base-p digits of rep in little-endian slots of `slot_bits` bits,
       then m - 1 zero slots, joined a digit at a time by
@@ -175,10 +175,10 @@ class AlgebraParams:
         self.byte_reps = m == 1 and p < 256
         exp, shift = field.exp, field.log[lam.rep]  # lambda * g^k = g^(k + shift)
         lam_mul = [0] + [exp[k + shift] for k in field.log[1:]]
-        tables = lam_mul, [field.neg[r] for r in lam_mul], field.neg
+        tables = lam_mul, [field.neg[r] for r in lam_mul]
         if self.byte_reps:  # `translate` takes 256 entries; those past q - 1 are never read
             tables = [bytes(t).ljust(256, b"\0") for t in tables]
-        self.lam_mul, self.neg_lam_mul, self.neg = tables
+        self.lam_mul, self.neg_lam_mul = tables
         bits = self.slot_bits
         width = 2 * m - 1
         pos = width * bits
@@ -285,7 +285,7 @@ class AlgebraElement:
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        neg = self.params.neg
+        neg = self.params.field.neg
         return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -355,7 +355,7 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     n = params.n
     if not any(ac[n:]):  # pack(a) is pack(a0)
         return AlgebraElement(params, _unpack(params, _reduce(
-            params, _packed(params, a, n) * _packed(params, b), 1)))
+            params, _packed(params, a) * _packed(params, b), 1)))
     c = _unpack(params, _reduce(params, _pack(params, ac[:n]) * _packed(params, b), 1))
     s = _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs) + _pack(params, c)
     return AlgebraElement(params, _unpack(params, _reduce(params, s, 1)))
@@ -372,7 +372,7 @@ def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
         raise ValueError("the left operand must be rotation-only")
     if not rights or len(addends) > len(rights):
         raise ValueError("expected right operands, and at most one addend each")
-    s = _packed(params, x, n) * _stack(params, rights) + _stack(params, addends)
+    s = _packed(params, x) * _stack(params, rights) + _stack(params, addends)
     reps = _unpack(params, _reduce(params, s, len(rights)))
     dim = params.dim
     return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
@@ -386,13 +386,13 @@ def _stack(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> int:
     return rows
 
 
-def _packed(params: AlgebraParams, x: AlgebraElement, size: Optional[int] = None) -> int:
-    """pack(x), kept on x from its first use, after checking x's params; a
-    rotation-only x may give size n, to pack its n rotation reps alone."""
+def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
+    """pack(x) of all 2n reps, kept on x from its first use, after checking
+    x's params; a zero rep packs as a zero position, so x = x0 gives pack(x0)."""
     if x.params is not params:
         _check_params(x, params)
     if x._int is None:
-        x._int = _pack(params, x.coeffs[:size])
+        x._int = _pack(params, x.coeffs)
     return x._int
 
 
@@ -477,10 +477,10 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
 
 
 class RotationBatch:
-    """Rotation-only left operands x_0, x_1, ..., packed once as the rows of
-    one integer, and their count (see the module docstring). The solvers'
-    capacity bounds alone size it: their batch of every phi(gamma) has
-    q^(n//2+1) rows, at most 2401 (131 KiB) at (7,1,7), t = 3."""
+    """Rotation-only left operands x_0, x_1, ..., their kept integers joined
+    as the rows of one integer, and their count (module docstring). The
+    solvers' capacity bounds alone size it: their batch of every phi(gamma)
+    has q^(n//2+1) rows, at most 2401 (131 KiB) at (7,1,7), t = 3."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
@@ -488,9 +488,9 @@ class RotationBatch:
         params = lefts[0].params
         self.params, self.count = params, len(lefts)
         # each x_k's integer in a row of 4n positions; joining rows is linear
-        row, n = 4 * params._npos // 8, params.n
+        row = 4 * params._npos // 8
         self._int = int.from_bytes(b"".join(
-            [_packed(params, x, n).to_bytes(row, "little") for x in lefts]), "little")
+            [_packed(params, x).to_bytes(row, "little") for x in lefts]), "little")
 
     def times(self, b: AlgebraElement,
               addend: Optional[AlgebraElement] = None) -> list[bytes]:
@@ -538,9 +538,8 @@ def times_y(x: AlgebraElement) -> AlgebraElement:
 
 def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
     """s*(x*y) = s*lambda*x1 + (s*x0)*y, for the scalar s with s_mul[rep]
-    the rep of s*rep, O(n). s_mul is one of the tables of `AlgebraParams`
-    (`lam_mul`, `neg_lam_mul`, `neg`), which on the byte route `translate`
-    takes."""
+    the rep of s*rep, O(n). s_mul is `lam_mul` or `neg_lam_mul` of
+    `AlgebraParams`, which on the byte route `translate` takes."""
     params, c = x.params, x.coeffs
     n, lam = params.n, params.lam_mul
     if params.byte_reps:

@@ -8,16 +8,18 @@ that splits it into a low-degree and a high-degree slice (a table of at
 most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
 polynomial-time linear decomposition attack (Myasnikov and Roman'kov
 2015; Tsaban 2015), not implemented here. Both solvers test a candidate
-(a, gamma) as phi(gamma)*(a*h*y) = a*h*gamma: a*h*y once per a, then all
-gamma from one multiply of a RotationBatch of the phi(gamma), whose rows
-are reduced kernel slots, canonical bytes read into no reps. The
-exhaustive scan compares each row with `slot_key(pk)`. The MITM table
-keys each a1 by the row of a1*h*gamma and gamma's index; the scan probes
-it once per candidate with the row of pk - a2*h*gamma =
-phi(gamma)*(-(a2*h*y)) + pk. Each count is derived from a position, not
-kept: a hit at rotation idx and gamma k of a scan has tested
-idx*|Gamma| + k + 1 candidates, a full scan rotations x |Gamma|, and a
-table holds the q^t x |Gamma| entries its bound was checked for.
+(a, gamma) as phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once
+per a, then all gamma from one multiply of a RotationBatch of the
+phi(gamma), whose rows are reduced kernel slots, canonical bytes read into
+no reps. The exhaustive scan compares each row with `slot_key(pk)`. The
+MITM table keys each a1 by the row of a1*h*gamma and gamma's index; the
+scan probes it once per candidate with the row of pk - a2*h*gamma =
+phi(gamma)*(a2*(-h*y)) + pk. a = 0 and gamma = 0, index 0 of each, form
+no secret pair, so the scans leave them out by index. Each count is
+derived from a position, not kept: a hit at rotation idx and gamma k of
+a scan has tested idx*|Gamma| + k + 1 candidates, a full scan
+rotations x |Gamma|, and a table holds the q^t x |Gamma| entries its
+bound was checked for.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Callable, Optional
 
 from . import errors
 from .algebra import (AlgebraElement, AlgebraParams, RotationBatch, SecretPair,
-                      index_h_inv, iter_gamma, phi, sample_secret_pair,
-                      scaled_times_y, slot_key, times_y)
+                      index_h_inv, iter_gamma, phi, sample_secret_pair, slot_key)
 from .kex import PublicParams, derive_public, derive_shared
 
 
@@ -49,7 +50,7 @@ class DpdInstance:
 @dataclass
 class MitmTable:
     """Offline table: (slot_key(a1*h*gamma), k) -> [a1, ...] in index order,
-    with k the index of gamma in `gammas`, keyed by the batch's row bytes.
+    with k the index of gamma in `gammas` (k = 0 is never probed).
 
     Also keeps the parameters it was built for, and Gamma and the batch of
     its phi(gamma), which the online scan reuses.
@@ -87,20 +88,19 @@ def _check_candidates(rotations: int, algebra: AlgebraParams) -> None:
 
 
 def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
-    """Scan the rotation space [0, q^n) in index order against all gamma,
-    every gamma of one a from one batch multiply."""
+    """Scan the rotations a != 0 in index order against all gamma != 0, every
+    gamma of one a from one batch multiply by a*(h*y)."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
     _check_candidates(rotations, algebra)
     gammas, batch = _gamma_batch(algebra)
     key = slot_key(inst.pk)
-    for idx in range(rotations):
+    for idx in range(1, rotations):  # index 0 is a = 0
         a = index_h_inv(idx, algebra)
-        for k, c in enumerate(batch.times(times_y(a * inst.pp.h))):
-            if c == key:
-                if a.is_zero() or gammas[k].is_zero():
-                    continue  # cannot form a valid secret pair
-                return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
+        rows = batch.times(a * inst.pp.hy)
+        if key in rows[1:]:  # row 0 is gamma = 0
+            k = rows.index(key, 1)
+            return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
     return AttackResult(None, rotations * len(gammas))
 
 
@@ -125,7 +125,7 @@ def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
     gammas, batch = _gamma_batch(algebra)
     for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)
         a1 = index_h_inv(idx, algebra)
-        for k, c in enumerate(batch.times(times_y(a1 * pp.h))):
+        for k, c in enumerate(batch.times(a1 * pp.hy)):
             buckets.setdefault((c, k), []).append(a1)
     return MitmTable(pp, t, buckets, total, gammas, batch)
 
@@ -143,18 +143,17 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     if inst.pp != table.pp:
         raise ValueError("table was built for other public parameters")
     algebra = inst.pp.algebra
-    q, neg, gammas = algebra.field.q, algebra.neg, table.gammas
+    q, gammas, neg_hy = algebra.field.q, table.gammas, -inst.pp.hy
     rotations = q ** (algebra.n - t)
     for idx in range(rotations):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
-        # pk - a2*h*gamma = phi(gamma)*(-(a2*h*y)) + pk, every gamma at once
-        residuals = table.batch.times(scaled_times_y(a2 * inst.pp.h, neg), inst.pk)
-        for k, residual in enumerate(residuals):
-            for a1 in table.buckets.get((residual, k), ()):
+        # pk - a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk, every gamma at once
+        residuals = table.batch.times(a2 * neg_hy, inst.pk)
+        for k in range(1, len(residuals)):  # k = 0 is gamma = 0
+            for a1 in table.buckets.get((residuals[k], k), ()):
                 a = a1 + a2
-                if a.is_zero() or gammas[k].is_zero():
-                    continue
-                return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
+                if not a.is_zero():  # a = 0 only where a1 = a2 = 0, at idx = 0
+                    return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
     return AttackResult(None, rotations * len(gammas))
 
 

@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Subcommands: param-gen, keygen, encaps, decaps, kex-demo, cocycle-check,
-attack. Exit codes: 0 success, 1 validation/usage error, 2 capacity error.
+attack. Exit codes: 0 success, 1 validation/usage error, 2 capacity error,
+3 a check or search that ran and answers no (an invalid cocycle, no pair).
 A --seed flag makes every command reproducible byte-for-byte.
 """
 
@@ -183,7 +184,7 @@ def _cmd_cocycle_check(args) -> int:
           f"{'holds' if check.rotation_symmetry else 'fails'}")
     print("reflection-pair identity: "
           f"{'holds' if check.reflection_identity else 'fails'}")
-    return 0 if check.valid else 1
+    return 0 if check.valid else 3
 
 
 def _cmd_attack(args) -> int:
@@ -212,7 +213,7 @@ def _cmd_attack(args) -> int:
     print(f"candidates/s: {tested / max(end - search_start, 1e-9):.0f}")
     if pair is None:
         print("no pair found")
-        return 1
+        return 3
     print(f"found a     = {rep_serialize(pair.a).hex()}")
     print(f"found gamma = {rep_serialize(pair.gamma).hex()}")
     verified = dpd_verify(pair, inst)

@@ -242,8 +242,10 @@ def _first_hit(inst, rotations, solutions):
     (5, 1, 5, 2, range(3), 2)],
     ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12", "5-1-5"])
 def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch):
-    # the solvers test phi(gamma)*(a*h*y), every gamma at once through a
-    # RotationBatch; same pairs, same counts
+    # the solvers test phi(gamma)*(a*(h*y)), every gamma at once through a
+    # RotationBatch; same pairs, same counts. The zero pk is the one input
+    # on which leaving out a = 0 and gamma = 0 by index decides the result:
+    # their rows are zero rows, which match only a zero pk.
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     q = alg.field.q
@@ -251,8 +253,8 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch)
     table = mitm_offline(pp, t)
     buckets = _literal_buckets(pp, t)
     assert buckets_by_reps(table) == buckets
-    for seed in seeds:
-        _, inst = _instance(pp, 300 + seed, width)
+    instances = [_instance(pp, 300 + seed, width)[1] for seed in seeds]
+    for inst in instances + [DpdInstance(pp, alg.zero())]:
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
                           lambda a, c, k: [a] if c == inst.pk else [])
         result = exhaustive_dpd(inst)

@@ -13,7 +13,8 @@ import twisted_dihedral
 from twisted_dihedral import errors
 from twisted_dihedral.cli import main
 from twisted_dihedral.cocycle import Cocycle
-from twisted_dihedral.formats import SECRET_MARKER, read_param_file
+from twisted_dihedral.formats import (SECRET_MARKER, read_param_file,
+                                      write_element_file)
 
 
 def run(*argv):
@@ -144,9 +145,10 @@ def test_cocycle_check_valid(params_file, capsys):
 
 
 def test_cocycle_check_beta_invalid(params_file, capsys):
-    # ord(2) = 2 does not divide n = 3 over F_3
+    # ord(2) = 2 does not divide n = 3 over F_3: the check ran and its
+    # answer is no, exit 3, not the 1 of a file it could not read
     assert run("cocycle-check", "--params", params_file,
-               "--beta-lambda", "2") == 1
+               "--beta-lambda", "2") == 3
     out = capsys.readouterr().out
     assert "counterexample" in out
 
@@ -233,6 +235,20 @@ def test_attack_mitm(tmp_path, params_file, capsys):
     build = _field(out, "offline table build time")
     assert build.endswith("s") and float(build[:-1]) >= 0
     assert float(_field(out, "candidates/s")) > 0
+
+
+def test_attack_no_pair_exits_3(tmp_path, capsys):
+    # no rotation a and gamma give a*h*gamma = 1 under these parameters:
+    # the scan tests all 3^3 x 3^2 candidates, and its answer is no
+    params, pk = tmp_path / "params.txt", tmp_path / "pk.txt"
+    assert run("param-gen", "--p", 3, "--n", 3, "--seed", 41, "--out", params) == 0
+    pp = read_param_file(params)
+    write_element_file(pk, pp.algebra, [pp.algebra.basis(0)])
+    capsys.readouterr()
+    assert run("attack", "--params", params, "--pk", pk, "exhaustive") == 3
+    out = capsys.readouterr().out
+    assert _field(out, "candidates tested") == "243"
+    assert "no pair found" in out
 
 
 def _field(out, name):

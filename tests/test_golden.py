@@ -147,7 +147,8 @@ def cocycle_check_digest(d, p, m, n, beta_lambda):
                          ids=["3-1-3", "3-2-9", "3-2-9-beta"])
 def test_cocycle_check_output_matches_golden(tmp_path, triple, beta_lambda):
     # the protocol cocycle is valid; lambda = (2, 0) = -1 has order 2 in
-    # F_9, which does not divide n = 9, so the comparison cocycle is not
-    want_code = 0 if beta_lambda is None else 1
+    # F_9, which does not divide n = 9, so the comparison cocycle is not,
+    # and the check exits 3: it ran, and its answer is no
+    want_code = 0 if beta_lambda is None else 3
     assert cocycle_check_digest(tmp_path, *triple, beta_lambda) == (
         COCYCLE_GOLDEN[triple, beta_lambda], want_code)

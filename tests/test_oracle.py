@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
-                                      _pack, _packed, _stack, _unpack, adjunct,
+                                      _pack, _stack, _unpack, adjunct,
                                       alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
@@ -322,10 +322,7 @@ def test_slot_key_is_a_batch_row(p, m, n, bits):
     xs += [alg.from_reps([q - 1 if i == j else 0 for i in range(dim)]) for j in range(dim)]
     for x in xs:
         assert _unpack(alg, slot_key(x)) == x.reps()
-        fresh = alg.from_reps(x.reps())
-        if fresh.in_rotation_subalgebra():  # packed from its n rotation reps alone
-            _packed(alg, fresh, n)
-        assert slot_key(fresh) == slot_key(x)
+        assert slot_key(alg.from_reps(x.reps())) == slot_key(x)
     distinct = set(xs)
     assert len({slot_key(x) for x in distinct}) == len(distinct)
     lefts = [rotation_part(top), zero, sample_subspace("C_n", alg, rng)]
@@ -710,11 +707,12 @@ def test_deserialize_rejects_digits_from_p(p, n, byte):
 def test_lambda_maps_match_field_arithmetic(p, m, n):
     # the O(n) maps by lambda, -lambda and -1 against products of
     # polynomials: `scaled_times_y` by `translate` on the byte route, and
-    # every map by table lookups, which a 256-byte table also serves
+    # every map by table lookups, which a 256-byte table also serves;
+    # negation reads the field's own table
     alg = algebra_of(p, m, n)
     field, lam = alg.field, alg.lam.rep
     minus = rep_of([p - 1], p)
-    for table in (alg.lam_mul, alg.neg_lam_mul, alg.neg):
+    for table in (alg.lam_mul, alg.neg_lam_mul):
         assert isinstance(table, bytes) == alg.byte_reps
         assert len(table) == (256 if alg.byte_reps else field.q)
 
@@ -731,8 +729,7 @@ def test_lambda_maps_match_field_arithmetic(p, m, n):
         assert y_times(x).reps() == times(lam, rev(c1)) + rev(c0)
         assert adjunct(x).reps() == rev(c0) + times(lam, c1)
         assert (-x).reps() == times(minus, x.reps())
-        for s, table in ((lam, alg.lam_mul), (poly_mul_rep(field, minus, lam), alg.neg_lam_mul),
-                         (minus, alg.neg)):
+        for s, table in ((lam, alg.lam_mul), (poly_mul_rep(field, minus, lam), alg.neg_lam_mul)):
             assert scaled_times_y(x, table).reps() == times(s, times(lam, c1)) + times(s, c0)
 
 
