@@ -3,7 +3,8 @@
 Subcommands: param-gen, keygen, encaps, decaps, kex-demo, cocycle-check,
 attack. Exit codes: 0 success, 1 validation/usage error, 2 capacity error,
 3 a check or search that ran and answers no (an invalid cocycle, no pair).
-A --seed flag makes every command reproducible byte-for-byte.
+--seed makes param-gen, keygen, encaps and kex-demo reproducible byte for
+byte; decaps, cocycle-check and attack draw no randomness and reject it.
 """
 
 from __future__ import annotations

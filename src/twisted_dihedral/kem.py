@@ -2,10 +2,10 @@
 
 Encapsulation samples a random message m, derives the encryption
 randomness r deterministically from SHAKE256(rep(m) || rep(pk)), and keys
-the shared secret on SHAKE256(rep(m) || rep(c)). Decapsulation decrypts,
-re-derives r and from it c1 alone (c2 follows from c1), and on mismatch
-returns the implicit-rejection key SHAKE256(rep(s) || rep(c)) - never an
-error signal.
+the shared secret on SHAKE256(0x02 || rep(m) || rep(c)), the 0x02 being
+G2_PREFIX. Decapsulation decrypts, re-derives r and from it c1 alone (c2
+follows from c1), and on mismatch returns the implicit-rejection key
+SHAKE256(0x02 || rep(s) || rep(c)) - never an error signal.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
 
     The SHAKE256 output of x is read as a big-endian bit stream in blocks
     of `g1_output_bits` bits. A block is split into ceil(log2 p)-bit
-    big-endian chunks, each reduced mod p (a small documented bias when p
-    is not a power of two). The first m*n digits build the rotation
-    component, the remaining m*(n//2 + 1) digits the free coefficients
-    of the mirrored gamma, each m consecutive digits lowest first. On a
-    zero component the next block of the same stream is parsed instead,
-    keeping the derivation deterministic.
+    big-endian chunks, each reduced mod p, which biases the digits, as p
+    is an odd prime: at p = 3 a digit is 0 with probability 1/2 (ROADMAP
+    item 3 plans a read by rejection). The first m*n digits build the
+    rotation component, the remaining m*(n//2 + 1) digits the free
+    coefficients of the mirrored gamma, each m consecutive digits lowest
+    first. On a zero component the next block of the same stream is
+    parsed instead, keeping the derivation deterministic.
 
     Where p < 256 the chunks are read in C: the steps of `_spread_steps`,
     built once per (p, m, n), move every chunk into a byte of its own,

@@ -2,6 +2,7 @@
 secret-file handling, parameter-file bounds and the stdlib-only import."""
 
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -290,6 +291,22 @@ def test_attack_mitm_refused_before_table(big_instance, capsys):
     out, err = capsys.readouterr()
     assert "capacity error" in err
     assert "offline table entries" not in out
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """The first sh block under README's "## CLI", run line by line as
+    written: every command exits 0 but the --beta-lambda check, which
+    exits 3, and decaps writes the key that encaps wrote."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    assert lines and all(line.startswith("twisted-dihedral ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        want = 3 if "--beta-lambda" in line else 0
+        assert main(shlex.split(line)[1:]) == want, line
+    assert (tmp_path / "k1.txt").read_bytes() == (tmp_path / "k2.txt").read_bytes()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
