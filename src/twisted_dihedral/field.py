@@ -13,11 +13,14 @@ of whole algebra elements go through the product kernel's packed slots
 `FieldElement` is a typed handle with no arithmetic, for lambda and
 cocycle values.
 
-Where p < 256 a digit is one byte, and digits are read in C: the sampler
-takes the top byte of each random word and rejects and shifts all of them
-by one `bytes.translate`, and `FieldParams.reps_of_digits` joins the m
-digit bytes of every rep at once, for the sampler, the KEM's hash and the
-product kernel's read alike.
+Uniform digits come by rejection: a draw of p.bit_length() bits is kept
+where it is below p. `FieldParams.uniform_digits` reads them so from
+uniform bytes, for the KEM's hash and the sampler's 32-bit words where
+p >= 256. Where p < 256 a digit is one byte, and digits are read in C:
+the sampler takes the top byte of each random word and rejects and shifts
+all of them by one `bytes.translate`, and `FieldParams.reps_of_digits`
+joins the m digit bytes of every rep at once, for the sampler, the KEM's
+hash and the product kernel's read alike.
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -26,13 +29,14 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import sys
 from typing import Optional, Sequence
 
 from .errors import ParameterError
 
-# Sampler words and the lanes of reps are unpacked in native byte order;
-# on a big-endian host that lists them last first.
+# The lanes of reps are unpacked in native byte order; on a big-endian
+# host that lists them last first.
 NATIVE_STEP = 1 if sys.byteorder == "little" else -1
 
 # The largest field order q = p^m: each field builds O(q) tables.
@@ -179,8 +183,8 @@ class FieldParams:
       `rep_serialize` takes that byte route without it; `rep_deserialize`
       looks each rep up in `bytes_rep` on both routes;
     - where p < 256 (else None), `mod_p_bytes`, the `bytes.translate`
-      table of b mod p for every byte b, and the sampler's table and
-      deletions (see `random_reps`).
+      table of b mod p for every byte b, and the table and deletions by
+      which `uniform_digits` and `random_reps` read digits.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -327,8 +331,9 @@ class FieldParams:
         so a refill is the bytes of the words taken at stride 4 from the top
         byte of the first, then one `translate` that deletes every b >=
         p << s and maps the rest to b >> s; `reps_of_digits` joins them for
-        m > 1. Where p > 255, m = 1 under MAX_Q, and each digit is a rep.
-        SystemRandom words are uniform, so its reps are too.
+        m > 1. Where p > 255, m = 1 under MAX_Q, each digit is a rep, and
+        `uniform_digits` reads a refill's words. SystemRandom words are
+        uniform, so its reps are too.
         """
         p, m = self.p, self.m
         need = count * m
@@ -340,14 +345,25 @@ class FieldParams:
                 words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
                 data += words[3::4].translate(table, delete)
             return list(data if m == 1 else self.reps_of_digits(data, 1, m))
-        shift = 32 - p.bit_length()
         digits: list[int] = []
         while len(digits) < need:
             k = need - len(digits)
-            words = rng.getrandbits(32 * k).to_bytes(4 * k, sys.byteorder)
-            digits += [d for w in memoryview(words).cast("I")[::NATIVE_STEP]
-                       if (d := w >> shift) < p]
+            digits += self.uniform_digits(rng.getrandbits(32 * k).to_bytes(4 * k, "little"))
         return digits
+
+    def uniform_digits(self, data: bytes) -> bytes | list[int]:
+        """The digits that uniform bytes give by `random_reps`' rejection
+        rule, in order: where p < 256 (as bytes) a byte b below p << s
+        gives b >> s, s = 8 - p.bit_length(); else (as a list) each
+        little-endian 4-byte word w gives w >> (32 - p.bit_length()) where
+        that is below p. The digits of a prefix of data are a prefix of
+        the digits of data."""
+        p = self.p
+        if p < 256:
+            return data.translate(*self._sample_bytes)
+        shift = 32 - p.bit_length()
+        return [d for w in struct.unpack_from(f"<{len(data) // 4}I", data)
+                if (d := w >> shift) < p]
 
     def reps_of_digits(self, data: bytes, slot: int, step: int) -> tuple[int, ...]:
         """The reps whose digits `data` holds, one rep every `step` bytes:

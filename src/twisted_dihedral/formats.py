@@ -1,9 +1,9 @@
 """Text file formats used by the CLI.
 
 All binary material is lowercase hex inside line-oriented text files with
-a v1 header; secret files carry an extra leading SECRET line. Element
-files do not repeat the field modulus, so they are always read against a
-parameter file, with the header serving as a consistency check.
+a header; secret files carry an extra leading SECRET line. Element files
+are read against a parameter file, and their header, v1 where m = 1 and
+v2 naming the field modulus too where m > 1, is a consistency check.
 
 A parameter file whose q exceeds the field's bound (`field.MAX_Q`) is
 refused on its text alone, before `FieldParams` would refuse it.
@@ -21,17 +21,20 @@ from .field import FieldParams, check_field_size, digit_width_bytes
 from .group import DihedralGroup
 from .kex import PublicParams
 
-HEADER_PREFIX = "twisted-dihedral v1"
 SECRET_MARKER = "SECRET"
 
 
-def _lambda_digits(algebra: AlgebraParams) -> str:
-    return ",".join(str(d) for d in algebra.lam.digits)
+def _listed(digits: Sequence[int]) -> str:
+    return ",".join(str(d) for d in digits)
 
 
 def format_header(algebra: AlgebraParams) -> str:
-    return (f"{HEADER_PREFIX} p={algebra.field.p} m={algebra.field.m} "
-            f"n={algebra.n} lambda={_lambda_digits(algebra)}")
+    """v1 where m = 1; where m > 1, v2, which also names the field modulus."""
+    field, lam = algebra.field, _listed(algebra.lam.digits)
+    if field.m == 1:
+        return f"twisted-dihedral v1 p={field.p} m=1 n={algebra.n} lambda={lam}"
+    return (f"twisted-dihedral v2 p={field.p} m={field.m} n={algebra.n} "
+            f"modulus={_listed(field.modulus)} lambda={lam}")
 
 
 def check_header(line: str, algebra: AlgebraParams) -> None:
@@ -74,10 +77,10 @@ def write_param_file(path, pp: PublicParams) -> None:
         f"m={field.m}",
     ]
     if field.m > 1:
-        lines.append("modulus=" + ",".join(str(c) for c in field.modulus))
+        lines.append(f"modulus={_listed(field.modulus)}")
     lines += [
         f"n={algebra.n}",
-        f"lambda={_lambda_digits(algebra)}",
+        f"lambda={_listed(algebra.lam.digits)}",
         f"h={rep_serialize(pp.h).hex()}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")

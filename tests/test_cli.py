@@ -380,11 +380,9 @@ def test_header_mismatch_rejected(tmp_path, capsys):
     assert "header mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a v1 key header names no field modulus (ROADMAP item 3)")
 def test_encaps_refuses_pk_of_another_modulus(tmp_path, capsys):
     # a (3,2,3) key written under t^2 + 1, read with a parameter file that
-    # says t^2 + 2t + 2; only the last assert is expected to fail today
+    # says t^2 + 2t + 2: the v2 header names the modulus
     params, other, pk = tmp_path / "params.txt", tmp_path / "other.txt", tmp_path / "pk.txt"
     rcs = [run("param-gen", "--p", 3, "--m", 2, "--n", 3, "--out", params, "--seed", 5),
            run("keygen", "--params", params, "--out-pk", pk,
@@ -397,6 +395,23 @@ def test_encaps_refuses_pk_of_another_modulus(tmp_path, capsys):
     assert run("encaps", "--params", other, "--pk", pk,
                "--out-ct", tmp_path / "ct.txt",
                "--out-key", tmp_path / "k.txt", "--seed", 7) == 1
+    assert "header mismatch" in capsys.readouterr().err
+
+
+def test_key_headers_v1_where_m_is_1_else_v2(tmp_path, capsys):
+    # a v1 header, which names no modulus, is refused where m > 1
+    for m, want in ((1, "twisted-dihedral v1 p=3 m=1 n=3 lambda="),
+                    (2, "twisted-dihedral v2 p=3 m=2 n=3 modulus=1,0,1 lambda=")):
+        params, pk = tmp_path / f"params{m}.txt", tmp_path / f"pk{m}.txt"
+        assert run("param-gen", "--p", 3, "--m", m, "--n", 3, "--out", params, "--seed", 5) == 0
+        assert run("keygen", "--params", params, "--out-pk", pk,
+                   "--out-sk", tmp_path / f"sk{m}.txt", "--seed", 6) == 0
+        assert pk.read_text().startswith(want)
+    pk.write_text(pk.read_text().replace("v2", "v1", 1).replace(" modulus=1,0,1", ""))
+    capsys.readouterr()
+    assert run("encaps", "--params", params, "--pk", pk, "--out-ct", tmp_path / "ct.txt",
+               "--out-key", tmp_path / "k.txt", "--seed", 7) == 1
+    assert "header mismatch" in capsys.readouterr().err
 
 
 def test_seeded_determinism(tmp_path, capsys):

@@ -156,6 +156,20 @@ def test_get_lambda_postcondition(f9, rng):
 
 # --- parameter validation ---
 
+# p = 3 and 101 shift the kept byte, p = 131 keeps whole bytes, and
+# p = 257 reads 4-byte words
+@pytest.mark.parametrize("p", [3, 101, 131, 257])
+def test_uniform_digits_read_prefixes(p):
+    field = FieldParams(p)
+    rng = random.Random(p)
+    data = bytes(range(256)) + rng.randbytes(2000)
+    digits = list(field.uniform_digits(data))
+    assert all(0 <= d < p for d in digits)
+    for cut in [0, 1, 3, 4, 5, 255, 256, 257] + rng.sample(range(len(data)), 40):
+        part = list(field.uniform_digits(data[:cut]))
+        assert part == digits[:len(part)], cut
+
+
 def test_p_must_be_odd_prime():
     for p in (2, 4, 9, 1, 0):
         with pytest.raises(ParameterError):

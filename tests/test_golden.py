@@ -19,36 +19,36 @@ GOLDEN = {
         "params": "20d5060f959430cfedacb0f81ad16cfe1aa1f2277ddbb48a86333ca81e626bfc",
         "pk": "2aac548348006f92dbdc5351a46927155d69e3c0664303a25ad6a5aa402d7e9f",
         "sk": "336595b87cc6a91dece386d78b7d5fe83c109824f6b2342936a65f969b0a5831",
-        "ct": "937affa14bc7e9c84894f94e629fadc223e9e90dce615f7964ac8d2ebef984ee",
-        "key_enc": "2efc5e7cc8b6d33e170bfa445ef069a70d2df7aeaa9abf32be341a9f7d02c5f6",
-        "key_dec": "2efc5e7cc8b6d33e170bfa445ef069a70d2df7aeaa9abf32be341a9f7d02c5f6",
+        "ct": "2fed4636b8cc1b2c6b8324753f2e5725b461afc457b615964f8660a2079866db",
+        "key_enc": "b99af7a6a13b72f47d000445be74257c52005c0c37d14e0ca92d1b0d6e3386bd",
+        "key_dec": "b99af7a6a13b72f47d000445be74257c52005c0c37d14e0ca92d1b0d6e3386bd",
         "kex-demo": "02cdad77e15438b24646b39a99782587ab9da8c98221fe581691d4b1315b6814",
     },
     (3, 2, 9): {
         "params": "efa683acc19364114def8c6a3fc6952de29d12f157baea0341f6ebd938a14cc5",
-        "pk": "e1a5d422810d5d03e4372a45766b93376f0635f9fccfce6cca75c1dadeb80a98",
-        "sk": "4e03d04ec7555f104bd0e46fc0b4e27554936acdc7708a08a0996ef22b0b55ee",
-        "ct": "660b1453fe75608395b9e4817f31af4d28a98ee9a4cfa2a10937e2bd5baac38c",
-        "key_enc": "1f481acdcfe8bea321882ec7544fda0d95972e0c767b5d3a2f3659263d060bf6",
-        "key_dec": "1f481acdcfe8bea321882ec7544fda0d95972e0c767b5d3a2f3659263d060bf6",
+        "pk": "764b3be28166140dde394efb745c00bf5630f4918ca6b711fd1d432714228f56",
+        "sk": "956a20e821f3b01fd82c58d27ab0ff2d496aa0dde307bf9e66e65c607287ed93",
+        "ct": "7eefcdfe1b1f2858a8518ce97fc43d4db9a5d4fd148a3f3a92db06298f72ac2e",
+        "key_enc": "176d3a351073c254cb47074d195ad5706e46bac4e4a4a825f1247ce68c8b12d3",
+        "key_dec": "176d3a351073c254cb47074d195ad5706e46bac4e4a4a825f1247ce68c8b12d3",
         "kex-demo": "cc3147e063ba13cd2fd0ae7f008ee537ca8c2193a33666d03cd495d66bb5a64a",
     },
     (3, 7, 9): {
         "params": "15bdda2ae36e084a1b35971e50184e889494d26e33178d82bd8562cf83355fd8",
-        "pk": "f4cf0b33420654e668998e90f36e4c1abd149816f5670e58ed620f0a9d64775a",
-        "sk": "5a96b2b68a318d4bc540249f130f69a65ccbd70c18d69d40b1ccf31916b2da99",
-        "ct": "1a170bd3e1bd8e49ed2dfb27eac263cb9d158983719a4e533fe7121231495bb2",
-        "key_enc": "8b9dc69a98338b46a46769fa579201ecd8d1b07483afe89f1cf33e697a8c5f4e",
-        "key_dec": "8b9dc69a98338b46a46769fa579201ecd8d1b07483afe89f1cf33e697a8c5f4e",
+        "pk": "063282da89af2759ba0d0dab99e4bab15874b326dd23e578bf6f49d23fedcd97",
+        "sk": "338fdaa4111d6156329ef8780f324b095aaa9b6f7d00b01023acbfc8c0e2d219",
+        "ct": "4bbc1864c3783a382ca3979d41abed942f23be1c40b8a2834b5b7fb6c1dfda2f",
+        "key_enc": "2d9ec6409af81edbd43b09fa43424dca6462ccdb769c42b4d5b60e14a11f1722",
+        "key_dec": "2d9ec6409af81edbd43b09fa43424dca6462ccdb769c42b4d5b60e14a11f1722",
         "kex-demo": "4bc9f4fbf139a329102a480a514c7ea48793383d55d91e172ebba9e83d672fbc",
     },
     (101, 1, 101): {
         "params": "f1b3b25efd22c479c8f8d138fe705afbaf8a7cbdcc86dd0d08dbd849f4ec3d3e",
         "pk": "0b06f64b461f1dc92ed63654a250e7ca0d19e6b15957953176430690f4bfaa81",
         "sk": "f3fa1f3c24f783d35b9ae168f329e30c317618c198630909be05890714a82781",
-        "ct": "c4e6a1bb9c274bb794476c09ae852427295d439723c6e7736dff6d3be2a273b0",
-        "key_enc": "3574701b5a62ea5b1df6b45e5b42c731705d587fe78e6566af93f8f7003eae3d",
-        "key_dec": "3574701b5a62ea5b1df6b45e5b42c731705d587fe78e6566af93f8f7003eae3d",
+        "ct": "43a18b19fca436e1ea7a3231a9eb227d41d39a17f189e1c8e8819b5996950ef1",
+        "key_enc": "d353d9bb99aab2422e049809013446b13958069bf5129bd33ca010c4c7c46ff7",
+        "key_dec": "d353d9bb99aab2422e049809013446b13958069bf5129bd33ca010c4c7c46ff7",
         "kex-demo": "351b9dbdb1873ae95f28a9a1bed02636f069dc4ee773ae51b3f730815ab702f7",
     },
 }
