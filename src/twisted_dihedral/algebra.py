@@ -16,49 +16,49 @@ times full elements,
 and a rotation x times b = b0 + b1*y is x*b0 + (x*b1)*y: two cyclic
 convolutions, computed by Kronecker substitution. Each coefficient is a
 position of 2m - 1 slots of W bits that holds its base-p digits in the
-low m slots; `_pack` packs one element: n reps as n positions, 2n reps
-as b0 + b1*Y with Y = 2^(2n positions), one more than an n x n
-convolution needs. So pack(x)*pack(b) holds, before reduction mod
-x^n - 1, x*b0 in block 0 and x*b1 in block 1, with no cross terms: one
-row of 4n positions. An element keeps pack(x) of all its 2n reps from its
-first product (`_packed`).
+low m slots; `_pack` packs reps one position each, back to back, so n
+reps give pack(b0) and 2n reps give pack(b) = pack(b0) + pack(b1)*2^(n
+positions), with no pad. `_fold` splits pack(b) at n positions and makes
+the two n x n multiplies pack(x)*pack(b0) and pack(x)*pack(b1); it folds
+each mod x^n - 1, adding its high n positions to its low n, and puts them
+side by side: a row of 2n positions that holds the slots of x*b before
+reduction, laid out as pack(x*b). An element keeps pack(x) of all its 2n
+reps from its first product (`_packed`).
 
 `_pack` takes one of two routes, which `AlgebraParams` chooses once from
 (p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
-byte route): `bytes(reps)` with n zero bytes put after the first n is
-already the integer's little-endian bytes for 8-bit slots, and for wider
-slots one strided write, `buf[::W/8] = ...` into a zeroed bytearray, puts
-each rep in the low byte of its slot, the mirror of `_unpack`'s strided
-read. Rep 0 has all-zero digits, so a zero rep is a zero position. The
-byte route also serializes an element as `bytes(reps)`, and
-`scaled_times_y`, which every encaps, decaps and kex runs, maps its reps
-by two `bytes.translate` through 256-byte tables. Where m > 1 or p >= 256
-(the join route) each rep is looked up in `slot_bytes`, its digits in
-little-endian slots, and the positions of each half are joined, with a
-zero block between them; reps serialize by a join of
-`FieldParams.rep_bytes`. The other maps by lambda look reps up one at a
-time on both routes, as a 256-byte table indexes like a list, and
-negation looks them up in `FieldParams.neg`.
+byte route): `bytes(reps)` is already the integer's little-endian bytes
+for 8-bit slots, and for wider slots one strided write, `buf[::W/8] =
+...` into a zeroed bytearray, puts each rep in the low byte of its slot,
+the mirror of `_unpack`'s strided read. Rep 0 has all-zero digits, so a
+zero rep is a zero position. The byte route also serializes an element
+as `bytes(reps)`, and `scaled_times_y`, which every encaps, decaps and
+kex runs, maps its reps by two `bytes.translate` through 256-byte tables.
+Where m > 1 or p >= 256 (the join route) each rep is looked up in
+`slot_bytes`, its digits in little-endian slots, and the positions are
+joined once; reps serialize by a join of `FieldParams.rep_bytes`. The
+other maps by lambda look reps up one at a time on both routes, as a
+256-byte table indexes like a list, and negation looks them up in
+`FieldParams.neg`.
 
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
-multiply and one `_unpack`. Rows lie Z = 2^(4n positions) apart, shifted
-together from the kept integers (`_stack`), so
+`_reduce` and one `_unpack`. Row k is `_fold` of x and pack(b_k), plus
+pack(c_k), which adds each digit of c_k to its slot, and the rows are
+shifted together 2n positions apart:
 
-    S = pack(x) * sum_k pack(b_k)*Z^k + sum_k pack(c_k)*Z^k.
+    S = sum_k (fold(pack(x), pack(b_k)) + pack(c_k)) * 2^(2kn positions).
 
-The n positions of x times the 3n of pack(b_k) fill 4n - 1, so rows never
-overlap; pack(c_k) lands in the low n positions of blocks 0 and 1 of row
-k, which the fold keeps, so the addend counts once. `alg_product` with a
-rotation-only a, such as a secret's a', is the one-row case, and with
-a1 != 0 it is a1*(y*b) with the addend a0*b. A `RotationBatch` is the
-dual: rotation-only left operands joined once as the rows of one
-integer, so that one multiply by pack(b), plus pack(c) in every row,
-holds x_k*b + c in row k. It returns each row's reduced slots, not
-reps: every slot is below p and a position's m - 1 high slots are zero,
-so the bytes encode x_k*b + c canonically, as `slot_key` does x; the
-solvers match them. A sum x + y is pack(x) + pack(y) read as one row:
-the fold adds only zero pad positions, and a slot holds at most
+`alg_product` with a rotation-only a, such as a secret's a', is the
+one-row case, and with a1 != 0 it is a1*(y*b) with the reduced slots of
+a0*b as its addend. A `RotationBatch` is the dual: rotation-only left
+operands joined once as the rows of one integer, 2n positions apart, so
+that one `_fold` by pack(b), whose two multiplies make every row at
+once, plus pack(c) in every row, holds x_k*b + c in row k. It returns
+each row's reduced slots, not reps: every slot is below p and a
+position's m - 1 high slots are zero, so the bytes encode x_k*b + c
+canonically, as `slot_key` does x; the solvers match them. A sum x + y
+is pack(x) + pack(y) reduced as one row, and a slot holds at most
 2(p - 1), within the bound below. These slots are the only packed form
 of a rep.
 
@@ -78,10 +78,11 @@ field; the odd slots, shifted down by W, the same; and one subtraction of
 p times the quotients leaves every slot below p. Then one read, all in
 C, takes the low byte of each slot by stride where m = 1 and p < 256, and
 otherwise `FieldParams.reps_of_digits` joins the m digit slots of all
-reps: by a big-integer Horner, or when q >= 256 through native lanes
-that hold a rep, read by one memoryview cast. A secret pair makes its
-a' = a*phi(gamma) as pack(a0) times the n reflection reps of gamma: c1
-is n zero reps, so the reduced slots of that row (`_reduce`) are pack(a').
+reps, row after row: by a big-integer Horner, or when q >= 256 through
+native lanes that hold a rep, read by one memoryview cast. A secret pair
+makes its a' = a*phi(gamma) as `_fold` of pack(a0) and the n reflection
+reps of gamma, whose b1 is zero: c1 is n zero reps, so the reduced slots
+of that row (`_reduce`) are pack(a').
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class AlgebraParams:
       the base-p digits of rep in little-endian slots of `slot_bits` bits,
       then m - 1 zero slots, joined a digit at a time by
       `field.rep_table` (None on the byte route);
-    - the fold masks and constants; for slots wider than 8 bits (k, M)
-      of `slot_reciprocal` and the masks of the even slots and of their
-      quotient fields (8-bit slots, which hold only p < 256, are reduced
-      by `FieldParams.mod_p_bytes`).
+    - the masks of one row of 2n positions, and `_low`, of its low n;
+      for slots wider than 8 bits (k, M) of `slot_reciprocal` and the
+      masks of the even slots and of their quotient fields (8-bit slots,
+      which hold only p < 256, are reduced by `FieldParams.mod_p_bytes`).
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -182,13 +183,11 @@ class AlgebraParams:
         bits = self.slot_bits
         width = 2 * m - 1
         pos = width * bits
-        if self.byte_reps:  # n zero bytes after each n reps, before the spread
-            self.slot_bytes, self._pad = None, bytes(n)
-        else:
+        self.slot_bytes = None
+        if not self.byte_reps:
             slots = [d.to_bytes(bits // 8, "little") for d in range(p)]
             top = bytes((m - 1) * bits // 8)  # the m - 1 zero slots
             self.slot_bytes = rep_table([slots] * (m - 1) + [[d + top for d in slots]])
-            self._pad = bytes(n * pos // 8)  # fills a block after n positions
         # wider slots: slot i of a group (the even slots, or the odd moved
         # down) starts 2W bits after slot i - 1, and its quotient fills
         # 2W - k bits there after the shift by k; `evens` has a 1 at the
@@ -197,23 +196,22 @@ class AlgebraParams:
         self._reciprocal = None
         if bits > 8:
             k, mult = self._reciprocal = slot_reciprocal(p, slot_bound(p, m, n))
-            evens = int.from_bytes((b"\1" + bytes(bits // 4 - 1)) * (2 * n * width), "little")
+            evens = int.from_bytes((b"\1" + bytes(bits // 4 - 1)) * (n * width), "little")
             reduce = (evens * ((1 << bits) - 1), evens * ((1 << (2 * bits - k)) - 1))
-        # The fold masks of one row (blocks 0 and 1): the low n positions
-        # of both blocks, those of block 0, and for m > 1 slot 0 and the
-        # low m slots of each position that the folded c0 and c1 fill.
-        # `_unpack` adds those of more rows, keyed by the row count.
-        low = (1 << n * pos) - 1
+        # The masks of one row of 2n positions: for m > 1 slot 0 and the
+        # low m slots of each position; `_reduce` repeats them for more
+        # rows, keyed by the row count.
         ones = int.from_bytes((b"\1" + bytes(pos // 8 - 1)) * (2 * n), "little")
-        self._masks = {1: (low | (low << 2 * n * pos), low, ones * ((1 << bits) - 1),
-                           ones * ((1 << (m * bits)) - 1), *reduce)}
+        self._masks = {1: (ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1), *reduce)}
         # m > 1: t^k mod f(t) in slots for k = m .. 2m-2
         self._fold_t = [
             (k * bits, sum(d << (i * bits) for i, d in
                            enumerate(field.digits_of(field.pow_rep(p, k)))))
             for k in range(m, 2 * m - 1)]
-        # the bits of n positions; the bytes of a slot and of a position
+        # the bits of n positions and their mask, which `_fold` takes for
+        # one row; the bytes of a slot and of a position
         self._npos = n * pos
+        self._low = (1 << self._npos) - 1
         self._read = (bits // 8, pos // 8)
 
     def from_reps(self, reps: Sequence[int]) -> "AlgebraElement":
@@ -315,9 +313,10 @@ class SecretPair:
     Both components must be nonzero; zero components produce a zero public
     key and a trivially known shared key, so the samplers resample on zero.
     Construction checks this and that a and gamma share their params, then
-    makes a_phi, a' = a*phi(gamma), by one kernel call (the rotation reps of
-    phi(gamma) are the reflection reps of gamma), whose slots are pack(a'):
-    a_phi keeps them as its kernel integer, so no product packs it again.
+    makes a_phi, a' = a*phi(gamma), by one `_fold` (b0 holds the reflection
+    reps of gamma, the rotation reps of phi(gamma), and b1 is zero), whose
+    slots are pack(a'): a_phi keeps them as its kernel integer, so no
+    product packs it again.
     """
 
     a: AlgebraElement
@@ -333,7 +332,8 @@ class SecretPair:
             raise ValueError("secret components must be nonzero")
         params, n = self.a.params, self.a.params.n
         _check_params(self.gamma, params)  # the kernel reads bare reps
-        s = _pack(params, self.a.coeffs[:n]) * _pack(params, self.gamma.coeffs[n:])
+        s = _fold(params, _pack(params, self.a.coeffs[:n]),
+                  _pack(params, self.gamma.coeffs[n:]), params._low)
         slots = _reduce(params, s, 1)  # c1 is n zero positions
         a_phi = AlgebraElement(params, _unpack(params, slots), int.from_bytes(slots, "little"))
         object.__setattr__(self, "a_phi", a_phi)
@@ -348,42 +348,39 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Twisted product a*b = a0*b + a1*(y*b) (see the module docstring).
 
     A rotation-only a is the one-row case of the kernel behind
-    `rotation_products`. Otherwise a1*(y*b) takes a0*b as its addend, one
-    more multiply.
+    `rotation_products`. Otherwise a1*(y*b) takes the slots of a0*b as its
+    addend, one more `_fold`.
     """
     params, ac = a.params, a.coeffs
-    n = params.n
+    n, low = params.n, params._low
     if not any(ac[n:]):  # pack(a) is pack(a0)
-        return AlgebraElement(params, _unpack(params, _reduce(
-            params, _packed(params, a) * _packed(params, b), 1)))
-    c = _unpack(params, _reduce(params, _pack(params, ac[:n]) * _packed(params, b), 1))
-    s = _pack(params, ac[n:]) * _pack(params, y_times(b).coeffs) + _pack(params, c)
+        s = _fold(params, _packed(params, a), _packed(params, b), low)
+    else:
+        c = _reduce(params, _fold(params, _pack(params, ac[:n]), _packed(params, b), low), 1)
+        s = (_fold(params, _pack(params, ac[n:]), _pack(params, y_times(b).coeffs), low)
+             + int.from_bytes(c, "little"))
     return AlgebraElement(params, _unpack(params, _reduce(params, s, 1)))
 
 
 def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
                       addends: Sequence[AlgebraElement] = ()) -> list[AlgebraElement]:
     """x*b_k + c_k for every right operand b_k and addend c_k, in order,
-    from one multiply; x must be rotation-only, and the addends go to the
-    first len(addends) rows."""
+    from one `_reduce` and one `_unpack`; x must be rotation-only, and the
+    addends go to the first len(addends) rows."""
     params = x.params
-    n = params.n
-    if any(x.coeffs[n:]):
+    if any(x.coeffs[params.n:]):
         raise ValueError("the left operand must be rotation-only")
     if not rights or len(addends) > len(rights):
         raise ValueError("expected right operands, and at most one addend each")
-    s = _packed(params, x) * _stack(params, rights) + _stack(params, addends)
+    left, s = _packed(params, x), 0
+    for k in reversed(range(len(rights))):  # row k is 2n positions up
+        row = _fold(params, left, _packed(params, rights[k]), params._low)
+        if k < len(addends):
+            row += _packed(params, addends[k])
+        s = (s << 2 * params._npos) + row
     reps = _unpack(params, _reduce(params, s, len(rights)))
     dim = params.dim
     return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
-
-
-def _stack(params: AlgebraParams, elements: Sequence[AlgebraElement]) -> int:
-    """pack(e_k) in row k, Z apart, for a few rows; `_packed` checks params."""
-    rows, shift = 0, 4 * params._npos
-    for e in reversed(elements):
-        rows = rows << shift | _packed(params, e)
-    return rows
 
 
 def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
@@ -397,79 +394,72 @@ def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
 
 
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
-    """The kernel integer of one element's reps: n reps as n positions,
-    and 2n reps as b0 + b1*Y, n zero positions after b0.
+    """The kernel integer of reps, one position each, back to back: n reps
+    give pack(b0), and 2n reps pack(b0) + pack(b1)*2^(n positions).
 
-    On the byte route, `bytes(reps)` with n zero bytes after the first n,
-    spread by one strided write for slots wider than a byte; on the join
-    route, two joins of `slot_bytes` around the pad. Both give one integer.
+    On the byte route `bytes(reps)`, spread by one strided write for slots
+    wider than a byte; on the join route one join of `slot_bytes`.
     """
-    n = params.n
     if params.byte_reps:
         data = bytes(reps)
-        if len(data) > n:
-            data = data[:n] + params._pad + data[n:]
         slot = params._read[0]
         if slot > 1:  # each rep in the low byte of its slot
             buf = bytearray(len(data) * slot)
             buf[::slot] = data
             data = buf
         return int.from_bytes(data, "little")
-    sb = params.slot_bytes.__getitem__
-    data = b"".join(map(sb, reps[:n]))
-    if len(reps) > n:
-        data += params._pad + b"".join(map(sb, reps[n:]))
-    return int.from_bytes(data, "little")
+    return int.from_bytes(b"".join(map(params.slot_bytes.__getitem__, reps)), "little")
+
+
+def _fold(params: AlgebraParams, x: int, b: int, low: int) -> int:
+    """Row k holds the slots of x_k*b0 and x_k*b1 folded mod x^n - 1, side
+    by side, for b = pack(b0) + pack(b1)*2^(n positions) and x the pack of
+    one rotation, or of several in rows 2n positions apart; `low` masks
+    the low n positions of each row. Each n x n product holds x_k*b0 (or
+    x_k*b1) in the low 2n - 1 positions of row k; adding it moved down by
+    n positions folds it into the low n. Its high n, a row's high half
+    plus the next row's low half, `low` drops; every sum has at most n
+    terms in a slot, so no slot carries into the next."""
+    npos = params._npos
+    p0, p1 = x * (b & params._low), x * (b >> npos)
+    return ((p0 + (p0 >> npos)) & low) + (((p1 + (p1 >> npos)) & low) << npos)
+
+
+def _repeat(params: AlgebraParams, value: int, count: int) -> int:
+    """value, at most one row of 2n positions, in each of count rows."""
+    return int.from_bytes(value.to_bytes(2 * params._npos // 8, "little") * count, "little")
 
 
 def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
-    """The slots of each of `count` products in turn, every one below p;
-    row k of s is the k-th, and lies 4n positions apart in the bytes (`_rows`).
-
-    Adding each block's high n positions to its low n folds c0 and c1 mod
-    x^n - 1, and moving c1 down next to c0 leaves product k in the low 2n
-    positions of row k. For m > 1 the slots of t^m .. t^(2m-2) are then
-    replaced by their multiples of t^k mod f(t). Every slot is then
-    reduced mod p, by `translate` for 8-bit slots and in the integer for
-    wider ones (see the module docstring). The slots of one product are
-    the little-endian bytes of its pack.
-    """
-    npos = params._npos
+    """The slots of each of `count` rows of s in turn, 2n positions each,
+    folded (`_fold`) or a sum of packs. For m > 1 the slots of t^m ..
+    t^(2m-2) are first replaced by their multiples of t^k mod f(t); then
+    every slot is reduced mod p, by `translate` for 8-bit slots and in the
+    integer for wider ones (see the module docstring). The slots of one
+    row are the little-endian bytes of its pack."""
     masks = params._masks.get(count)
     if masks is None:  # those of one row, repeated for each row
-        row = 4 * npos // 8
         masks = params._masks[count] = tuple(
-            int.from_bytes(mask.to_bytes(row, "little") * count, "little")
-            for mask in params._masks[1])
-    even, low, slot0, digits, evens, quotients = masks
-    t = (s & even) + ((s >> npos) & even)
-    folded = (t & low) + (t >> npos)
+            _repeat(params, mask, count) for mask in params._masks[1])
+    slot0, digits, evens, quotients = masks
     if params._fold_t:
-        reduced = folded & digits
+        reduced = s & digits
         for shift, t_k in params._fold_t:
-            reduced += ((folded >> shift) & slot0) * t_k
-        folded = reduced
+            reduced += ((s >> shift) & slot0) * t_k
+        s = reduced
     p, bits = params.field.p, params.slot_bits
     if bits > 8:  # v - p*floor(v*M / 2^k) in every slot, the even and the odd slots at once
         k, mult = params._reciprocal
-        folded -= p * ((((folded & evens) * mult >> k) & quotients)
-                       + (((((folded >> bits) & evens) * mult >> k) & quotients) << bits))
-    slots = folded.to_bytes((4 * count - 2) * npos // 8, "little")
+        s -= p * ((((s & evens) * mult >> k) & quotients)
+                  + (((((s >> bits) & evens) * mult >> k) & quotients) << bits))
+    slots = s.to_bytes(2 * count * params._npos // 8, "little")
     if bits == 8:  # a byte string is its own sequence of 8-bit slots
         slots = slots.translate(params.field.mod_p_bytes)
     return slots
 
 
-def _rows(params: AlgebraParams, slots: bytes) -> list[bytes]:
-    """The read region, the low 2n positions, of each row in slots from `_reduce`."""
-    size, stride = 2 * params._npos // 8, 4 * params._npos // 8
-    return [slots[i:i + size] for i in range(0, len(slots), stride)]
-
-
 def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
-    """The reps in slots from `_reduce`, row by row: digit d is slot d of a position."""
-    if len(slots) > 2 * params._npos // 8:  # more than one row
-        slots = b"".join(_rows(params, slots))
+    """The reps in slots from `_reduce`, row after row: digit d is slot d of a position."""
     slot, step = params._read
     if params.byte_reps:  # a rep is the low byte of its one slot
         return tuple(slots if slot == 1 else slots[::slot])
@@ -478,31 +468,34 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
 
 class RotationBatch:
     """Rotation-only left operands x_0, x_1, ..., their kept integers joined
-    as the rows of one integer, and their count (module docstring). The
-    solvers' capacity bounds alone size it: their batch of every phi(gamma)
-    has q^(n//2+1) rows, at most 2401 (131 KiB) at (7,1,7), t = 3."""
+    as the rows of one integer, 2n positions apart, and their count (module
+    docstring). The solvers' capacity bounds alone size it: their batch of
+    every phi(gamma) has q^(n//2+1) rows, at most 2401 (66 KiB) at (7,1,7),
+    t = 3."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
             raise ValueError("expected rotation-only batch left operands, at least one")
         params = lefts[0].params
         self.params, self.count = params, len(lefts)
-        # each x_k's integer in a row of 4n positions; joining rows is linear
-        row = 4 * params._npos // 8
+        # each x_k's n positions in a row of 2n; joining rows is linear
+        row = 2 * params._npos // 8
         self._int = int.from_bytes(b"".join(
             [_packed(params, x).to_bytes(row, "little") for x in lefts]), "little")
+        self._low = _repeat(params, params._low, self.count)
 
     def times(self, b: AlgebraElement,
               addend: Optional[AlgebraElement] = None) -> list[bytes]:
         """slot_key(x_k*b + c) for every k in order, with c the addend or
-        zero, from one multiply; pack(c) is added to every row, as
-        `rotation_products` adds its addends. `_unpack` reads a row's reps."""
+        zero, from one `_fold` of every row; pack(c) is added to every row,
+        as `rotation_products` adds its addends. `_unpack` reads a row's reps."""
         params = self.params
-        s = self._int * _packed(params, b)
+        s = _fold(params, self._int, _packed(params, b), self._low)
         if addend is not None:
-            row = _packed(params, addend).to_bytes(4 * params._npos // 8, "little")
-            s += int.from_bytes(row * self.count, "little")
-        return _rows(params, _reduce(params, s, self.count))
+            s += _repeat(params, _packed(params, addend), self.count)
+        slots = _reduce(params, s, self.count)
+        size = 2 * params._npos // 8
+        return [slots[i:i + size] for i in range(0, len(slots), size)]
 
 
 def slot_key(x: AlgebraElement) -> bytes:

@@ -6,20 +6,20 @@ candidate space exceeds `errors.MAX_CANDIDATES`: exhaustive search, one
 index-order scan of the rotation space, and a meet-in-the-middle trade-off
 that splits it into a low-degree and a high-degree slice (a table of at
 most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
-polynomial-time linear decomposition attack (Myasnikov and Roman'kov
-2015; Tsaban 2015), not implemented here. Both solvers test a candidate
-(a, gamma) as phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once
-per a, then all gamma from one multiply of a RotationBatch of the
-phi(gamma), whose rows are reduced kernel slots, canonical bytes read into
-no reps. The exhaustive scan compares each row with `slot_key(pk)`. The
-MITM table keys each a1 by the row of a1*h*gamma and gamma's index; the
-scan probes it once per candidate with the row of pk - a2*h*gamma =
-phi(gamma)*(a2*(-h*y)) + pk. a = 0 and gamma = 0, index 0 of each, form
-no secret pair, so the scans leave them out by index. Each count is
-derived from a position, not kept: a hit at rotation idx and gamma k of
-a scan has tested idx*|Gamma| + k + 1 candidates, a full scan
-rotations x |Gamma|, and a table holds the q^t x |Gamma| entries its
-bound was checked for.
+polynomial-time linear decomposition attack (Myasnikov and Roman'kov 2015;
+Tsaban 2015), not implemented here. Both solvers test a candidate (a,
+gamma) as phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once per
+a, then all gamma from one `times` of a RotationBatch of the phi(gamma),
+two multiplies for all its rows, which are reduced kernel slots, canonical
+bytes read into no reps. The exhaustive scan compares each row with
+`slot_key(pk)`. The MITM table keys each a1 by the row of a1*h*gamma and
+gamma's index; the scan probes it once per candidate with the row of pk -
+a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk. a = 0 and gamma = 0, index 0 of
+each, form no secret pair, so the scans leave them out by index. Each
+count is derived from a position, not kept: a hit at rotation idx and
+gamma k of a scan has tested idx*|Gamma| + k + 1 candidates, a full scan
+rotations x |Gamma|, and a table holds the q^t x |Gamma| entries its bound
+was checked for.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _check_candidates(rotations: int, algebra: AlgebraParams) -> None:
 
 def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
     """Scan the rotations a != 0 in index order against all gamma != 0, every
-    gamma of one a from one batch multiply by a*(h*y)."""
+    gamma of one a from one batch `times` a*(h*y), two multiplies."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
     _check_candidates(rotations, algebra)

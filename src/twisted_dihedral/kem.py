@@ -47,16 +47,19 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     groups of n + n//2 + 1: the first n are the rotation component, the
     rest the free coefficients of the mirrored gamma. The first group in
     which both parts are nonzero is the pair, so each part is uniform
-    given that it is nonzero. Where the squeeze holds no such group it is
-    doubled; SHAKE output prefixes are consistent, so a longer squeeze
-    extends the same stream and the pair does not depend on its length.
+    given that it is nonzero. The first squeeze holds 3m draws per rep of
+    one group, a draw being a byte where p < 256 and a 4-byte word
+    otherwise. Where it holds no such group it is doubled; SHAKE output
+    prefixes are consistent, so a longer squeeze extends the same stream
+    and the pair does not depend on its length.
     """
     algebra = pp.algebra
     field = algebra.field
     n, m = algebra.n, field.m
     size = n + n // 2 + 1
     xof = hashlib.shake_256(x)
-    length = 3 * m * size  # where p < 256 over half the bytes give a digit
+    # over half the draws give a digit: a byte where p < 256, else a 4-byte word
+    length = 3 * m * size * (1 if field.p < 256 else 4)
     while True:
         digits = field.uniform_digits(xof.digest(length))
         reps = digits if m == 1 else field.reps_of_digits(digits[:len(digits) // m * m], 1, m)
@@ -89,7 +92,7 @@ def kem_encaps(pk: AlgebraElement, pp: PublicParams,
 
 
 def kem_decaps(kp: KemKeyPair, c: PkeCiphertext, pp: PublicParams) -> bytes:
-    """The FO re-encryption check on c1 alone: one 1-row multiply r'*(h*y).
+    """The FO re-encryption check on c1 alone: one kernel row r'*(h*y).
 
     With pk = a1'*(h*y) and m = c2 - a1'*lambda(c1*y), re-encryption gives
     c2' = m + r'*lambda(pk*y); if c1' = r'*(h*y) equals c1, then

@@ -7,11 +7,11 @@ key is a*h*gamma; the shared key is a*peer_pk*adjunct(gamma).
 Each gamma in the reversible subspace is phi(gamma)*y with phi(gamma)
 palindromic, so x*gamma = phi(gamma)*(x*y) for every x; and adjunct(gamma)
 = lambda*gamma. So pk = a'*(h*y) and k = a'*(lambda*(peer_pk*y)), one
-multiply each, with a' = a*phi(gamma) made when the pair is built
-(`SecretPair.a_phi`). a' is the equivalent key of the linear decomposition
-attack (Myasnikov and Roman'kov, Groups Complexity Cryptology 7, 2015):
-(a', y) is a valid secret for pk, and a' solves an F_q-linear system in n
-unknowns.
+kernel row of two n x n multiplies each, with a' = a*phi(gamma) made by
+one more multiply when the pair is built (`SecretPair.a_phi`). a' is the
+equivalent key of the linear decomposition attack (Myasnikov and
+Roman'kov, Groups Complexity Cryptology 7, 2015): (a', y) is a valid
+secret for pk, and a' solves an F_q-linear system in n unknowns.
 """
 
 from __future__ import annotations

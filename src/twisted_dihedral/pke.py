@@ -11,8 +11,9 @@ a'*(lambda*(x*y)) with a' = a*phi(gamma), made when the SecretPair is
 built. So Enc is one `rotation_products` call, left a2', rights
 lambda*(pk*y) and h*y, addend m on the first; Dec is one call, left a1',
 right -lambda*(c1*y), addend c2. Neither makes an element addition or
-subtraction: Enc takes two big-integer multiplies (a2' when r2 is built,
-then the call), and Dec one, as the key holds a1'.
+subtraction. A kernel row is two n x n big-integer multiplies, so Enc
+takes five (one for a2' when r2 is built, four in the call), and Dec
+two, as the key holds a1'.
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM

@@ -5,12 +5,14 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twisted_dihedral import kem as kem_module
 from twisted_dihedral.algebra import (SecretPair, in_gamma, rep_serialize,
                                       sample_subspace)
 from twisted_dihedral.kem import (G2_PREFIX, SHARED_KEY_BITS, hash_g1, hash_g2,
@@ -119,6 +121,29 @@ def test_hash_g1_matches_bit_reader(name, request):
     check()
 
 
+def test_hash_g1_squeezes_once_at_p_257(monkeypatch):
+    # at (257,1,257) a draw is a 4-byte word that gives a digit about half
+    # the time, so the first squeeze must hold four times the bytes of a
+    # p < 256 one; a squeeze of 3 bytes per rep read again two or three
+    # times, and each retry rescans the stream from its start
+    pp = setup_public_params(257, 1, 257, random.Random(514))
+    digests = []
+
+    class CountingXof:
+        def __init__(self, data):
+            self.xof = hashlib.shake_256(data)
+
+        def digest(self, length):
+            digests.append(length)
+            return self.xof.digest(length)
+
+    monkeypatch.setattr(kem_module, "hashlib", types.SimpleNamespace(shake_256=CountingXof))
+    for i in range(50):
+        digests.clear()
+        hash_g1(bytes([i]) * 4, pp)
+        assert len(digests) == 1, (i, digests)
+
+
 def test_hash_g1_digit_bias(pp333):
     # hash_g1 at (3,1,3) reads groups of 3 rotation digits and 2 free gamma
     # digits, each uniform, and keeps the first group with both parts
@@ -187,6 +212,20 @@ def test_encaps_deterministic_given_seed(pp333):
     c_b, k_b = kem_encaps(kp.pk, pp333, random.Random(42))
     assert rep_serialize(c_a) == rep_serialize(c_b)
     assert k_a == k_b
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="hash_g1 keeps a pair whose c1 is zero, which sends c2 = m "
+                          "in the clear (ROADMAP item 3, zero keys)")
+@pytest.mark.parametrize("n,seed", [(3, 14), (6, 13), (3, 0), (6, 0)])
+def test_encaps_never_sends_zero_c1(n, seed):
+    # c1 = a'*(h*y) is zero where a' = 0, or, in the setups of seeds 14 and
+    # 13, where gcd(h's parts, x^n - 1) != 1, where a' annihilates h*y;
+    # 108, 22, 19 and 10 of these 300 encapsulations have c1 = 0
+    pp = setup_public_params(3, 1, n, random.Random(seed))
+    kp = kem_keygen(pp, random.Random(1))
+    rng = random.Random(2)
+    assert not any(kem_encaps(kp.pk, pp, rng)[0].c1.is_zero() for _ in range(300))
 
 
 def _tamper(c, pp, rng):

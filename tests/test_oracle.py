@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
-                                      _pack, _stack, _unpack, adjunct,
+                                      _pack, _unpack, adjunct,
                                       alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
@@ -80,13 +80,12 @@ def twisting_cocycle(params):
 def join_pack(params, reps):
     """The kernel integer of reps by the join route, from the digits alone:
     each rep's base-p digits in little-endian slots of `slot_bits` bits,
-    2m - 1 slots to a position, and n zero positions after each n reps."""
-    p, m, n = params.field.p, params.field.m, params.n
+    2m - 1 slots to a position, one position per rep, back to back."""
+    p, m = params.field.p, params.field.m
     slot, pos = params.slot_bits // 8, (2 * m - 1) * params.slot_bits // 8
-    positions = [b"".join(d.to_bytes(slot, "little") for d in digits(r, p, m)).ljust(pos, b"\0")
-                 for r in reps]
-    return int.from_bytes(bytes(n * pos).join(
-        b"".join(positions[i:i + n]) for i in range(0, len(positions), n)), "little")
+    return int.from_bytes(b"".join(
+        b"".join(d.to_bytes(slot, "little") for d in digits(r, p, m)).ljust(pos, b"\0")
+        for r in reps), "little")
 
 
 def rotation_part(x):
@@ -645,29 +644,27 @@ ROUTE_SETS = [(3, 1, 6), (3, 1, 63), (3, 1, 64), (7, 1, 7), (101, 1, 6), (101, 1
 def test_pack_matches_slot_join(p, m, n):
     # `_pack` on either route gives the integer of the slot join, for n
     # and 2n reps, of operands of all-(p-1) digits, of zeros and at
-    # random; the rows shifted together from element integers give it
-    # for 2n*k reps, as the right operand of `rotation_products`, and the
-    # rows joined once give it as the one integer of a 256-row
-    # RotationBatch. A pad of n - 1 bytes, a spread at a stride
-    # off by one, a row shift off by one position, or the byte route
-    # taken at p = 257 fails here.
+    # random, and the rows joined once give it as the one integer of a
+    # 256-row RotationBatch, each left's n reps followed by n zero reps.
+    # No pack and no batch row spans more than its 2n positions. A zero
+    # pad, a spread at a stride off by one, a row shift off by one
+    # position, or the byte route taken at p = 257 fails here.
     alg = algebra_of(p, m, n)
     assert alg.byte_reps == (m == 1 and p < 256)
-    q, dim = alg.field.q, alg.dim
+    q, dim, row = alg.field.q, alg.dim, 2 * alg._npos
     rng = random.Random(p * m * n)
     for size in (n, dim):
         for reps in ([q - 1] * size, [0] * size, [rng.randrange(q) for _ in range(size)]):
             assert _pack(alg, reps) == join_pack(alg, reps), size
-    size = 3 * dim
-    for reps in ([q - 1] * size, [0] * size, [rng.randrange(q) for _ in range(size)]):
-        rights = [alg.from_reps(reps[i:i + dim]) for i in range(0, size, dim)]
-        assert _stack(alg, rights) == join_pack(alg, reps)
+    assert _pack(alg, [q - 1] * dim).bit_length() <= row
     top = alg.from_reps([q - 1] * n + [0] * n)
     lefts = [top, alg.zero()] + [sample_subspace("C_n", alg, rng)
                                  for _ in range(254)]
     batch = RotationBatch(lefts)
     assert batch.count == 256
     assert batch._int == join_pack(alg, [r for x in lefts for r in x.reps()])
+    assert batch._int.bit_length() <= row * 255 + alg._npos
+    assert all((batch._int >> row * k) % (1 << row) < 1 << alg._npos for k in range(256))
 
 
 @pytest.mark.parametrize("p,m,n", ROUTE_SETS)
@@ -890,20 +887,22 @@ def test_prime_field_builds_without_polynomials(monkeypatch):
 @pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (3, 6, 9), (101, 1, 101),
                                    (257, 1, 4)])
 def test_kernel_tables_match_per_position(p, m, n):
-    # the fold masks as sums over positions and slot pairs, and on the
-    # join route each rep's slots joined from its digits
+    # the masks of one row of 2n positions as sums over positions and
+    # slot pairs, none past the row, the fold's mask of the low n
+    # positions, and on the join route each rep's slots joined from its
+    # digits
     alg = algebra_of(p, m, n)
     bits = alg.slot_bits
     width, pos = 2 * m - 1, (2 * m - 1) * bits
     ones = sum(1 << (i * pos) for i in range(2 * n))
-    low = (1 << n * pos) - 1
     reduce = (0, 0)
     if bits > 8:
         k = alg._reciprocal[0]
-        evens = sum(1 << (2 * bits * i) for i in range(2 * n * width))
+        evens = sum(1 << (2 * bits * i) for i in range(n * width))
         reduce = (evens * ((1 << bits) - 1), evens * ((1 << (2 * bits - k)) - 1))
-    assert alg._masks[1] == (low | (low << 2 * n * pos), low, ones * ((1 << bits) - 1),
-                             ones * ((1 << (m * bits)) - 1), *reduce)
+    assert alg._masks[1] == (ones * ((1 << bits) - 1), ones * ((1 << (m * bits)) - 1), *reduce)
+    assert all(mask.bit_length() <= 2 * n * pos for mask in alg._masks[1])
+    assert alg._low == (1 << n * pos) - 1
     if alg.byte_reps:
         assert alg.slot_bytes is None
     else:
