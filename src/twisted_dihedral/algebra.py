@@ -14,32 +14,37 @@ times full elements,
     a*b = a0*b + a1*(y*b),
 
 and a rotation x times b = b0 + b1*y is x*b0 + (x*b1)*y: two cyclic
-convolutions, computed by Kronecker substitution. Each coefficient is a
-position of 2m - 1 slots of W bits that holds its base-p digits in the
-low m slots; `_pack` packs reps one position each, back to back, so n
-reps give pack(b0) and 2n reps give pack(b) = pack(b0) + pack(b1)*2^(n
-positions), with no pad. `_fold` splits pack(b) at n positions and makes
-the two n x n multiplies pack(x)*pack(b0) and pack(x)*pack(b1); it folds
-each mod x^n - 1, adding its high n positions to its low n, and puts them
-side by side: a row of 2n positions that holds the slots of x*b before
-reduction, laid out as pack(x*b). An element keeps pack(x) of all its 2n
-reps from its first product (`_packed`).
+convolutions, computed by Kronecker substitution. This docstring is the
+kernel's one account; the functions below give their contracts. Each
+coefficient is a position of 2m - 1 slots of W bits that holds its base-p
+digits in the low m slots; `_pack` packs reps one position each, back to
+back, so n reps give pack(b0) and 2n reps give pack(b) = pack(b0) +
+pack(b1)*2^(n positions), with no pad. Rep 0 has all-zero digits, so a
+zero rep is a zero position. `_fold` splits pack(b) at n positions and
+makes the two n x n multiplies pack(x)*pack(b0) and pack(x)*pack(b1); it
+folds each mod x^n - 1, adding its high n positions to its low n, and
+puts them side by side: a row of 2n positions that holds the slots of x*b
+before reduction, laid out as pack(x*b). x may be the pack of several
+rotations, rows 2n positions apart; a row's folded high half runs into
+the next row, and a mask of each row's low n positions drops it. An
+element keeps pack(x) of all its 2n reps from its first product
+(`_packed`).
 
 `_pack` takes one of two routes, which `AlgebraParams` chooses once from
 (p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
 byte route): `bytes(reps)` is already the integer's little-endian bytes
 for 8-bit slots, and for wider slots one strided write, `buf[::W/8] =
-...` into a zeroed bytearray, puts each rep in the low byte of its slot,
-the mirror of `_unpack`'s strided read. Rep 0 has all-zero digits, so a
-zero rep is a zero position. The byte route also serializes an element
-as `bytes(reps)`, and `scaled_times_y`, which every encaps, decaps and
-kex runs, maps its reps by two `bytes.translate` through 256-byte tables.
+...` into a zeroed bytearray, puts each rep in the low byte of its slot.
+The byte route also serializes an element as `bytes(reps)`, as
+`FieldParams.rep_bytes`[r] == bytes([r]) there, and `scaled_times_y`,
+which every encaps, decaps and kex runs, maps its reps by two
+`bytes.translate` through the 256-byte tables `lam_mul`, `neg_lam_mul`.
 Where m > 1 or p >= 256 (the join route) each rep is looked up in
 `slot_bytes`, its digits in little-endian slots, and the positions are
-joined once; reps serialize by a join of `FieldParams.rep_bytes`. The
-other maps by lambda look reps up one at a time on both routes, as a
-256-byte table indexes like a list, and negation looks them up in
-`FieldParams.neg`.
+joined once; reps serialize by a join of `FieldParams.rep_bytes`. On both
+routes the other maps by lambda look reps up one at a time, as a 256-byte
+table indexes like a list, negation looks them up in `FieldParams.neg`,
+and `rep_deserialize` in `FieldParams.bytes_rep`.
 
 `rotation_products` returns every x*b_k + c_k for a rotation-only x,
 right operands b_k and addends c_k (those of the first rows), from one
@@ -52,37 +57,43 @@ shifted together 2n positions apart:
 `alg_product` with a rotation-only a, such as a secret's a', is the
 one-row case, and with a1 != 0 it is a1*(y*b) with the reduced slots of
 a0*b as its addend. A `RotationBatch` is the dual: rotation-only left
-operands joined once as the rows of one integer, 2n positions apart, so
-that one `_fold` by pack(b), whose two multiplies make every row at
-once, plus pack(c) in every row, holds x_k*b + c in row k. It returns
-each row's reduced slots, not reps: every slot is below p and a
-position's m - 1 high slots are zero, so the bytes encode x_k*b + c
-canonically, as `slot_key` does x; the solvers match them. A sum x + y
-is pack(x) + pack(y) reduced as one row, and a slot holds at most
-2(p - 1), within the bound below. These slots are the only packed form
-of a rep.
+operands joined once as the rows of one integer, so that one `_fold` by
+pack(b), whose two multiplies make every row at once, plus pack(c) in
+every row, holds x_k*b + c in row k. It returns each row's reduced slots,
+not reps: every slot is below p and a position's m - 1 high slots are
+zero, so the bytes encode x_k*b + c canonically, as the bytes of pack(x),
+reduced already, encode x (`slot_key`); the solvers match them. A secret
+pair makes its a' = a*phi(gamma) as `_fold` of pack(a0) and the n
+reflection reps of gamma, whose b1 is zero: c1 is n zero positions, so
+the reduced slots of that row are pack(a'), which a' keeps. A sum x + y
+is pack(x) + pack(y) reduced as one row. These slots are the only packed
+form of a rep.
 
-A folded slot holds at most n*m*(p-1)^2, an addend adds a digit below p
-to each of the low m slots, and reduction mod f(t) adds m - 1 high slots
+A folded slot is a sum of at most n terms, at most n*m*(p-1)^2; an
+addend adds a digit below p to each of the low m slots (a sum's slot
+holds at most 2(p - 1)), and reduction mod f(t) adds m - 1 high slots
 times digits below p: at most n*m*(p-1)^2*(1 + (m-1)(p-1)) + p - 1
 (`slot_bound`). W is 8 bits when the bound is below 256, and otherwise
-the fewest whole bytes that hold it and leave room for the reduction
-below (`kernel_slot_width`), so no slot carries into the next. 8-bit
-slots are reduced mod p by one `bytes.translate`. Wider slots are reduced
-inside the big integer, by division by the invariant p as a multiply
-(Granlund and Montgomery, PLDI 1994): with k and M = ceil(2^k / p) from
+the fewest whole bytes, 16 to 64 bits, that hold it and leave room for
+the reduction below (`kernel_slot_width`), so no slot carries into the
+next. `_reduce` first, for m > 1, replaces the slots of t^m .. t^(2m-2)
+by their multiples of t^k mod f(t) (`_fold_t`). 8-bit slots are then
+reduced mod p by one `bytes.translate`. Wider slots are reduced inside
+the big integer, by division by the invariant p as a multiply (Granlund
+and Montgomery, PLDI 1994): with k and M = ceil(2^k / p) from
 `slot_reciprocal`, floor(v*M / 2^k) = floor(v / p) for every v up to the
-bound. The even slots, masked, lie 2W bits apart and bound*M < 2^(2W), so
-one multiply by M and one shift by k leave each quotient in its own
-field; the odd slots, shifted down by W, the same; and one subtraction of
-p times the quotients leaves every slot below p. Then one read, all in
-C, takes the low byte of each slot by stride where m = 1 and p < 256, and
-otherwise `FieldParams.reps_of_digits` joins the m digit slots of all
-reps, row after row: by a big-integer Horner, or when q >= 256 through
-native lanes that hold a rep, read by one memoryview cast. A secret pair
-makes its a' = a*phi(gamma) as `_fold` of pack(a0) and the n reflection
-reps of gamma, whose b1 is zero: c1 is n zero reps, so the reduced slots
-of that row (`_reduce`) are pack(a').
+bound. The even slots, masked, lie 2W bits apart, and W makes bound*M <
+2^(2W), so v*M stays below the next slot of its group and the quotient,
+below 2^(2W - k), has its own field after the shift by k: one multiply by
+M and one shift by k leave every quotient; the odd slots, shifted down by
+W, the same; and one subtraction of p times the quotients leaves every
+slot below p. A row's reduced slots are the little-endian bytes of its
+pack. Then one read, all in C, takes the low byte of each slot by stride
+where m = 1 and p < 256, and otherwise `FieldParams.reps_of_digits` joins
+the m digit slots of all reps, row after row, by a big-integer Horner:
+where q < 256 of the digit bytes taken at stride, one byte per rep, and
+where q >= 256 of 2-byte lanes, which hold a rep (q <= MAX_Q) so that no
+rep carries into the next, read by one little-endian `struct.unpack`.
 """
 
 from __future__ import annotations
@@ -98,10 +109,8 @@ from .group import DihedralGroup
 
 
 def slot_bound(p: int, m: int, n: int) -> int:
-    """What a slot of the product kernel can reach at (p, m, n): a row's n
-    terms of m digit products each, the reduction of m - 1 high digits by
-    multiples of digits below p, and an addend's digit below p,
-    n * m * (p-1)^2 * (1 + (m-1)(p-1)) + p - 1 (see the module docstring)."""
+    """The largest value a slot of the product kernel reaches at (p, m, n)
+    (module docstring)."""
     return n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)) + p - 1
 
 
@@ -118,16 +127,8 @@ def slot_reciprocal(p: int, bound: int) -> tuple[int, int]:
 
 
 def kernel_slot_width(p: int, m: int, n: int) -> int:
-    """Slot width in bits of the product kernel at (p, m, n).
-
-    8 bits when `slot_bound` is below 256. Otherwise the smallest multiple
-    of 8 bits from 16 to 64 that holds the bound and leaves room for the
-    reduction of `_unpack`: with (k, M) from `slot_reciprocal`, bound * M
-    < 2^(2W), so v*M of a slot stays below the next slot of its group,
-    2W bits up, and the quotient floor(v*M / 2^k) < 2^(2W - k) fits below
-    the low bits of that next product. Raises ParameterError when not even
-    64 bits suffice.
-    """
+    """Slot width W in bits of the product kernel at (p, m, n) (module
+    docstring); raises ParameterError when not even 64 bits suffice."""
     bound = slot_bound(p, m, n)
     if bound < 256:
         return 8
@@ -140,25 +141,14 @@ def kernel_slot_width(p: int, m: int, n: int) -> int:
 
 
 class AlgebraParams:
-    """Field, group, and the twisting non-square lambda, bundled.
-
-    Construction decides the route of a rep (see the module docstring):
-    `byte_reps` is true where m = 1 and p < 256, so that a rep is one byte
-    digit; `_pack`, `rep_serialize` and `scaled_times_y` then run on byte
-    strings. It also builds the O(q + n) tables of the product kernel:
-
-    - `lam_mul[rep]` and `neg_lam_mul[rep]`: the reps of lambda * rep and
-      -lambda * rep; on the byte route each is a 256-byte `bytes`, the
-      `translate` table of `scaled_times_y`, which indexes like a list for
-      the other maps;
-    - on the join route, `slot_bytes[rep]`: one position of the kernel,
-      the base-p digits of rep in little-endian slots of `slot_bits` bits,
-      then m - 1 zero slots, joined a digit at a time by
-      `field.rep_table` (None on the byte route);
-    - the masks of one row of 2n positions, and `_low`, of its low n;
-      for slots wider than 8 bits (k, M) of `slot_reciprocal` and the
-      masks of the even slots and of their quotient fields (8-bit slots,
-      which hold only p < 256, are reduced by `FieldParams.mod_p_bytes`).
+    """Field, group, and the twisting non-square lambda, bundled, with the
+    route and the O(q + n) tables of the product kernel (module docstring):
+    `byte_reps`, true on the byte route; `lam_mul[rep]` and
+    `neg_lam_mul[rep]`, the reps of lambda*rep and -lambda*rep, 256-byte
+    `bytes` on the byte route; `slot_bytes[rep]`, one position of rep on
+    the join route (else None); the masks of one row of 2n positions;
+    `_low`, of its low n; and for slots wider than 8 bits, (k, M) of
+    `slot_reciprocal`.
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -188,10 +178,9 @@ class AlgebraParams:
             slots = [d.to_bytes(bits // 8, "little") for d in range(p)]
             top = bytes((m - 1) * bits // 8)  # the m - 1 zero slots
             self.slot_bytes = rep_table([slots] * (m - 1) + [[d + top for d in slots]])
-        # wider slots: slot i of a group (the even slots, or the odd moved
-        # down) starts 2W bits after slot i - 1, and its quotient fills
-        # 2W - k bits there after the shift by k; `evens` has a 1 at the
-        # start of each of a row's pairs of slots. 8-bit slots take no masks.
+        # wider slots: `evens` has a 1 at the start of each of a row's pairs
+        # of slots, and a quotient fills 2W - k bits there after the shift
+        # by k. 8-bit slots take no masks.
         reduce = (0, 0)
         self._reciprocal = None
         if bits > 8:
@@ -313,10 +302,8 @@ class SecretPair:
     Both components must be nonzero; zero components produce a zero public
     key and a trivially known shared key, so the samplers resample on zero.
     Construction checks this and that a and gamma share their params, then
-    makes a_phi, a' = a*phi(gamma), by one `_fold` (b0 holds the reflection
-    reps of gamma, the rotation reps of phi(gamma), and b1 is zero), whose
-    slots are pack(a'): a_phi keeps them as its kernel integer, so no
-    product packs it again.
+    makes a_phi, a' = a*phi(gamma), by one kernel row, and a_phi keeps its
+    pack (module docstring).
     """
 
     a: AlgebraElement
@@ -345,12 +332,7 @@ def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
 
 
 def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Twisted product a*b = a0*b + a1*(y*b) (see the module docstring).
-
-    A rotation-only a is the one-row case of the kernel behind
-    `rotation_products`. Otherwise a1*(y*b) takes the slots of a0*b as its
-    addend, one more `_fold`.
-    """
+    """Twisted product a*b = a0*b + a1*(y*b) (module docstring)."""
     params, ac = a.params, a.coeffs
     n, low = params.n, params._low
     if not any(ac[n:]):  # pack(a) is pack(a0)
@@ -365,7 +347,7 @@ def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
                       addends: Sequence[AlgebraElement] = ()) -> list[AlgebraElement]:
     """x*b_k + c_k for every right operand b_k and addend c_k, in order,
-    from one `_reduce` and one `_unpack`; x must be rotation-only, and the
+    in one kernel call (module docstring); x must be rotation-only, and the
     addends go to the first len(addends) rows."""
     params = x.params
     if any(x.coeffs[params.n:]):
@@ -385,7 +367,7 @@ def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
 
 def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
     """pack(x) of all 2n reps, kept on x from its first use, after checking
-    x's params; a zero rep packs as a zero position, so x = x0 gives pack(x0)."""
+    x's params."""
     if x.params is not params:
         _check_params(x, params)
     if x._int is None:
@@ -394,12 +376,7 @@ def _packed(params: AlgebraParams, x: AlgebraElement) -> int:
 
 
 def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
-    """The kernel integer of reps, one position each, back to back: n reps
-    give pack(b0), and 2n reps pack(b0) + pack(b1)*2^(n positions).
-
-    On the byte route `bytes(reps)`, spread by one strided write for slots
-    wider than a byte; on the join route one join of `slot_bytes`.
-    """
+    """The kernel integer of reps, one position each (module docstring)."""
     if params.byte_reps:
         data = bytes(reps)
         slot = params._read[0]
@@ -412,14 +389,10 @@ def _pack(params: AlgebraParams, reps: Sequence[int]) -> int:
 
 
 def _fold(params: AlgebraParams, x: int, b: int, low: int) -> int:
-    """Row k holds the slots of x_k*b0 and x_k*b1 folded mod x^n - 1, side
-    by side, for b = pack(b0) + pack(b1)*2^(n positions) and x the pack of
-    one rotation, or of several in rows 2n positions apart; `low` masks
-    the low n positions of each row. Each n x n product holds x_k*b0 (or
-    x_k*b1) in the low 2n - 1 positions of row k; adding it moved down by
-    n positions folds it into the low n. Its high n, a row's high half
-    plus the next row's low half, `low` drops; every sum has at most n
-    terms in a slot, so no slot carries into the next."""
+    """The rows of x_k*b before reduction, for x the pack of one rotation
+    or of several in rows 2n positions apart, and `low` the mask of the low
+    n positions of each row (module docstring). No slot carries into the
+    next: each stays within `slot_bound`."""
     npos = params._npos
     p0, p1 = x * (b & params._low), x * (b >> npos)
     return ((p0 + (p0 >> npos)) & low) + (((p1 + (p1 >> npos)) & low) << npos)
@@ -431,12 +404,9 @@ def _repeat(params: AlgebraParams, value: int, count: int) -> int:
 
 
 def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
-    """The slots of each of `count` rows of s in turn, 2n positions each,
-    folded (`_fold`) or a sum of packs. For m > 1 the slots of t^m ..
-    t^(2m-2) are first replaced by their multiples of t^k mod f(t); then
-    every slot is reduced mod p, by `translate` for 8-bit slots and in the
-    integer for wider ones (see the module docstring). The slots of one
-    row are the little-endian bytes of its pack."""
+    """The slots of each of `count` rows of s, folded (`_fold`) or a sum
+    of packs, reduced mod f(t) and p (module docstring), as the
+    little-endian bytes of each row's pack in turn."""
     masks = params._masks.get(count)
     if masks is None:  # those of one row, repeated for each row
         masks = params._masks[count] = tuple(
@@ -459,7 +429,7 @@ def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
 
 
 def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
-    """The reps in slots from `_reduce`, row after row: digit d is slot d of a position."""
+    """The reps in slots from `_reduce`, row after row (module docstring)."""
     slot, step = params._read
     if params.byte_reps:  # a rep is the low byte of its one slot
         return tuple(slots if slot == 1 else slots[::slot])
@@ -467,11 +437,10 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
 
 
 class RotationBatch:
-    """Rotation-only left operands x_0, x_1, ..., their kept integers joined
-    as the rows of one integer, 2n positions apart, and their count (module
-    docstring). The solvers' capacity bounds alone size it: their batch of
-    every phi(gamma) has q^(n//2+1) rows, at most 2401 (66 KiB) at (7,1,7),
-    t = 3."""
+    """Rotation-only left operands x_0, x_1, ..., as the rows of one
+    integer, and their count (module docstring). The solvers' capacity
+    bounds alone size it: their batch of every phi(gamma) has q^(n//2+1)
+    rows, at most 2401 (66 KiB) at (7,1,7), t = 3."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
@@ -487,8 +456,7 @@ class RotationBatch:
     def times(self, b: AlgebraElement,
               addend: Optional[AlgebraElement] = None) -> list[bytes]:
         """slot_key(x_k*b + c) for every k in order, with c the addend or
-        zero, from one `_fold` of every row; pack(c) is added to every row,
-        as `rotation_products` adds its addends. `_unpack` reads a row's reps."""
+        zero, in one kernel call; `_unpack` reads a row's reps."""
         params = self.params
         s = _fold(params, self._int, _packed(params, b), self._low)
         if addend is not None:
@@ -499,9 +467,10 @@ class RotationBatch:
 
 
 def slot_key(x: AlgebraElement) -> bytes:
-    """The reduced slots of pack(x) read as one row, as a batch row of x holds them."""
+    """The bytes of pack(x) as one row, as a batch row of x holds them: the
+    slots of a pack are reduced already (module docstring)."""
     params = x.params
-    return _reduce(params, _packed(params, x), 1)
+    return _packed(params, x).to_bytes(2 * params._npos // 8, "little")
 
 
 def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> AlgebraElement:
@@ -531,8 +500,8 @@ def times_y(x: AlgebraElement) -> AlgebraElement:
 
 def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
     """s*(x*y) = s*lambda*x1 + (s*x0)*y, for the scalar s with s_mul[rep]
-    the rep of s*rep, O(n). s_mul is `lam_mul` or `neg_lam_mul` of
-    `AlgebraParams`, which on the byte route `translate` takes."""
+    the rep of s*rep, O(n); s_mul is `lam_mul` or `neg_lam_mul` of
+    `AlgebraParams`."""
     params, c = x.params, x.coeffs
     n, lam = params.n, params.lam_mul
     if params.byte_reps:
@@ -582,25 +551,17 @@ def sample_subspace(which: str, params: AlgebraParams,
     if which == "full":
         return AlgebraElement(params, tuple(field.random_reps(rng, 2 * n)))
     if which == "h_element":  # a nonzero rotation half and a nonzero reflection half
-        return AlgebraElement(params, (*_nonzero_reps(field, rng, n),
-                                       *_nonzero_reps(field, rng, n)))
+        return AlgebraElement(params, (*field.nonzero_reps(rng, n),
+                                       *field.nonzero_reps(rng, n)))
     raise ValueError(f"unknown subspace {which!r}")
-
-
-def _nonzero_reps(field: FieldParams, rng: random.Random, count: int) -> list[int]:
-    """The first `count` reps of `field.random_reps` that are not all zero."""
-    while True:
-        reps = field.random_reps(rng, count)
-        if any(reps):
-            return reps
 
 
 def sample_secret_pair(params: AlgebraParams, rng: random.Random) -> SecretPair:
     """Uniform nonzero (a, gamma) secret pair: the n reps of a, then the
     n//2 + 1 free reps of gamma, each drawn again while all zero."""
     field, n = params.field, params.n
-    a = AlgebraElement(params, (*_nonzero_reps(field, rng, n), *(0,) * n))
-    return SecretPair(a, gamma_from_free(params, _nonzero_reps(field, rng, n // 2 + 1)))
+    a = AlgebraElement(params, (*field.nonzero_reps(rng, n), *(0,) * n))
+    return SecretPair(a, gamma_from_free(params, field.nonzero_reps(rng, n // 2 + 1)))
 
 
 def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
@@ -620,8 +581,7 @@ def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
 
 def rep_serialize(x) -> bytes:
     """Canonical injective byte encoding of an algebra element (or a pair):
-    the `FieldParams.rep_bytes` of each rep in turn, which on the byte route
-    is `bytes(reps)`, as rep_bytes[r] == bytes([r]) there."""
+    the `FieldParams.rep_bytes` of each rep in turn."""
     if isinstance(x, AlgebraElement):
         if x.params.byte_reps:
             return bytes(x.coeffs)
@@ -633,10 +593,8 @@ def rep_serialize(x) -> bytes:
 
 
 def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
-    """The element that `rep_serialize` encodes as data, one
-    `FieldParams.bytes_rep` lookup per rep on both routes (a byte >= p has
-    no entry where m = 1 and p < 256). Raises ValueError on a wrong length
-    or a digit >= p."""
+    """The element that `rep_serialize` encodes as data. Raises ValueError
+    on a wrong length or a digit >= p."""
     field = params.field
     chunk = len(field.rep_bytes[0])
     expect = params.dim * chunk

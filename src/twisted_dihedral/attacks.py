@@ -14,7 +14,8 @@ two multiplies for all its rows, which are reduced kernel slots, canonical
 bytes read into no reps. The exhaustive scan compares each row with
 `slot_key(pk)`. The MITM table keys each a1 by the row of a1*h*gamma and
 gamma's index; the scan probes it once per candidate with the row of pk -
-a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk. a = 0 and gamma = 0, index 0 of
+a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk, and a hit with the same gamma
+makes (a1 + a2, gamma) a solution. a = 0 and gamma = 0, index 0 of
 each, form no secret pair, so the scans leave them out by index. Each
 count is derived from a position, not kept: a hit at rotation idx and
 gamma k of a scan has tested idx*|Gamma| + k + 1 candidates, a full scan
@@ -88,8 +89,8 @@ def _check_candidates(rotations: int, algebra: AlgebraParams) -> None:
 
 
 def exhaustive_dpd(inst: DpdInstance) -> AttackResult:
-    """Scan the rotations a != 0 in index order against all gamma != 0, every
-    gamma of one a from one batch `times` a*(h*y), two multiplies."""
+    """Scan the rotations a != 0 in index order against all gamma != 0
+    (module docstring)."""
     algebra = inst.pp.algebra
     rotations = algebra.field.q ** algebra.n
     _check_candidates(rotations, algebra)
@@ -111,8 +112,8 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
 
 
 def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
-    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index,
-    q^t x |Gamma| entries; an over-bound online scan or table is refused
+    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index
+    (module docstring); an over-bound online scan or table is refused
     before either is built."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
@@ -131,13 +132,10 @@ def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
 
 
 def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
-    """Scan the complementary high slice for a colliding (a2, gamma).
-
-    A collision with the same gamma gives a1*h*gamma = pk - a2*h*gamma, so
-    (a1 + a2, gamma) solves the instance; one probe per candidate finds it.
-    The table's parameters and t must be the instance's, as `mitm_offline`
-    checked the scan's bound for them.
-    """
+    """Scan the complementary high slice for a colliding (a2, gamma), one
+    probe per candidate (module docstring). The table's parameters and t
+    must be the instance's, as `mitm_offline` checked the scan's bound for
+    them."""
     if t != table.t:
         raise ValueError("table was built for a different t")
     if inst.pp != table.pp:
@@ -147,7 +145,6 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
     rotations = q ** (algebra.n - t)
     for idx in range(rotations):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
-        # pk - a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk, every gamma at once
         residuals = table.batch.times(a2 * neg_hy, inst.pk)
         for k in range(1, len(residuals)):  # k = 0 is gamma = 0
             for a1 in table.buckets.get((residuals[k], k), ()):

@@ -13,14 +13,16 @@ of whole algebra elements go through the product kernel's packed slots
 `FieldElement` is a typed handle with no arithmetic, for lambda and
 cocycle values.
 
-Uniform digits come by rejection: a draw of p.bit_length() bits is kept
-where it is below p. `FieldParams.uniform_digits` reads them so from
-uniform bytes, for the KEM's hash and the sampler's 32-bit words where
-p >= 256. Where p < 256 a digit is one byte, and digits are read in C:
-the sampler takes the top byte of each random word and rejects and shifts
-all of them by one `bytes.translate`, and `FieldParams.reps_of_digits`
-joins the m digit bytes of every rep at once, for the sampler, the KEM's
-hash and the product kernel's read alike.
+Uniform digits come by rejection, as `random.Random.randrange` draws
+them: a draw keeps its top p.bit_length() bits, and gives a digit where
+they are below p. Where p < 256 a draw is one byte b, which gives b >> s
+where b < p << s, s = 8 - p.bit_length(), read in C for all bytes at
+once by one `bytes.translate`; the sampler's draws are the top bytes of
+its 32-bit words, and the KEM's hash draws bytes. Otherwise a draw is a
+little-endian 4-byte word w, which gives w >> (32 - p.bit_length()) where
+that is below p (`FieldParams.uniform_digits`). `reps_of_digits` joins
+the m digits of every rep at once, for the samplers and the product
+kernel's read alike.
 
 NOT FOR PRODUCTION USE: word-size parameters, variable-time arithmetic.
 """
@@ -30,14 +32,9 @@ from __future__ import annotations
 import math
 import random
 import struct
-import sys
 from typing import Optional, Sequence
 
 from .errors import ParameterError
-
-# The lanes of reps are unpacked in native byte order; on a big-endian
-# host that lists them last first.
-NATIVE_STEP = 1 if sys.byteorder == "little" else -1
 
 # The largest field order q = p^m: each field builds O(q) tables.
 MAX_Q = 2 ** 16
@@ -178,13 +175,10 @@ class FieldParams:
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
     - `neg[rep]`: the rep of the negation;
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
-      big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it.
-      Where m = 1 and p < 256, rep_bytes[rep] == bytes([rep]), and
-      `rep_serialize` takes that byte route without it; `rep_deserialize`
-      looks each rep up in `bytes_rep` on both routes;
+      big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it;
     - where p < 256 (else None), `mod_p_bytes`, the `bytes.translate`
-      table of b mod p for every byte b, and the table and deletions by
-      which `uniform_digits` and `random_reps` read digits.
+      table of b mod p for every byte b, and the table and deletions of
+      the samplers' byte read (module docstring).
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -322,18 +316,13 @@ class FieldParams:
     def random_reps(self, rng: random.Random, count: int) -> list[int]:
         """`count` uniform reps, as count * m `rng.randrange(p)` calls draw them.
 
-        randrange(p) keeps the top p.bit_length() bits of one 32-bit word per
-        attempt and rejects values >= p; getrandbits(32 * k) returns k such
-        words, first lowest. Each refill asks only for the digits still
-        missing, so the reps (m digits each, lowest first) and the state of
-        `rng` afterwards equal those of the randrange calls. Where p < 256 a
-        digit is the top byte b of its word shifted by s = 8 - p.bit_length(),
-        so a refill is the bytes of the words taken at stride 4 from the top
-        byte of the first, then one `translate` that deletes every b >=
-        p << s and maps the rest to b >> s; `reps_of_digits` joins them for
-        m > 1. Where p > 255, m = 1 under MAX_Q, each digit is a rep, and
-        `uniform_digits` reads a refill's words. SystemRandom words are
-        uniform, so its reps are too.
+        randrange(p) draws one 32-bit word per attempt by the rejection rule
+        of the module docstring; getrandbits(32 * k) returns k such words,
+        first lowest. Each refill asks only for the digits still missing, so
+        the reps (m digits each, lowest first) and the state of `rng`
+        afterwards equal those of the randrange calls. Where p > 255, m = 1
+        under MAX_Q, so each digit is a rep. SystemRandom words are uniform,
+        so its reps are too.
         """
         p, m = self.p, self.m
         need = count * m
@@ -352,12 +341,9 @@ class FieldParams:
         return digits
 
     def uniform_digits(self, data: bytes) -> bytes | list[int]:
-        """The digits that uniform bytes give by `random_reps`' rejection
-        rule, in order: where p < 256 (as bytes) a byte b below p << s
-        gives b >> s, s = 8 - p.bit_length(); else (as a list) each
-        little-endian 4-byte word w gives w >> (32 - p.bit_length()) where
-        that is below p. The digits of a prefix of data are a prefix of
-        the digits of data."""
+        """The digits that uniform bytes give by the rejection rule of the
+        module docstring, in order: as bytes where p < 256, else as a list.
+        The digits of a prefix of data are a prefix of the digits of data."""
         p = self.p
         if p < 256:
             return data.translate(*self._sample_bytes)
@@ -368,13 +354,10 @@ class FieldParams:
     def reps_of_digits(self, data: bytes, slot: int, step: int) -> tuple[int, ...]:
         """The reps whose digits `data` holds, one rep every `step` bytes:
         digit d of a rep, lowest first, in the low digit_width_bytes(p)
-        bytes, little-endian, of the `slot` bytes at d * slot.
-
-        Where q < 256 the digit bytes of each d are taken at stride `step`
-        and joined by a big-integer Horner, one byte per rep; where q >= 256
-        each digit's bytes are first gathered into native 2-byte lanes, which
-        hold a rep (q <= MAX_Q), so no rep carries into the next, and read
-        by one memoryview cast.
+        bytes, little-endian, of the `slot` bytes at d * slot. The read is
+        described in the algebra.py module docstring; where q >= 256 its
+        2-byte lanes hold a rep (q <= MAX_Q), so no rep carries into the
+        next.
         """
         p, m = self.p, self.m
         if self.q < 256:
@@ -388,15 +371,17 @@ class FieldParams:
             for j in range(digit_width_bytes(p)):
                 lanes[j::2] = data[d * slot + j::step]
             reps = reps * p + int.from_bytes(lanes, "little")
-        # native lanes, which a big-endian host lists last first
-        native = memoryview(reps.to_bytes(2 * total, sys.byteorder)).cast("H")
-        return tuple(native[::NATIVE_STEP])
+        return struct.unpack(f"<{total}H", reps.to_bytes(2 * total, "little"))
+
+    def nonzero_reps(self, rng: random.Random, count: int) -> list[int]:
+        """`random_reps(rng, count)`, drawn again while all zero."""
+        while True:
+            reps = self.random_reps(rng, count)
+            if any(reps):
+                return reps
 
     def random_unit(self, rng: random.Random) -> "FieldElement":
-        while True:
-            (rep,) = self.random_reps(rng, 1)
-            if rep != 0:
-                return self.from_rep(rep)
+        return self.from_rep(self.nonzero_reps(rng, 1)[0])
 
 
 class FieldElement:

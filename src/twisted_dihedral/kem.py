@@ -48,8 +48,7 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
     rest the free coefficients of the mirrored gamma. The first group in
     which both parts are nonzero is the pair, so each part is uniform
     given that it is nonzero. The first squeeze holds 3m draws per rep of
-    one group, a draw being a byte where p < 256 and a 4-byte word
-    otherwise. Where it holds no such group it is doubled; SHAKE output
+    one group. Where it holds no such group it is doubled; SHAKE output
     prefixes are consistent, so a longer squeeze extends the same stream
     and the pair does not depend on its length.
     """

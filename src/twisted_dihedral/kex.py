@@ -6,9 +6,11 @@ key is a*h*gamma; the shared key is a*peer_pk*adjunct(gamma).
 
 Each gamma in the reversible subspace is phi(gamma)*y with phi(gamma)
 palindromic, so x*gamma = phi(gamma)*(x*y) for every x; and adjunct(gamma)
-= lambda*gamma. So pk = a'*(h*y) and k = a'*(lambda*(peer_pk*y)), one
-kernel row of two n x n multiplies each, with a' = a*phi(gamma) made by
-one more multiply when the pair is built (`SecretPair.a_phi`). a' is the
+= lambda*gamma. So pk = a'*(h*y) and k = a'*(lambda*(peer_pk*y)), with
+a' = a*phi(gamma) made when the pair is built (`SecretPair.a_phi`). A
+party takes 3 kernel calls (a', pk, k) and 5 big-integer multiplies that
+hold data (algebra.py gives the kernel), so the key exchange, both sides,
+takes 6 and 10. a' is the
 equivalent key of the linear decomposition attack (Myasnikov and
 Roman'kov, Groups Complexity Cryptology 7, 2015): (a', y) is a valid
 secret for pk, and a' solves an F_q-linear system in n unknowns.

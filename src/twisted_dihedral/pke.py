@@ -11,9 +11,12 @@ a'*(lambda*(x*y)) with a' = a*phi(gamma), made when the SecretPair is
 built. So Enc is one `rotation_products` call, left a2', rights
 lambda*(pk*y) and h*y, addend m on the first; Dec is one call, left a1',
 right -lambda*(c1*y), addend c2. Neither makes an element addition or
-subtraction. A kernel row is two n x n big-integer multiplies, so Enc
-takes five (one for a2' when r2 is built, four in the call), and Dec
-two, as the key holds a1'.
+subtraction.
+
+In kernel calls and in big-integer multiplies that hold data (algebra.py
+gives the kernel), KEM keygen takes 2 and 3: a1', then pk = a1'*(h*y).
+Encapsulation takes 2 and 5: a2' in `hash_g1`, then Enc. Decapsulation
+takes 3 and 5: Dec, a2' in `hash_g1`, then c1 = a2'*(h*y) for the check.
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from twisted_dihedral import errors
 from twisted_dihedral import field as field_module
 from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
-                                      _pack, _unpack, adjunct,
+                                      _pack, _packed, _reduce, _unpack, adjunct,
                                       alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
@@ -306,8 +306,9 @@ def test_batch_rejects_bad_operands():
     (3, 1, 3, 8), (3, 1, 6, 8), (3, 2, 9, 8), (3, 6, 9, 16), (3, 7, 9, 16),
     (101, 1, 101, 24), (257, 1, 257, 32)])
 def test_slot_key_is_a_batch_row(p, m, n, bits):
-    # slot_key(x) is the reduced slots of pack(x) read as one row: `_unpack`
-    # reads x back from it, distinct elements give distinct keys, and every
+    # slot_key(x) is the reduced slots of pack(x) read as one row: pack(x)
+    # is already reduced, so `_reduce` leaves it as it is, `_unpack` reads x
+    # back from it, distinct elements give distinct keys, and every
     # RotationBatch row, with and without an addend, is the slot_key of the
     # schoolbook product (plus the addend)
     alg = algebra_of(p, m, n)
@@ -320,6 +321,7 @@ def test_slot_key_is_a_batch_row(p, m, n, bits):
     xs += [alg.basis(i) for i in range(dim)]  # one nonzero coefficient each
     xs += [alg.from_reps([q - 1 if i == j else 0 for i in range(dim)]) for j in range(dim)]
     for x in xs:
+        assert slot_key(x) == _reduce(alg, _packed(alg, x), 1)
         assert _unpack(alg, slot_key(x)) == x.reps()
         assert slot_key(alg.from_reps(x.reps())) == slot_key(x)
     distinct = set(xs)
