@@ -83,6 +83,9 @@ def kem_keygen(pp: PublicParams, rng: random.Random) -> KemKeyPair:
 
 def kem_encaps(pk: AlgebraElement, pp: PublicParams,
                rng: random.Random) -> tuple[PkeCiphertext, bytes]:
+    """Raises ValueError on pk = 0, to which c2 would be m in the clear."""
+    if pk.is_zero():
+        raise ValueError("public key is zero")
     m = sample_subspace("full", pp.algebra, rng)
     m_bytes = rep_serialize(m)
     r = hash_g1(m_bytes + rep_serialize(pk), pp)

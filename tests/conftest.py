@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from twisted_dihedral import setup_public_params
 from twisted_dihedral.field import FieldParams
+from twisted_dihedral.kex import setup_public_params
 
 # (p, m, n) triples exercised throughout the suite.
 PARAM_TRIPLES = [(3, 1, 3), (5, 1, 5), (3, 2, 9)]

@@ -85,6 +85,22 @@ def test_decaps_tampered_ciphertext(tmp_path):
     assert k1.read_text() != k2.read_text()
 
 
+@pytest.mark.parametrize("p,m,n", [(3, 1, 3), (3, 2, 9), (101, 1, 101)])
+def test_encaps_refuses_zero_pk(tmp_path, capsys, p, m, n):
+    # to pk = 0, c2 = m goes in the clear and anyone has the key
+    params, pk, ct = tmp_path / "params.txt", tmp_path / "pk.txt", tmp_path / "ct.txt"
+    assert run("param-gen", "--p", p, "--m", m, "--n", n, "--out", params,
+               "--seed", 1) == 0
+    algebra = read_param_file(params).algebra
+    write_element_file(pk, algebra, [algebra.zero()])
+    capsys.readouterr()
+    assert run("encaps", "--params", params, "--pk", pk, "--out-ct", ct,
+               "--out-key", tmp_path / "k.txt", "--seed", 3) == 1
+    captured = capsys.readouterr()
+    assert "public key is zero" in captured.err and captured.out == ""
+    assert not ct.exists()
+
+
 def test_decaps_rejects_digit_at_least_p(tmp_path, capsys):
     # at (101,1,101) a ciphertext byte is a rep; a byte of 101 (hex 65)
     # is no digit mod 101, and decaps exits 1 on it
@@ -192,9 +208,9 @@ def test_cocycle_check_beta_digit_outside_field_refused(tmp_path, capsys):
         assert "outside [0, 3)" in captured.err and captured.out == ""
 
 
-def test_cocycle_check_capacity(params_file, capsys, monkeypatch):
+def test_cocycle_check_capacity(tmp_path, params_file, capsys, monkeypatch):
     # (2n)^3 = 216 triples at n = 3: refused by a bound of 215, before
-    # either cocycle's table is built
+    # either cocycle's table is built; at the real bound, n = 108 is refused
     monkeypatch.setattr(errors, "MAX_CANDIDATES", 215)
     built = []
     monkeypatch.setattr(Cocycle, "_on_reflections",
@@ -207,6 +223,14 @@ def test_cocycle_check_capacity(params_file, capsys, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(errors, "MAX_CANDIDATES", 216)
     assert run("cocycle-check", "--params", params_file) == 0
+    monkeypatch.undo()
+    params108 = tmp_path / "params108.txt"
+    assert run("param-gen", "--p", 3, "--n", 108, "--seed", 1,
+               "--out", params108) == 0
+    capsys.readouterr()
+    assert run("cocycle-check", "--params", params108) == 2
+    captured = capsys.readouterr()
+    assert "capacity error" in captured.err and captured.out == ""
 
 
 def test_attack_exhaustive(tmp_path, params_file, capsys):
@@ -261,7 +285,7 @@ def _field(out, name):
 
 @pytest.fixture
 def big_instance(tmp_path):
-    """(3,1,12) parameter and public-key files, as the CI step makes them."""
+    """(3,1,12) parameter and public-key files."""
     params = tmp_path / "big.txt"
     pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
     assert run("param-gen", "--p", 3, "--m", 1, "--n", 12,
@@ -278,7 +302,9 @@ def test_attack_capacity_exit_code(big_instance, capsys):
     assert run("attack", "--params", params, "--pk", pk, "exhaustive") == 2
     assert "capacity error" in capsys.readouterr().err
     assert run("attack", "--params", params, "--pk", pk, "mitm", "--t", 0) == 2
-    assert "capacity error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "capacity error" in err
+    assert "offline table entries" not in out
 
 
 def test_attack_mitm_refused_before_table(big_instance, capsys):
