@@ -7,8 +7,9 @@ index-order scan of the rotation space, and a meet-in-the-middle trade-off
 that splits it into a low-degree and a high-degree slice (a table of at
 most `errors.MAX_TABLE_ENTRIES`). The scheme falls instead to the
 polynomial-time linear decomposition attack (Myasnikov and Roman'kov 2015;
-Tsaban 2015), not implemented here. Both solvers test a candidate (a,
-gamma) as phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once per
+Tsaban 2015), which has no solver here: the test suite runs it as an
+oracle (tests/test_linear.py). Both solvers test a candidate (a, gamma) as
+phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once per
 a, then all gamma from one `times` of a RotationBatch of the phi(gamma),
 two multiplies for all its rows, which are reduced kernel slots, canonical
 bytes read into no reps. The exhaustive scan compares each row with
@@ -26,7 +27,7 @@ was checked for.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import errors
@@ -159,14 +160,13 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
 @dataclass(frozen=True)
 class Challenge:
     """What the challenger hands out: public values only (DPD: pk1; CDP:
-    pk1, pk2 and the key k to compute; DDP: pk1, pk2 and a candidate k),
-    and the DDP bit b, which only the harness reads to score a guess."""
+    pk1, pk2 and the key k to compute; DDP: pk1, pk2 and a candidate k).
+    The DDP bit stays with the harness that scores the guess."""
 
     pp: PublicParams
     pk1: AlgebraElement
     pk2: Optional[AlgebraElement] = None
     k: Optional[AlgebraElement] = None
-    b: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -178,28 +178,20 @@ class GameOutcome:
 
 
 def dpd_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
-    s = sample_secret_pair(pp.algebra, rng)
-    return Challenge(pp=pp, pk1=derive_public(s, pp))
+    return Challenge(pp=pp, pk1=derive_public(sample_secret_pair(pp.algebra, rng), pp))
 
 
 def cdp_challenge(pp: PublicParams, rng: random.Random) -> Challenge:
-    s1 = sample_secret_pair(pp.algebra, rng)
+    ch = dpd_challenge(pp, rng)
     s2 = sample_secret_pair(pp.algebra, rng)
-    pk1 = derive_public(s1, pp)
-    pk2 = derive_public(s2, pp)
-    k = derive_shared(s2, pk1, pp)
-    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=k)
+    return replace(ch, pk2=derive_public(s2, pp), k=derive_shared(s2, ch.pk1, pp))
 
 
 def ddp_challenge(pp: PublicParams, rng: random.Random, b: int) -> Challenge:
-    s1 = sample_secret_pair(pp.algebra, rng)
-    s2 = sample_secret_pair(pp.algebra, rng)
-    s3 = sample_secret_pair(pp.algebra, rng)
-    pk1 = derive_public(s1, pp)
-    pk2 = derive_public(s2, pp)
-    k0 = derive_shared(s2, pk1, pp)
-    k1 = derive_public(s3, pp)
-    return Challenge(pp=pp, pk1=pk1, pk2=pk2, k=(k0 if b == 0 else k1), b=b)
+    """b = 0: k is the key pk1 and pk2 share; b = 1: a fresh public key."""
+    ch = cdp_challenge(pp, rng)
+    k1 = derive_public(sample_secret_pair(pp.algebra, rng), pp)
+    return ch if b == 0 else replace(ch, k=k1)
 
 
 def run_attack_game(game: str, adversary: Callable, pp: PublicParams,

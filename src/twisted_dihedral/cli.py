@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-pk", required=True)
     p.add_argument("--out-sk", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--insecure-show", action="store_true",
-                   help="also print the secret key to stdout")
 
     p = sub.add_parser("encaps", help="encapsulate a shared key")
     p.add_argument("--params", required=True)
@@ -106,10 +104,6 @@ def _cmd_keygen(args) -> int:
                        [kp.sk.a, kp.sk.gamma, kp.s, kp.pk], secret=True)
     print(f"wrote public key to {args.out_pk}")
     print(f"wrote secret key to {args.out_sk}")
-    if args.insecure_show:
-        print("sk.a     =", rep_serialize(kp.sk.a).hex())
-        print("sk.gamma =", rep_serialize(kp.sk.gamma).hex())
-        print("sk.s     =", rep_serialize(kp.s).hex())
     return 0
 
 
@@ -129,7 +123,6 @@ def _cmd_encaps(args) -> int:
     with open(args.out_key, "w") as fh:
         fh.write(key.hex() + "\n")
     print(f"wrote ciphertext to {args.out_ct}")
-    print(f"shared key: {key.hex()}")
     return 0
 
 
@@ -140,7 +133,6 @@ def _cmd_decaps(args) -> int:
     key = kem.kem_decaps(kp, PkeCiphertext(c1, c2), pp)
     with open(args.out_key, "w") as fh:
         fh.write(key.hex() + "\n")
-    print(f"shared key: {key.hex()}")
     return 0
 
 

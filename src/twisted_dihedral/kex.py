@@ -97,18 +97,11 @@ class Session:
         self.pp = pp
         self._secret: Optional[SecretPair] = sample_secret_pair(pp.algebra, rng)
         self.public_key = derive_public(self._secret, pp)
-        self.key: Optional[AlgebraElement] = None
-
-    @property
-    def secret(self) -> SecretPair:
-        if self._secret is None:
-            raise RuntimeError("secret has been erased")
-        return self._secret
 
     def complete(self, peer_pk: AlgebraElement) -> AlgebraElement:
-        """Derive the session key and erase the secret pair."""
+        """Derive the session key, erase the secret pair and return the key."""
         if self._secret is None:
             raise RuntimeError("session already completed")
-        self.key = derive_shared(self._secret, peer_pk, self.pp)
+        key = derive_shared(self._secret, peer_pk, self.pp)
         self._secret = None
-        return self.key
+        return key

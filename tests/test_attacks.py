@@ -292,7 +292,7 @@ def _solve(pp, pk):
 
 
 def test_challenge_carries_public_values_only():
-    assert [f.name for f in dataclasses.fields(Challenge)] == ["pp", "pk1", "pk2", "k", "b"]
+    assert [f.name for f in dataclasses.fields(Challenge)] == ["pp", "pk1", "pk2", "k"]
 
 
 def test_dpd_game_exhaustive_adversary(pp333):
@@ -344,7 +344,6 @@ def test_ddp_challenger_structure(pp333):
     rng = random.Random(47)
     for b in (0, 1):
         ch = ddp_challenge(pp333, rng, b)
-        assert ch.b == b
         assert _solve(pp333, ch.pk1) is not None and _solve(pp333, ch.pk2) is not None
         if b == 0:
             assert ch.k == derive_shared(_solve(pp333, ch.pk1), ch.pk2, pp333)

@@ -12,10 +12,11 @@ import pytest
 
 import twisted_dihedral
 from twisted_dihedral import errors
+from twisted_dihedral.algebra import rep_serialize
 from twisted_dihedral.cli import main
 from twisted_dihedral.cocycle import Cocycle
-from twisted_dihedral.formats import (SECRET_MARKER, read_param_file,
-                                      write_element_file)
+from twisted_dihedral.formats import (SECRET_MARKER, read_element_file,
+                                      read_param_file, write_element_file)
 
 
 def run(*argv):
@@ -130,19 +131,27 @@ def test_secret_file_marker_and_show(tmp_path, params_file, capsys):
     capsys.readouterr()
     assert sk.read_text().splitlines()[0] == SECRET_MARKER
     assert pk.read_text().splitlines()[0] != SECRET_MARKER
-    run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
-        "--seed", 2, "--insecure-show")
-    out = capsys.readouterr().out
-    assert "sk.a" in out and "sk.gamma" in out
 
 
 def test_keygen_refuses_to_print_secrets_by_default(tmp_path, params_file,
                                                     capsys):
-    pk, sk = tmp_path / "pk.txt", tmp_path / "sk.txt"
-    run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
-        "--seed", 2)
+    # keys leave the CLI only through --out-sk and --out-key
+    pk, sk, ct = tmp_path / "pk.txt", tmp_path / "sk.txt", tmp_path / "ct.txt"
+    k1, k2 = tmp_path / "k1.txt", tmp_path / "k2.txt"
+    assert run("keygen", "--params", params_file, "--out-pk", pk, "--out-sk", sk,
+               "--seed", 2) == 0
+    assert run("encaps", "--params", params_file, "--pk", pk, "--out-ct", ct,
+               "--out-key", k1, "--seed", 3) == 0
+    assert run("decaps", "--params", params_file, "--sk", sk, "--ct", ct,
+               "--out-key", k2) == 0
     out = capsys.readouterr().out
-    assert "sk.a" not in out and "sk.gamma" not in out
+    pp = read_param_file(params_file)
+    a, gamma, s, _ = read_element_file(sk, pp.algebra, expect=4)
+    key = k1.read_text().strip()
+    assert key == k2.read_text().strip()
+    for secret in (rep_serialize(a).hex(), rep_serialize(gamma).hex(),
+                   rep_serialize(s).hex(), key):
+        assert secret not in out
 
 
 def test_kex_demo_agrees(params_file, capsys):

@@ -126,13 +126,10 @@ def test_session_lifecycle(pp333):
     sid = b"\x01\x02"
     alice = Session("initiator", sid, pp333, rng)
     bob = Session("responder", sid, pp333, rng)
-    assert alice.secret is not None  # accessible before completion
     k_a = alice.complete(bob.public_key)
     k_b = bob.complete(alice.public_key)
     assert k_a == k_b
-    assert alice.key == k_a
-    with pytest.raises(RuntimeError):
-        _ = alice.secret  # erased
+    assert not hasattr(alice, "secret") and not hasattr(alice, "key")
     with pytest.raises(RuntimeError):
         alice.complete(bob.public_key)  # one-shot
 

@@ -871,6 +871,23 @@ def test_find_irreducible_matches_ben_or():
             assert find_irreducible(p, m) == want, (p, m)
 
 
+@pytest.mark.parametrize("p,n,seed,deg_g", [(3, 3, 0, 0), (3, 3, 14, 1), (3, 6, 0, 0),
+                                            (3, 6, 13, 1), (5, 5, 0, 0), (5, 5, 3, 1)])
+def test_key_space(p, n, seed, deg_g):
+    # a' = a*phi(gamma) over every secret pair takes all q^n values of C_n,
+    # and the q^n values of a' give q^(n - deg g) public keys a'*(h*y), with
+    # g = gcd(u0, u1, x^n - 1) for h*y = u0 + u1*y
+    pp = setup_public_params(p, 1, n, random.Random(seed))
+    alg = pp.algebra
+    hy = pp.hy.reps()
+    g = _poly_gcd(_poly_gcd(hy[:n], hy[n:], p), [p - 1] + [0] * (n - 1) + [1], p)
+    assert len(g) - 1 == deg_g
+    rotations = [index_h_inv(i, alg) for i in range(p ** n)]
+    batch = RotationBatch([phi(gamma) for gamma in iter_gamma(alg)][1:])  # gamma != 0
+    assert len({row for a in rotations[1:] for row in batch.times(a)}) == p ** n
+    assert len(set(RotationBatch(rotations).times(pp.hy))) == p ** (n - deg_g)
+
+
 def test_prime_field_builds_without_polynomials(monkeypatch):
     # no polynomial helper runs where m = 1, with or without a caller's
     # degree-1 modulus; m = 2 shows that the patched helpers are reached
