@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional, Sequence
 
@@ -438,32 +439,33 @@ def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
 
 class RotationBatch:
     """Rotation-only left operands x_0, x_1, ..., as the rows of one
-    integer, and their count (module docstring). The solvers' capacity
-    bounds alone size it: their batch of every phi(gamma) has q^(n//2+1)
-    rows, at most 2401 (66 KiB) at (7,1,7), t = 3."""
+    integer, and their count (module docstring): one `_pack` of every
+    left's 2n reps in turn lays each out in its own row, as a left's n
+    reflection reps are zero. The solvers' capacity bounds alone size it:
+    their batch of every phi(gamma) has q^(n//2+1) rows, at most 2401
+    (66 KiB) at (7,1,7), t = 3."""
 
     def __init__(self, lefts: Sequence[AlgebraElement]):
         if not lefts or not all(x.in_rotation_subalgebra() for x in lefts):
             raise ValueError("expected rotation-only batch left operands, at least one")
         params = lefts[0].params
+        for x in lefts:
+            _check_params(x, params)
         self.params, self.count = params, len(lefts)
-        # each x_k's n positions in a row of 2n; joining rows is linear
-        row = 2 * params._npos // 8
-        self._int = int.from_bytes(b"".join(
-            [_packed(params, x).to_bytes(row, "little") for x in lefts]), "little")
+        self._int = _pack(params, list(itertools.chain.from_iterable(x.coeffs for x in lefts)))
         self._low = _repeat(params, params._low, self.count)
+        # splits `_reduce`'s bytes into the rows' slot bytes, all in C
+        self._rows = struct.Struct(f"{2 * params._npos // 8}s" * self.count).unpack
 
     def times(self, b: AlgebraElement,
-              addend: Optional[AlgebraElement] = None) -> list[bytes]:
+              addend: Optional[AlgebraElement] = None) -> tuple[bytes, ...]:
         """slot_key(x_k*b + c) for every k in order, with c the addend or
         zero, in one kernel call; `_unpack` reads a row's reps."""
         params = self.params
         s = _fold(params, self._int, _packed(params, b), self._low)
         if addend is not None:
             s += _repeat(params, _packed(params, addend), self.count)
-        slots = _reduce(params, s, self.count)
-        size = 2 * params._npos // 8
-        return [slots[i:i + size] for i in range(0, len(slots), size)]
+        return self._rows(_reduce(params, s, self.count))
 
 
 def slot_key(x: AlgebraElement) -> bytes:
@@ -528,9 +530,11 @@ def in_gamma(a: AlgebraElement) -> bool:
 def gamma_from_free(params: AlgebraParams, free: Sequence[int]) -> AlgebraElement:
     """The element of the reversible subspace with reflection coefficients
     `free` at x^0 .. x^(n//2) y, mirrored so that coefficient n - j equals
-    coefficient j."""
+    coefficient j; free must hold exactly n//2 + 1 reps."""
     n = params.n
     g = tuple(free)
+    if len(g) != n // 2 + 1:
+        raise ValueError(f"expected {n // 2 + 1} free coefficients, got {len(g)}")
     return AlgebraElement(params, (0,) * n + g + g[n - len(g):0:-1])
 
 

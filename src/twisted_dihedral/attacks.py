@@ -13,10 +13,10 @@ phi(gamma)*(a*(h*y)) = a*h*gamma: a times the kept h*y once per
 a, then all gamma from one `times` of a RotationBatch of the phi(gamma),
 two multiplies for all its rows, which are reduced kernel slots, canonical
 bytes read into no reps. The exhaustive scan compares each row with
-`slot_key(pk)`. The MITM table keys each a1 by the row of a1*h*gamma and
-gamma's index; the scan probes it once per candidate with the row of pk -
-a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk, and a hit with the same gamma
-makes (a1 + a2, gamma) a solution. a = 0 and gamma = 0, index 0 of
+`slot_key(pk)`. The MITM table (`MitmTable`) finds a low-slice a1 by the
+row of a1*h*gamma; the scan probes it once per candidate with the row of
+pk - a2*h*gamma = phi(gamma)*(a2*(-h*y)) + pk, and a hit under the same
+gamma makes (a1 + a2, gamma) a solution. a = 0 and gamma = 0, index 0 of
 each, form no secret pair, so the scans leave them out by index. Each
 count is derived from a position, not kept: a hit at rotation idx and
 gamma k of a scan has tested idx*|Gamma| + k + 1 candidates, a full scan
@@ -51,16 +51,22 @@ class DpdInstance:
 
 @dataclass
 class MitmTable:
-    """Offline table: (slot_key(a1*h*gamma), k) -> [a1, ...] in index order,
-    with k the index of gamma in `gammas` (k = 0 is never probed).
+    """Offline table: firsts[k - 1], for the index k >= 1 of gamma in
+    `gammas`, maps the row slots of a1*h*gamma to the least nonzero
+    low-slice index a1 with that row. gamma = 0 is never probed and has no
+    dict; a1 = 0 is not multiplied, as its row is the zero row under every
+    gamma, and the scan answers a zero residual with it where a2 != 0, as
+    it comes first in index order. So each probe yields the first a1 in
+    index order with a1 + a2 != 0.
 
-    Also keeps the parameters it was built for, and Gamma and the batch of
-    its phi(gamma), which the online scan reuses.
+    Also keeps the parameters it was built for, the q^t x |Gamma| entries
+    its bound was checked for, and Gamma and the batch of its phi(gamma),
+    which the online scan reuses.
     """
 
     pp: PublicParams = field(compare=False)
     t: int
-    buckets: dict[tuple[bytes, int], list[AlgebraElement]]  # (row slots, k) -> a1
+    firsts: list[dict[bytes, int]]  # row slots -> least nonzero a1 index
     entries: int
     gammas: list[AlgebraElement] = field(compare=False, repr=False)
     batch: RotationBatch = field(compare=False, repr=False)
@@ -113,9 +119,9 @@ def _gamma_batch(algebra: AlgebraParams) -> tuple[list[AlgebraElement], Rotation
 
 
 def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
-    """Key every low-slice a1 by the slots of a1*h*gamma and gamma's index
-    (module docstring); an over-bound online scan or table is refused
-    before either is built."""
+    """Map the rows of every nonzero low-slice a1*h*gamma, gamma != 0, to
+    the least a1 (`MitmTable`); an over-bound online scan or table is
+    refused before either is built."""
     algebra = pp.algebra
     if not 0 <= t <= algebra.n:
         raise ValueError("t must be in [0, n]")
@@ -123,13 +129,13 @@ def mitm_offline(pp: PublicParams, t: int) -> MitmTable:
     _check_candidates(q ** (algebra.n - t), algebra)
     total = q ** t * q ** (algebra.n // 2 + 1)  # one entry per (a1, gamma)
     errors.check_capacity(total, errors.MAX_TABLE_ENTRIES, "table entries")
-    buckets: dict[tuple[bytes, int], list[AlgebraElement]] = {}
     gammas, batch = _gamma_batch(algebra)
-    for idx in range(q ** t):  # the low slice, x^0 .. x^(t-1)
-        a1 = index_h_inv(idx, algebra)
-        for k, c in enumerate(batch.times(a1 * pp.hy)):
-            buckets.setdefault((c, k), []).append(a1)
-    return MitmTable(pp, t, buckets, total, gammas, batch)
+    low = range(q ** t - 1, 0, -1)  # the low slice x^0 .. x^(t-1), a1 != 0, greatest first
+    rows = [batch.times(index_h_inv(idx, algebra) * pp.hy) for idx in low]
+    # one column per gamma, row 0 (gamma = 0) dropped; a later, lesser
+    # index overwrites its row's entry, so the least one stays
+    columns = list(zip(*rows))[1:] if rows else [()] * (len(gammas) - 1)
+    return MitmTable(pp, t, [dict(zip(col, low)) for col in columns], total, gammas, batch)
 
 
 def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
@@ -143,15 +149,16 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
         raise ValueError("table was built for other public parameters")
     algebra = inst.pp.algebra
     q, gammas, neg_hy = algebra.field.q, table.gammas, -inst.pp.hy
+    zero = slot_key(algebra.zero())
     rotations = q ** (algebra.n - t)
     for idx in range(rotations):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
         residuals = table.batch.times(a2 * neg_hy, inst.pk)
-        for k in range(1, len(residuals)):  # k = 0 is gamma = 0
-            for a1 in table.buckets.get((residuals[k], k), ()):
-                a = a1 + a2
-                if not a.is_zero():  # a = 0 only where a1 = a2 = 0, at idx = 0
-                    return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
+        for k, (row, first) in enumerate(zip(residuals[1:], table.firsts), 1):
+            a1 = 0 if idx and row == zero else first.get(row)  # a1 = 0 only if a2 != 0
+            if a1 is not None:
+                a = index_h_inv(a1, algebra) + a2
+                return AttackResult(SecretPair(a, gammas[k]), idx * len(gammas) + k + 1)
     return AttackResult(None, rotations * len(gammas))
 
 

@@ -343,6 +343,19 @@ def test_kept_kernel_integer(p, m, n, bits, tmp_path):
             call()
 
 
+@pytest.mark.parametrize("triple", [(3, 1, 6), (3, 2, 9)], ids=["3-1-6", "3-2-9"])
+def test_gamma_from_free_refuses_wrong_length(triple):
+    # n//2 + 1 free reps make an element of 2n reps; a short or long free
+    # would make an element of another size, which SecretPair accepted
+    alg = algebra_at(*triple)
+    free = alg.n // 2 + 1
+    gamma = gamma_from_free(alg, [1] * free)
+    assert len(gamma.reps()) == alg.dim and in_gamma(gamma)
+    for length in (1, free - 1, free + 1):
+        with pytest.raises(ValueError, match="free coefficients"):
+            gamma_from_free(alg, [1] * length)
+
+
 def test_gamma_commutation(alg33, rng):
     for _ in range(200):
         g1 = sample_gamma(alg33, rng)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from test_oracle import buckets_by_reps
+from test_oracle import firsts_by_reps, least_nonzero, literal_buckets
 from twisted_dihedral.algebra import (SecretPair, index_h_inv, iter_gamma,
                                       sample_secret_pair)
 from twisted_dihedral.attacks import (Challenge, DpdInstance, dpd_verify,
@@ -100,26 +100,14 @@ def test_exhaustive_capacity_guard(pp333, monkeypatch):
 
 # --- meet in the middle ---
 
-def _literal_buckets(pp, t):
-    """The MITM table from the literal (a1*h)*gamma loop: (reps, k) -> the
-    low-slice a1 in index order, with k the index of gamma in Gamma; the
-    table's own keys are row slots, which `buckets_by_reps` reads."""
-    alg = pp.algebra
-    buckets = {}
-    for idx in range(alg.field.q ** t):
-        a1 = index_h_inv(idx, alg)
-        a1h = a1 * pp.h
-        for k, gamma in enumerate(iter_gamma(alg)):
-            buckets.setdefault(((a1h * gamma).reps(), k), []).append(a1)
-    return buckets
-
-
 def test_mitm_offline_entry_counts(pp333):
     assert mitm_offline(pp333, 1).entries == 27  # q^t * |Gamma| = 3 * 9
     assert mitm_offline(pp333, 0).entries == 9
     assert mitm_offline(pp333, 3).entries == 243
-    # table invariant: key = (slots of a1 * h * gamma, index of gamma)
-    assert buckets_by_reps(mitm_offline(pp333, 1)) == _literal_buckets(pp333, 1)
+    # table invariant: per gamma != 0, slots of a1 * h * gamma -> the least nonzero a1
+    for t in range(4):
+        want = least_nonzero(literal_buckets(pp333, t), 9)
+        assert firsts_by_reps(mitm_offline(pp333, t)) == want
 
 
 def test_mitm_capacity_guard(pp333, monkeypatch):
@@ -235,26 +223,33 @@ def _first_hit(inst, rotations, solutions):
 # secrets, and those of (5,1,5), are supported on x^0 and x^1, so both
 # scans stop within a few a: the candidate bound is raised to the whole
 # exhaustive space, which the scans never reach, and the MITM tables are
-# 3 * 3^7 and 5^2 * 5^3 entries.
+# 3 * 3^7 and 5^2 * 5^3 entries. At t = 0 the table holds no row, and
+# every hit is a zero residual.
 @pytest.mark.parametrize("p,m,n,t,seeds,width", [
     (3, 1, 3, 1, range(10), None), (3, 1, 6, 3, range(3), None),
     (3, 2, 3, 1, range(3), None), (3, 1, 12, 1, range(2), 2),
-    (5, 1, 5, 2, range(3), 2)],
-    ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12", "5-1-5"])
+    (5, 1, 5, 2, range(3), 2), (3, 1, 3, 0, range(3), None)],
+    ids=["3-seeds0", "6-seeds1", "3-2-3", "3-1-12", "5-1-5", "3-t0"])
 def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch):
     # the solvers test phi(gamma)*(a*(h*y)), every gamma at once through a
     # RotationBatch; same pairs, same counts. The zero pk is the one input
     # on which leaving out a = 0 and gamma = 0 by index decides the result:
-    # their rows are zero rows, which match only a zero pk.
+    # their rows are zero rows, which match only a zero pk. A pk of a high
+    # slice a2 (a1 = 0) is the input on which the table's zero-row rule
+    # decides: the oracle's buckets hold a1 = 0, the table does not.
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     q = alg.field.q
     monkeypatch.setattr(errors, "MAX_CANDIDATES", q ** (n + n // 2 + 1))
     table = mitm_offline(pp, t)
-    buckets = _literal_buckets(pp, t)
-    assert buckets_by_reps(table) == buckets
+    buckets = literal_buckets(pp, t)
+    assert firsts_by_reps(table) == least_nonzero(buckets, len(table.gammas))
     instances = [_instance(pp, 300 + seed, width)[1] for seed in seeds]
-    for inst in instances + [DpdInstance(pp, alg.zero())]:
+    gammas = list(iter_gamma(alg))
+    high_only = [DpdInstance(pp, derive_public(SecretPair(index_h_inv(j * q ** t, alg), g), pp))
+                 for j in (1, q - 1) for g in (gammas[1], gammas[-1])]
+    zero_row_hits = 0
+    for inst in instances + high_only + [DpdInstance(pp, alg.zero())]:
         want = _first_hit(inst, (index_h_inv(i, alg) for i in range(q ** n)),
                           lambda a, c, k: [a] if c == inst.pk else [])
         result = exhaustive_dpd(inst)
@@ -262,10 +257,13 @@ def test_solvers_match_two_multiply_loops(p, m, n, t, seeds, width, monkeypatch)
         # the high slice x^t .. x^(n-1), in the solver's order
         high = (index_h_inv(i * q ** t, alg) for i in range(q ** (n - t)))
         want = _first_hit(inst, high, lambda a2, c, k: [
-            a1 + a2 for a1 in buckets.get(((inst.pk - c).reps(), k), ())])
+            index_h_inv(i, alg) + a2 for i in buckets.get(((inst.pk - c).reps(), k), ())])
         result = mitm_online(table, inst, t)
         assert (result.pair, result.candidates_tested) == want
         assert want[0] is not None
+        zero_row_hits += not any(result.pair.a.reps()[:t])
+    # at (3,1,6), t = 3, a low-slice a1 reaches each such pk at idx = 0
+    assert zero_row_hits or n == 6
 
 
 # --- equivalent-key sufficiency ---

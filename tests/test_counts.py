@@ -141,8 +141,9 @@ def _instances(pp):
 
 def test_mitm_offline_counts(pp316, counts):
     _, (calls, _, rows) = counts.of(lambda: mitm_offline(pp316, 3))
-    # a step per low-slice a1: 2 * q^t calls and q^t * (|Gamma| + 1) rows
-    assert (calls, rows) == (54, 2214)
+    # a step per nonzero low-slice a1: 2 * (q^t - 1) calls and
+    # (q^t - 1) * (|Gamma| + 1) rows; a1 = 0 is not multiplied
+    assert (calls, rows) == (52, 2132)
 
 
 def test_exhaustive_counts(pp316, counts):

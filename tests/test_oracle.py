@@ -125,10 +125,38 @@ def batch_reps(batch, *args):
     return [_unpack(batch.params, row) for row in batch.times(*args)]
 
 
-def buckets_by_reps(table):
-    """A MITM table's buckets with each key's row slots read as reps."""
+def literal_buckets(pp, t):
+    """The MITM buckets from the literal (a1*h)*gamma loop: (reps, k) -> the
+    index of every low-slice a1 with those reps, a1 = 0 included, in index
+    order, with k the index of gamma in Gamma."""
+    alg = pp.algebra
+    buckets = {}
+    for idx in range(alg.field.q ** t):
+        a1h = index_h_inv(idx, alg) * pp.h
+        for k, gamma in enumerate(iter_gamma(alg)):
+            buckets.setdefault(((a1h * gamma).reps(), k), []).append(idx)
+    return buckets
+
+
+def least_nonzero(buckets, gamma_count):
+    """The table the buckets give: for each gamma index k = 1 ..
+    gamma_count - 1, the reps of every nonzero a1's row -> the least
+    nonzero a1 of its bucket."""
+    firsts = [{} for _ in range(gamma_count - 1)]
+    for (reps, k), idxs in buckets.items():
+        nonzero = [i for i in idxs if i]
+        if k and nonzero:
+            firsts[k - 1][reps] = nonzero[0]
+    return firsts
+
+
+def firsts_by_reps(table):
+    """A MITM table's dicts with each key's row slots read as reps, after
+    checking that no two keys read as the same reps."""
     alg = table.pp.algebra
-    return {(_unpack(alg, row), k): a1s for (row, k), a1s in table.buckets.items()}
+    firsts = [{_unpack(alg, row): a1 for row, a1 in first.items()} for first in table.firsts]
+    assert list(map(len, firsts)) == list(map(len, table.firsts))
+    return firsts
 
 
 def oracle_sum(field, x, y):
@@ -468,25 +496,21 @@ def test_kem_decaps_accepts_valid_tampers():
     (3, 1, 3, range(4)), (3, 1, 6, range(4)), (3, 2, 3, range(3)),
     (3, 1, 12, range(2))], ids=["3", "6", "3-2-3", "3-1-12"])
 def test_mitm_table_matches_two_multiply_loop(p, m, n, ts, monkeypatch):
-    # the table keys a1 by the row slots of a1*h*gamma, taken as
-    # phi(gamma)*(a1*h*y) for every gamma at once by a RotationBatch, and by
-    # gamma's index k; the literal (a1*h)*gamma loop, keyed by reps in the
-    # same order, is the oracle, against the table's keys read by `_unpack`
+    # the table maps the row slots of a1*h*gamma, taken as
+    # phi(gamma)*(a1*h*y) for every gamma at once by a RotationBatch, to
+    # the least nonzero a1, one dict per gamma != 0; the literal
+    # (a1*h)*gamma loop, keyed by reps, is the oracle, against the table's
+    # keys read by `_unpack`
     pp = setup_public_params(p, m, n, random.Random(n))
     alg = pp.algebra
     monkeypatch.setattr(errors, "MAX_CANDIDATES", alg.field.q ** (n + n // 2 + 1))
     for t in ts:
-        buckets = {}
-        for idx in range(alg.field.q ** t):
-            a1 = index_h_inv(idx, alg)
-            a1h = a1 * pp.h
-            for k, gamma in enumerate(iter_gamma(alg)):
-                buckets.setdefault(((a1h * gamma).reps(), k), []).append(a1)
+        buckets = literal_buckets(pp, t)
         table = mitm_offline(pp, t)
-        assert len(table.buckets) == len(buckets)
-        assert buckets_by_reps(table) == buckets
-        assert list(buckets_by_reps(table)) == list(buckets)
-        assert table.entries == sum(map(len, buckets.values()))
+        gamma_count = alg.field.q ** (n // 2 + 1)
+        assert len(table.firsts) == gamma_count - 1
+        assert firsts_by_reps(table) == least_nonzero(buckets, gamma_count)
+        assert table.entries == sum(map(len, buckets.values())) == alg.field.q ** t * gamma_count
 
 
 def test_kernel_slot_width_bounds():
