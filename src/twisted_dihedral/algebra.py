@@ -46,17 +46,13 @@ routes the other maps by lambda look reps up one at a time, as a 256-byte
 table indexes like a list, negation looks them up in `FieldParams.neg`,
 and `rep_deserialize` in `FieldParams.bytes_rep`.
 
-`rotation_products` returns every x*b_k + c_k for a rotation-only x,
-right operands b_k and addends c_k (those of the first rows), from one
-`_reduce` and one `_unpack`. Row k is `_fold` of x and pack(b_k), plus
-pack(c_k), which adds each digit of c_k to its slot, and the rows are
-shifted together 2n positions apart:
-
-    S = sum_k (fold(pack(x), pack(b_k)) + pack(c_k)) * 2^(2kn positions).
-
-`alg_product` with a rotation-only a, such as a secret's a', is the
-one-row case, and with a1 != 0 it is a1*(y*b) with the reduced slots of
-a0*b as its addend. A `RotationBatch` is the dual: rotation-only left
+The kernel has two entries, and both return x*b + c. `alg_product` makes
+one row for a = a0 + a1*y: `_fold` of pack(a0) and pack(b), plus pack(c),
+which adds each digit of c to its slot, with c zero where it is not given.
+pack(a0) and pack(a1) are the low and the high n positions of a's kept
+pack. For a rotation-only a, such as a secret's a', that row is all; with
+a1 != 0 its reduced slots are the addend of a second row, `_fold` of
+pack(a1) and pack(y*b). A `RotationBatch` is the dual: rotation-only left
 operands joined once as the rows of one integer, so that one `_fold` by
 pack(b), whose two multiplies make every row at once, plus pack(c) in
 every row, holds x_k*b + c in row k. It returns each row's reduced slots,
@@ -332,38 +328,20 @@ def _check_params(x: AlgebraElement, params: AlgebraParams) -> None:
         raise ValueError("algebra elements have mismatched parameters")
 
 
-def alg_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Twisted product a*b = a0*b + a1*(y*b) (module docstring)."""
-    params, ac = a.params, a.coeffs
-    n, low = params.n, params._low
-    if not any(ac[n:]):  # pack(a) is pack(a0)
-        s = _fold(params, _packed(params, a), _packed(params, b), low)
-    else:
-        c = _reduce(params, _fold(params, _pack(params, ac[:n]), _packed(params, b), low), 1)
-        s = (_fold(params, _pack(params, ac[n:]), _pack(params, y_times(b).coeffs), low)
-             + int.from_bytes(c, "little"))
+def alg_product(a: AlgebraElement, b: AlgebraElement,
+                c: Optional[AlgebraElement] = None) -> AlgebraElement:
+    """Twisted product plus addend, a*b + c = a0*b + c + a1*(y*b), with c
+    zero when None (module docstring)."""
+    params = a.params
+    x, low = _packed(params, a), params._low
+    s = _fold(params, x & low, _packed(params, b), low)
+    if c is not None:
+        s += _packed(params, c)
+    a1 = x >> params._npos
+    if a1:  # a0*b + c, reduced, is the addend of a1*(y*b)
+        s = (_fold(params, a1, _pack(params, y_times(b).coeffs), low)
+             + int.from_bytes(_reduce(params, s, 1), "little"))
     return AlgebraElement(params, _unpack(params, _reduce(params, s, 1)))
-
-
-def rotation_products(x: AlgebraElement, rights: Sequence[AlgebraElement],
-                      addends: Sequence[AlgebraElement] = ()) -> list[AlgebraElement]:
-    """x*b_k + c_k for every right operand b_k and addend c_k, in order,
-    in one kernel call (module docstring); x must be rotation-only, and the
-    addends go to the first len(addends) rows."""
-    params = x.params
-    if any(x.coeffs[params.n:]):
-        raise ValueError("the left operand must be rotation-only")
-    if not rights or len(addends) > len(rights):
-        raise ValueError("expected right operands, and at most one addend each")
-    left, s = _packed(params, x), 0
-    for k in reversed(range(len(rights))):  # row k is 2n positions up
-        row = _fold(params, left, _packed(params, rights[k]), params._low)
-        if k < len(addends):
-            row += _packed(params, addends[k])
-        s = (s << 2 * params._npos) + row
-    reps = _unpack(params, _reduce(params, s, len(rights)))
-    dim = params.dim
-    return [AlgebraElement(params, reps[i:i + dim]) for i in range(0, len(reps), dim)]
 
 
 def _packed(params: AlgebraParams, x: AlgebraElement) -> int:

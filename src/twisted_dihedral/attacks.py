@@ -149,12 +149,14 @@ def mitm_online(table: MitmTable, inst: DpdInstance, t: int) -> AttackResult:
         raise ValueError("table was built for other public parameters")
     algebra = inst.pp.algebra
     q, gammas, neg_hy = algebra.field.q, table.gammas, -inst.pp.hy
-    zero = slot_key(algebra.zero())
+    zero, key = slot_key(algebra.zero()), slot_key(inst.pk)
     rotations = q ** (algebra.n - t)
     for idx in range(rotations):  # the high slice, x^t .. x^(n-1)
         a2 = index_h_inv(idx * q ** t, algebra)
-        residuals = table.batch.times(a2 * neg_hy, inst.pk)
-        for k, (row, first) in enumerate(zip(residuals[1:], table.firsts), 1):
+        # a2 = 0 at idx = 0, where every residual is pk itself
+        residuals = (table.batch.times(a2 * neg_hy, inst.pk)[1:] if idx
+                     else (key,) * len(table.firsts))
+        for k, (row, first) in enumerate(zip(residuals, table.firsts), 1):
             a1 = 0 if idx and row == zero else first.get(row)  # a1 = 0 only if a2 != 0
             if a1 is not None:
                 a = index_h_inv(a1, algebra) + a2

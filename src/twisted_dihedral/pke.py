@@ -8,15 +8,16 @@ pke_gen, c2 follows from c1 and m (kem.kem_decaps gives the proof).
 
 As in kex.py, a*x*gamma = a'*(x*y) and a*x*adjunct(gamma) =
 a'*(lambda*(x*y)) with a' = a*phi(gamma), made when the SecretPair is
-built. So Enc is one `rotation_products` call, left a2', rights
-lambda*(pk*y) and h*y, addend m on the first; Dec is one call, left a1',
+built. So Enc is c1 = `derive_public(r2)` and one `alg_product`, left
+a2', right lambda*(pk*y), addend m; Dec is one `alg_product`, left a1',
 right -lambda*(c1*y), addend c2. Neither makes an element addition or
 subtraction.
 
 In kernel calls and in big-integer multiplies that hold data (algebra.py
 gives the kernel), KEM keygen takes 2 and 3: a1', then pk = a1'*(h*y).
-Encapsulation takes 2 and 5: a2' in `hash_g1`, then Enc. Decapsulation
-takes 3 and 5: Dec, a2' in `hash_g1`, then c1 = a2'*(h*y) for the check.
+Encapsulation takes 3 and 5: a2' in `hash_g1`, then c1 and c2.
+Decapsulation takes 3 and 5: Dec, a2' in `hash_g1`, then c1 = a2'*(h*y)
+for the check.
 
 Decryption never fails structurally; wrong keys simply yield garbage, and
 c2 is malleable (c2 + delta decrypts to m + delta) - which is why the KEM
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, SecretPair, rotation_products,
+from .algebra import (AlgebraElement, SecretPair, alg_product,
                       sample_secret_pair, scaled_times_y)
 from .kex import PublicParams, derive_public
 
@@ -57,12 +58,10 @@ def pke_gen(pp: PublicParams, rng: random.Random) -> PkeKeyPair:
 
 def pke_enc(m: AlgebraElement, pk: AlgebraElement, r2: SecretPair,
             pp: PublicParams) -> PkeCiphertext:
-    lam_pk_y = scaled_times_y(pk, pk.params.lam_mul)
-    c2, c1 = rotation_products(r2.a_phi, (lam_pk_y, pp.hy), (m,))
-    return PkeCiphertext(c1, c2)
+    return PkeCiphertext(derive_public(r2, pp), alg_product(
+        r2.a_phi, scaled_times_y(pk, pk.params.lam_mul), m))
 
 
 def pke_dec(c: PkeCiphertext, sk: SecretPair, pp: PublicParams) -> AlgebraElement:
     c1 = c.c1
-    return rotation_products(sk.a_phi, (scaled_times_y(c1, c1.params.neg_lam_mul),),
-                             (c.c2,))[0]
+    return alg_product(sk.a_phi, scaled_times_y(c1, c1.params.neg_lam_mul), c.c2)

@@ -14,7 +14,6 @@ from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
                                       gamma_from_free, in_gamma,
                                       index_h_inv, iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
-                                      rotation_products,
                                       sample_gamma, sample_secret_pair,
                                       sample_subspace, times_y, y_times)
 from twisted_dihedral.errors import ParameterError
@@ -324,8 +323,8 @@ def test_kept_kernel_integer(p, m, n, bits, tmp_path):
     for left, right in [(tx, b), (tx, pair.a_phi), (tx, x), (pair.a_phi, tc)]:
         assert alg_product(left, right).reps() == schoolbook_product(left, right)
     # tc's integer, filled under alg just above, serves twin
-    [row] = rotation_products(tx, [b], [tc])
-    assert row.reps() == oracle_sum(alg.field, schoolbook_product(tx, b), tc.reps())
+    assert alg_product(tx, b, tc).reps() == oracle_sum(
+        alg.field, schoolbook_product(tx, b), tc.reps())
     assert batch_reps(RotationBatch([tx, x]), tc) == [
         schoolbook_product(tx, tc), schoolbook_product(x, tc)]
     # and an operand of other params is refused after its integer is filled
@@ -335,8 +334,8 @@ def test_kept_kernel_integer(p, m, n, bits, tmp_path):
     ob = other.from_reps(b.reps())
     alg_product(ox, ob)
     assert ox._int is not None and ob._int is not None
-    for call in (lambda: alg_product(x, ob), lambda: rotation_products(x, [ob]),
-                 lambda: rotation_products(x, [b], [ob]),
+    for call in (lambda: alg_product(x, ob), lambda: alg_product(x, b, ob),
+                 lambda: alg_product(ox, b),
                  lambda: RotationBatch([x, ox]), lambda: list(RotationBatch([x]).times(ob)),
                  lambda: list(RotationBatch([x]).times(b, ob))):
         with pytest.raises(ValueError, match="mismatched parameters"):

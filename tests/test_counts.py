@@ -26,7 +26,7 @@ SETS = [(3, 1, 6), (3, 2, 9), (101, 1, 101), (3, 6, 9), (257, 1, 257)]
 # (kernel calls, _fold calls, rows) of one operation at every set in SETS
 PER_OPERATION = {
     "keygen": (2, 2, 2),  # a1', pk = a1'*(h*y)
-    "encaps": (2, 3, 3),  # a2' in hash_g1, then Enc: one call of two rows
+    "encaps": (3, 3, 3),  # a2' in hash_g1, then Enc: c1, and c2 with addend m
     "decaps": (3, 3, 3),  # Dec, a2' in hash_g1, c1 = a2'*(h*y)
     "kex": (6, 6, 6),     # a', pk and k on each side
 }
@@ -164,7 +164,8 @@ def test_mitm_online_counts(pp316, counts):
         result, (calls, _, rows) = counts.of(lambda: mitm_online(table, inst, 3))
         idx = (result.candidates_tested - 1) // GAMMA  # the hit's high slice
         hits.append(idx)
-        # a step per high slice 0 .. idx, then a1 + a2 and the SecretPair
-        assert (calls, rows) == (2 * idx + 4, (GAMMA + 1) * (idx + 1) + 2)
+        # a step per high slice 1 .. idx (at 0, a2 = 0 and every residual
+        # is pk), then a1 + a2 and the SecretPair
+        assert (calls, rows) == (2 * idx + 2, (GAMMA + 1) * idx + 2)
         assert derive_public(result.pair, pp316) == inst.pk
     assert len(set(hits)) > 1

@@ -29,8 +29,7 @@ from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
                                       alg_product,
                                       gamma_from_free, index_h_inv, iter_gamma,
                                       kernel_slot_width, phi, rep_deserialize,
-                                      rep_serialize,
-                                      rotation_products, sample_secret_pair,
+                                      rep_serialize, sample_secret_pair,
                                       sample_subspace, scaled_times_y,
                                       slot_bound, slot_key, slot_reciprocal,
                                       times_y, y_times)
@@ -188,12 +187,18 @@ def elements(alg):
     (3, 7, 3, 100), (101, 1, 101, 3), (3, 7, 9, 5), (251, 1, 3, 50),
     (257, 1, 4, 50), (65521, 1, 3, 50)])
 def test_product_matches_schoolbook(p, m, n, examples):
+    # with an addend c, a*b + c for full, rotation-only and reflection-only
+    # a: one row where a1 = 0, and where a1 != 0 the reduced row of
+    # a0*b + c as the addend of a1*(y*b)
     alg = algebra_of(p, m, n)
 
     @settings(max_examples=examples, deadline=None)
-    @given(a=elements(alg), b=elements(alg))
-    def check(a, b):
+    @given(a=elements(alg), b=elements(alg), c=elements(alg))
+    def check(a, b, c):
         assert alg_product(a, b).reps() == schoolbook_product(a, b)
+        for x in (a, rotation_part(a), reflection_part(a)):
+            assert alg_product(x, b, c).reps() == oracle_sum(
+                alg.field, schoolbook_product(x, b), c.reps())
 
     check()
 
@@ -244,17 +249,19 @@ def test_kernel_at_slot_widths(p, m, n, bits, examples):
         assert batch_reps(batch, y) == [want[x] for x in lefts]
         assert batch_reps(batch, y, top) == [
             oracle_sum(alg.field, want[x], top.reps()) for x in lefts]
-    # rotation_products rows hold the same worst case plus an addend, at
-    # most p - 1 more in a slot: one row and two, full and rotation-only
-    # rights and addends, and rows without one
-    for rights, addends in [((top,), (top,)), ((rot,), (rot,)), ((rot,), (top,)),
-                            ((top, rot), (top, top)), ((rot, top), (top,)),
-                            ((rot, rot), (rot,)), ((top, top), ())]:
-        rows = rotation_products(rot, rights, addends)
-        assert len(rows) == len(rights)
-        for row, b, c in zip(rows, rights, (*addends, None, None)):
-            assert row.reps() == oracle_sum(alg.field, schoolbook_product(rot, b),
-                                             (c or zero).reps())
+    # a product with an addend holds the same worst case, at most p - 1
+    # more in a slot: full and rotation-only rights and addends, and none.
+    # With a0 = 1 and every digit of a1 at p - 1, c joins the row of a0*b
+    # before that row is reduced: at (3,1,63), where the bound is 254, the
+    # reflection slots of a1*(y*b) reach 252, and c added after the
+    # reduction would carry out of them (b = top), or leave wrong reps
+    # (b = last0, whose last digit is 0)
+    a = alg.from_reps([1] + [0] * (n - 1) + [q - 1] * n)
+    last0 = alg.from_reps([q - 1] * (2 * n - 1) + [0])
+    for x, b, c in [(rot, top, top), (rot, rot, rot), (rot, rot, top), (rot, top, rot),
+                    (rot, top, None), (a, top, top), (a, last0, top), (a, top, None)]:
+        assert alg_product(x, b, c).reps() == oracle_sum(
+            alg.field, schoolbook_product(x, b), (c or zero).reps())
 
     @settings(max_examples=examples, deadline=None)
     @given(a=elements(alg), b=elements(alg))
@@ -294,21 +301,6 @@ def test_batch_matches_single_products(p, m, n, examples, size):
                                                for w in want]
 
     check()
-
-
-def test_rotation_products_reject_bad_operands():
-    alg, other = algebra_of(3, 1, 3), algebra_of(5, 1, 5)
-    rot = alg.basis(1)
-    with pytest.raises(ValueError):
-        rotation_products(alg.basis(4), [rot])  # a reflection part
-    with pytest.raises(ValueError):
-        rotation_products(rot, [rot, other.basis(1)])
-    with pytest.raises(ValueError):
-        rotation_products(rot, [rot], [other.one()])
-    with pytest.raises(ValueError):
-        rotation_products(other.basis(1), [rot])
-    with pytest.raises(ValueError):
-        rotation_products(rot, [rot], [rot, rot])  # more addends than rows
 
 
 def test_batch_rejects_no_operands():
@@ -370,9 +362,9 @@ def test_slot_key_is_a_batch_row(p, m, n, bits):
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 100), (3, 7, 9, 20), (101, 1, 101, 20)])
 def test_derivations_match_literal_formulas(p, m, n, examples):
-    # the derivations go through x*gamma = phi(gamma)*(x*y), as one kernel
-    # row on the a' a pair makes when it is built; the literal a*h*gamma
-    # and a*pk*adjunct(gamma) are the oracle
+    # the derivations go through x*gamma = phi(gamma)*(x*y), with the a'
+    # that a pair makes by one kernel row when it is built; the literal
+    # a*h*gamma and a*pk*adjunct(gamma) are the oracle
     pp = setup_public_params(p, m, n, random.Random(p * m * n))
     alg = pp.algebra
 
@@ -395,8 +387,8 @@ def test_derivations_match_literal_formulas(p, m, n, examples):
 @pytest.mark.parametrize("p,m,n,examples", [
     (3, 1, 3, 100), (5, 1, 5, 100), (3, 2, 9, 50), (3, 7, 9, 10), (101, 1, 101, 5)])
 def test_pke_matches_derivations(p, m, n, examples):
-    # Enc and Dec are each one rotation_products call with the message
-    # added inside the packed product; the derivations, and the element
+    # Enc's c2 and Dec are each one alg_product with the message added
+    # inside the packed product; the derivations, and the element
     # sum and difference, are the oracle. The public keys and ciphertexts
     # are arbitrary full elements as well as real ones.
     pp = setup_public_params(p, m, n, random.Random(p * m + n))
@@ -544,8 +536,7 @@ def test_byte_slots_reduce_every_value():
     c = alg.from_reps([i % 3 for i in range(alg.dim)])
     for total in range(127):
         x = alg.from_reps([2] * (total // 2) + [total % 2] + [0] * (125 - total // 2))
-        [row] = rotation_products(x, [top], [c])
-        assert row.reps() == tuple((2 * total + v) % 3 for v in c.reps())
+        assert alg_product(x, top, c).reps() == tuple((2 * total + v) % 3 for v in c.reps())
 
 
 def test_byte_slots_hold_a_rep():
@@ -599,8 +590,7 @@ def test_wide_slots_reduce_every_value(p, n, bits):
     # the wide twin of test_byte_slots_reduce_every_value: every slot of
     # x*top + c holds (p-1)*sum(x) + c; sum(x) runs over 0 .. n(p-1) and c
     # over 0 .. p-1, so the slots take every value up to the bound,
-    # n(p-1)^2 + p - 1. Each call has enough rows for the addends to hold
-    # every c.
+    # n(p-1)^2 + p - 1. The addends hold every c between them.
     alg = algebra_of(p, 1, n)
     assert alg.slot_bits == bits
     dim = alg.dim
@@ -610,8 +600,7 @@ def test_wide_slots_reduce_every_value(p, n, bits):
     for total in range(n * (p - 1) + 1):
         x = alg.from_reps(([p - 1] * (total // (p - 1)) + [total % (p - 1)]
                            + [0] * n)[:n] + [0] * n)
-        rows = rotation_products(x, [top] * len(addends), addends)
-        assert [row.reps() for row in rows] == [
+        assert [alg_product(x, top, c).reps() for c in addends] == [
             tuple(((p - 1) * total + v) % p for v in c.reps()) for c in addends]
 
 
