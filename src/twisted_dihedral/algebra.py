@@ -30,18 +30,20 @@ the next row, and a mask of each row's low n positions drops it. An
 element keeps pack(x) of all its 2n reps from its first product
 (`_packed`).
 
-`_pack` takes one of two routes, which `AlgebraParams` chooses once from
-(p, m). Where m = 1 and p < 256 a rep is its own single digit byte (the
-byte route): `bytes(reps)` is already the integer's little-endian bytes
-for 8-bit slots, and for wider slots one strided write, `buf[::W/8] =
-...` into a zeroed bytearray, puts each rep in the low byte of its slot.
-The byte route also serializes an element as `bytes(reps)`, as
+Elements and `_pack` take one of two routes, which `AlgebraParams`
+chooses once from (p, m). Where m = 1 and p < 256 (the byte route) a rep
+is its own single digit byte and an element's 2n reps are one `bytes`:
+`_pack`'s `bytes(reps)` is reps itself, already the integer's
+little-endian bytes for 8-bit slots, and for wider slots one strided
+write, `buf[::W/8] = ...` into a zeroed bytearray, puts each rep in the
+low byte of its slot. An element serializes as its `bytes`, as
 `FieldParams.rep_bytes`[r] == bytes([r]) there, and `scaled_times_y`,
-which every encaps, decaps and kex runs, maps its reps by two
-`bytes.translate` through the 256-byte tables `lam_mul`, `neg_lam_mul`.
-Where m > 1 or p >= 256 (the join route) each rep is looked up in
-`slot_bytes`, its digits in little-endian slots, and the positions are
-joined once; reps serialize by a join of `FieldParams.rep_bytes`. On both
+which every encaps, decaps and kex runs, maps it by two `bytes.translate`
+through the 256-byte tables `lam_mul`, `neg_lam_mul`. Where m > 1 or
+p >= 256 (the join route) an element's reps are a tuple, each rep is
+looked up in `slot_bytes`, its digits in little-endian slots, and the
+positions are joined once; reps serialize by a join of
+`FieldParams.rep_bytes`. `reps()` is a tuple on both routes. On both
 routes the other maps by lambda look reps up one at a time, as a 256-byte
 table indexes like a list, negation looks them up in `FieldParams.neg`,
 and `rep_deserialize` in `FieldParams.bytes_rep`.
@@ -140,12 +142,13 @@ def kernel_slot_width(p: int, m: int, n: int) -> int:
 class AlgebraParams:
     """Field, group, and the twisting non-square lambda, bundled, with the
     route and the O(q + n) tables of the product kernel (module docstring):
-    `byte_reps`, true on the byte route; `lam_mul[rep]` and
-    `neg_lam_mul[rep]`, the reps of lambda*rep and -lambda*rep, 256-byte
-    `bytes` on the byte route; `slot_bytes[rep]`, one position of rep on
-    the join route (else None); the masks of one row of 2n positions;
-    `_low`, of its low n; and for slots wider than 8 bits, (k, M) of
-    `slot_reciprocal`.
+    `byte_reps`, true on the byte route; `rep_type` of an element's reps,
+    `bytes` there and else `tuple`, and `zero_half`, n zero reps of it;
+    `lam_mul[rep]` and `neg_lam_mul[rep]`, the reps of lambda*rep and
+    -lambda*rep, 256-byte `bytes` on the byte route; `slot_bytes[rep]`, one
+    position of rep on the join route (else None); the masks of one row of
+    2n positions; `_low`, of its low n; and for slots wider than 8 bits,
+    (k, M) of `slot_reciprocal`.
     """
 
     def __init__(self, field: FieldParams, group: DihedralGroup,
@@ -161,6 +164,8 @@ class AlgebraParams:
         self.n, self.dim = n, group.order
         self.lam = lam
         self.byte_reps = m == 1 and p < 256
+        self.rep_type = bytes if self.byte_reps else tuple
+        self.zero_half = self.rep_type(bytes(n))
         exp, shift = field.exp, field.log[lam.rep]  # lambda * g^k = g^(k + shift)
         lam_mul = [0] + [exp[k + shift] for k in field.log[1:]]
         tables = lam_mul, [field.neg[r] for r in lam_mul]
@@ -206,7 +211,7 @@ class AlgebraParams:
             raise ValueError(f"expected {self.dim} coefficients, got {len(reps)}")
         if min(reps) < 0 or max(reps) >= self.field.q:
             raise ValueError(f"coefficient rep out of range for q={self.field.q}")
-        return AlgebraElement(self, reps)
+        return AlgebraElement(self, self.rep_type(reps))
 
     def zero(self) -> "AlgebraElement":
         return self.from_reps([0] * self.dim)
@@ -234,9 +239,10 @@ class AlgebraParams:
 
 
 class AlgebraElement:
-    """Immutable vector of 2n field coefficients, as integer reps.
-
-    The constructor trusts its reps; `AlgebraParams.from_reps` checks them.
+    """Immutable vector of 2n field coefficients: `coeffs` holds the reps
+    as the route's `AlgebraParams.rep_type`, so equal elements compare and
+    hash equal, and `reps()` as a tuple. The constructor trusts its reps;
+    `AlgebraParams.from_reps` checks them.
     """
 
     __slots__ = ("params", "coeffs", "_int")
@@ -248,7 +254,7 @@ class AlgebraElement:
         self._int = packed  # pack(self), which `_packed` fills on first use
 
     def reps(self) -> tuple[int, ...]:
-        return self.coeffs
+        return tuple(self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -269,16 +275,16 @@ class AlgebraElement:
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        neg = self.params.field.neg
-        return AlgebraElement(self.params, tuple([neg[c] for c in self.coeffs]))
+        params, neg = self.params, self.params.field.neg
+        return AlgebraElement(params, params.rep_type([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return alg_product(self, other)
 
     def scale(self, c: FieldElement) -> "AlgebraElement":
         """Coefficient-wise multiplication by a field scalar."""
-        mul = self.params.field.mul_rep
-        return AlgebraElement(self.params, tuple([mul(c.rep, x) for x in self.coeffs]))
+        params, mul = self.params, self.params.field.mul_rep
+        return AlgebraElement(params, params.rep_type([mul(c.rep, x) for x in self.coeffs]))
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
@@ -407,11 +413,11 @@ def _reduce(params: AlgebraParams, s: int, count: int) -> bytes:
     return slots
 
 
-def _unpack(params: AlgebraParams, slots: bytes) -> tuple[int, ...]:
+def _unpack(params: AlgebraParams, slots: bytes) -> Sequence[int]:
     """The reps in slots from `_reduce`, row after row (module docstring)."""
     slot, step = params._read
     if params.byte_reps:  # a rep is the low byte of its one slot
-        return tuple(slots if slot == 1 else slots[::slot])
+        return slots if slot == 1 else slots[::slot]
     return params.field.reps_of_digits(slots, slot, step)
 
 
@@ -460,22 +466,22 @@ def adjunct(a: AlgebraElement, params: Optional[AlgebraParams] = None) -> Algebr
     its own inverse, with alpha lambda.
     """
     params = params or a.params
-    n, lam_mul, c = params.n, params.lam_mul, a.coeffs
-    return AlgebraElement(params, c[:1] + c[n - 1:0:-1] + tuple([lam_mul[v] for v in c[n:]]))
+    n, lam_mul, c, reps = params.n, params.lam_mul, a.coeffs, params.rep_type
+    return AlgebraElement(params, c[:1] + c[n - 1:0:-1] + reps([lam_mul[v] for v in c[n:]]))
 
 
 def phi(a: AlgebraElement) -> AlgebraElement:
     """Transport reflection coefficients to the rotation slots."""
     if not a.in_reflection_subspace():
         raise ValueError("phi expects an element of the reflection subspace")
-    n = a.params.n
-    return AlgebraElement(a.params, a.coeffs[n:] + (0,) * n)
+    params = a.params
+    return AlgebraElement(params, a.coeffs[params.n:] + params.zero_half)
 
 
 def times_y(x: AlgebraElement) -> AlgebraElement:
     """x*y = lambda*x1 + x0*y: the halves swap and lambda scales x1, O(n)."""
-    n, lam_mul, c = x.params.n, x.params.lam_mul, x.coeffs
-    return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:]]) + c[:n])
+    n, lam_mul, c, reps = x.params.n, x.params.lam_mul, x.coeffs, x.params.rep_type
+    return AlgebraElement(x.params, reps([lam_mul[v] for v in c[n:]]) + c[:n])
 
 
 def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
@@ -485,16 +491,15 @@ def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
     params, c = x.params, x.coeffs
     n, lam = params.n, params.lam_mul
     if params.byte_reps:
-        b = bytes(c)
-        return AlgebraElement(params, tuple((b[n:].translate(lam) + b[:n]).translate(s_mul)))
+        return AlgebraElement(params, (c[n:].translate(lam) + c[:n]).translate(s_mul))
     lam, s = lam.__getitem__, s_mul.__getitem__
     return AlgebraElement(params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))
 
 
 def y_times(x: AlgebraElement) -> AlgebraElement:
     """y*x = lambda*rev(x1) + rev(x0)*y, the left-hand twin of `times_y`, O(n)."""
-    n, lam_mul, c = x.params.n, x.params.lam_mul, x.coeffs
-    return AlgebraElement(x.params, tuple([lam_mul[v] for v in c[n:n + 1] + c[:n:-1]])
+    n, lam_mul, c, reps = x.params.n, x.params.lam_mul, x.coeffs, x.params.rep_type
+    return AlgebraElement(x.params, reps([lam_mul[v] for v in c[n:n + 1] + c[:n:-1]])
                           + c[:1] + c[n - 1:0:-1])
 
 
@@ -510,10 +515,10 @@ def gamma_from_free(params: AlgebraParams, free: Sequence[int]) -> AlgebraElemen
     `free` at x^0 .. x^(n//2) y, mirrored so that coefficient n - j equals
     coefficient j; free must hold exactly n//2 + 1 reps."""
     n = params.n
-    g = tuple(free)
+    g = params.rep_type(free)
     if len(g) != n // 2 + 1:
         raise ValueError(f"expected {n // 2 + 1} free coefficients, got {len(g)}")
-    return AlgebraElement(params, (0,) * n + g + g[n - len(g):0:-1])
+    return AlgebraElement(params, params.zero_half + g + g[n - len(g):0:-1])
 
 
 def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
@@ -524,26 +529,30 @@ def sample_gamma(params: AlgebraParams, rng: random.Random) -> AlgebraElement:
 def sample_subspace(which: str, params: AlgebraParams,
                     rng: random.Random) -> AlgebraElement:
     """Uniform sample from C_n / C_n*y / the full algebra / the public-h shape."""
-    field = params.field
-    n = params.n
+    field, n, reps, zero = params.field, params.n, params.rep_type, params.zero_half
     if which == "C_n":
-        return AlgebraElement(params, tuple(field.random_reps(rng, n)) + (0,) * n)
+        return AlgebraElement(params, reps(field.random_reps(rng, n)) + zero)
     if which == "C_n_y":
-        return AlgebraElement(params, (0,) * n + tuple(field.random_reps(rng, n)))
+        return AlgebraElement(params, zero + reps(field.random_reps(rng, n)))
     if which == "full":
-        return AlgebraElement(params, tuple(field.random_reps(rng, 2 * n)))
+        return AlgebraElement(params, reps(field.random_reps(rng, 2 * n)))
     if which == "h_element":  # a nonzero rotation half and a nonzero reflection half
-        return AlgebraElement(params, (*field.nonzero_reps(rng, n),
-                                       *field.nonzero_reps(rng, n)))
+        return AlgebraElement(params, reps(field.nonzero_reps(rng, n))
+                              + reps(field.nonzero_reps(rng, n)))
     raise ValueError(f"unknown subspace {which!r}")
+
+
+def secret_pair(params: AlgebraParams, a: Sequence[int], free: Sequence[int]) -> SecretPair:
+    """The pair of the n rotation reps a and gamma's free reps (`gamma_from_free`)."""
+    return SecretPair(AlgebraElement(params, params.rep_type(a) + params.zero_half),
+                      gamma_from_free(params, free))
 
 
 def sample_secret_pair(params: AlgebraParams, rng: random.Random) -> SecretPair:
     """Uniform nonzero (a, gamma) secret pair: the n reps of a, then the
     n//2 + 1 free reps of gamma, each drawn again while all zero."""
     field, n = params.field, params.n
-    a = AlgebraElement(params, (*field.nonzero_reps(rng, n), *(0,) * n))
-    return SecretPair(a, gamma_from_free(params, field.nonzero_reps(rng, n // 2 + 1)))
+    return secret_pair(params, field.nonzero_reps(rng, n), field.nonzero_reps(rng, n // 2 + 1))
 
 
 def iter_gamma(params: AlgebraParams) -> Iterator[AlgebraElement]:
@@ -558,7 +567,7 @@ def index_h_inv(value: int, params: AlgebraParams) -> AlgebraElement:
     q = params.field.q
     if not 0 <= value < q ** params.dim:
         raise ValueError("index out of range")
-    return AlgebraElement(params, base_digits(value, q, params.dim))
+    return AlgebraElement(params, params.rep_type(base_digits(value, q, params.dim)))
 
 
 def rep_serialize(x) -> bytes:
@@ -566,7 +575,7 @@ def rep_serialize(x) -> bytes:
     the `FieldParams.rep_bytes` of each rep in turn."""
     if isinstance(x, AlgebraElement):
         if x.params.byte_reps:
-            return bytes(x.coeffs)
+            return x.coeffs
         return b"".join(map(x.params.field.rep_bytes.__getitem__, x.coeffs))
     # duck-typed two-component ciphertext
     if hasattr(x, "c1") and hasattr(x, "c2"):
@@ -585,4 +594,4 @@ def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
     reps = [field.bytes_rep.get(data[pos:pos + chunk]) for pos in range(0, expect, chunk)]
     if None in reps:
         raise ValueError("digit out of range in serialized element")
-    return AlgebraElement(params, tuple(reps))
+    return AlgebraElement(params, params.rep_type(reps))

@@ -313,8 +313,9 @@ class FieldParams:
             return 0 if e else 1
         return self.exp[self.log[a] * e % (self.q - 1)]
 
-    def random_reps(self, rng: random.Random, count: int) -> list[int]:
-        """`count` uniform reps, as count * m `rng.randrange(p)` calls draw them.
+    def random_reps(self, rng: random.Random, count: int) -> Sequence[int]:
+        """`count` uniform reps, as count * m `rng.randrange(p)` calls draw
+        them; `bytes` where m = 1 and p < 256 (the algebra's byte route).
 
         randrange(p) draws one 32-bit word per attempt by the rejection rule
         of the module docstring; getrandbits(32 * k) returns k such words,
@@ -333,7 +334,7 @@ class FieldParams:
                 k = need - len(data)
                 words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
                 data += words[3::4].translate(table, delete)
-            return list(data if m == 1 else self.reps_of_digits(data, 1, m))
+            return data if m == 1 else self.reps_of_digits(data, 1, m)
         digits: list[int] = []
         while len(digits) < need:
             k = need - len(digits)
@@ -373,7 +374,7 @@ class FieldParams:
             reps = reps * p + int.from_bytes(lanes, "little")
         return struct.unpack(f"<{total}H", reps.to_bytes(2 * total, "little"))
 
-    def nonzero_reps(self, rng: random.Random, count: int) -> list[int]:
+    def nonzero_reps(self, rng: random.Random, count: int) -> Sequence[int]:
         """`random_reps(rng, count)`, drawn again while all zero."""
         while True:
             reps = self.random_reps(rng, count)

@@ -16,8 +16,7 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, SecretPair, gamma_from_free,
-                      rep_serialize, sample_subspace)
+from .algebra import AlgebraElement, SecretPair, rep_serialize, sample_subspace, secret_pair
 from .kex import PublicParams, derive_public
 from .pke import PkeCiphertext, pke_dec, pke_enc, pke_gen
 
@@ -65,8 +64,7 @@ def hash_g1(x: bytes, pp: PublicParams) -> SecretPair:
         for i in range(0, len(reps) - size + 1, size):
             a, g = reps[i:i + n], reps[i + n:i + size]
             if any(a) and any(g):
-                return SecretPair(AlgebraElement(algebra, tuple(a) + (0,) * n),
-                                  gamma_from_free(algebra, g))
+                return secret_pair(algebra, a, g)
         length *= 2
 
 

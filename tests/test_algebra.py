@@ -2,6 +2,7 @@
 subspace, index bijection, and canonical serialization."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -15,18 +16,25 @@ from twisted_dihedral.algebra import (AlgebraParams, RotationBatch, SecretPair,
                                       index_h_inv, iter_gamma, phi,
                                       rep_deserialize, rep_serialize,
                                       sample_gamma, sample_secret_pair,
-                                      sample_subspace, times_y, y_times)
+                                      sample_subspace, scaled_times_y,
+                                      times_y, y_times)
 from twisted_dihedral.errors import ParameterError
 from twisted_dihedral.field import FieldParams, is_square
-from twisted_dihedral.formats import read_param_file, write_param_file
+from twisted_dihedral.formats import (read_element_file, read_param_file,
+                                      write_element_file, write_param_file)
 from twisted_dihedral.group import DihedralGroup
+from twisted_dihedral.kem import hash_g1
 from twisted_dihedral.kex import setup_public_params
 from twisted_dihedral.pke import PkeCiphertext
 
 
 @functools.cache
+def pp_at(p, m, n):
+    return setup_public_params(p, m, n, random.Random(p * m * n))
+
+
 def algebra_at(p, m, n):
-    return setup_public_params(p, m, n, random.Random(p * m * n)).algebra
+    return pp_at(p, m, n).algebra
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +285,48 @@ def test_secret_pair_a_phi(p, m, n):
         assert (repr(pair), hash(pair)) == (repr(twin), hash(twin))
         assert "a_phi" not in repr(pair)
         assert len({pair, twin}) == 1
+
+    check()
+
+
+# An element's reps are one `bytes` on the byte route (m = 1, p < 256) and a
+# tuple elsewhere; a constructor that leaked the other type would make ==
+# silently False against an equal element
+@pytest.mark.parametrize("p,m,n,rep_type", [
+    (3, 1, 6, bytes), (101, 1, 101, bytes), (3, 2, 9, tuple), (3, 7, 9, tuple)])
+def test_element_representation(p, m, n, rep_type, tmp_path):
+    pp = pp_at(p, m, n)
+    alg, field = pp.algebra, pp.algebra.field
+    q, dim = field.q, alg.dim
+    assert alg.rep_type is rep_type and alg.zero_half == rep_type(bytes(n))
+    path = tmp_path / "elements.txt"
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        x, h = sample_subspace("full", alg, rng), sample_subspace("h_element", alg, rng)
+        rot, refl = sample_subspace("C_n", alg, rng), sample_subspace("C_n_y", alg, rng)
+        pair, hashed = sample_secret_pair(alg, rng), hash_g1(rng.randbytes(16), pp)
+        free = [rng.randrange(q) for _ in range(n // 2 + 1)]
+        made = [
+            alg.zero(), alg.one(), alg.basis(rng.randrange(dim)), alg.from_reps(x.reps()),
+            x, h, rot, refl, sample_gamma(alg, rng), -x, x.scale(field.from_rep(rng.randrange(q))),
+            adjunct(x), phi(refl), times_y(x), y_times(x),
+            scaled_times_y(x, alg.lam_mul), scaled_times_y(x, alg.neg_lam_mul),
+            gamma_from_free(alg, free), index_h_inv(rng.randrange(q ** dim), alg),
+            pair.a, pair.gamma, pair.a_phi, hashed.a, hashed.gamma, hashed.a_phi,
+            *itertools.islice(iter_gamma(alg), 3), rep_deserialize(rep_serialize(x), alg),
+            x * h, rot * x, alg_product(rot, x, h), x + h, x - h]
+        write_element_file(path, alg, made)
+        made += read_element_file(path, alg, len(made))
+        for e in made:
+            assert type(e.coeffs) is rep_type and len(e.coeffs) == dim
+            reps = e.reps()
+            assert type(reps) is tuple and reps == tuple(e.coeffs)
+            back = alg.from_reps(reps)
+            assert back == e and hash(back) == hash(e)
+            assert rep_deserialize(rep_serialize(e), alg) == e
 
     check()
 

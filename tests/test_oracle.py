@@ -121,7 +121,7 @@ def schoolbook_product(a, b):
 
 def batch_reps(batch, *args):
     """The reps of every row of `batch.times(*args)`, read by `_unpack`."""
-    return [_unpack(batch.params, row) for row in batch.times(*args)]
+    return [tuple(_unpack(batch.params, row)) for row in batch.times(*args)]
 
 
 def literal_buckets(pp, t):
@@ -153,7 +153,8 @@ def firsts_by_reps(table):
     """A MITM table's dicts with each key's row slots read as reps, after
     checking that no two keys read as the same reps."""
     alg = table.pp.algebra
-    firsts = [{_unpack(alg, row): a1 for row, a1 in first.items()} for first in table.firsts]
+    firsts = [{tuple(_unpack(alg, row)): a1 for row, a1 in first.items()}
+              for first in table.firsts]
     assert list(map(len, firsts)) == list(map(len, table.firsts))
     return firsts
 
@@ -342,7 +343,7 @@ def test_slot_key_is_a_batch_row(p, m, n, bits):
     xs += [alg.from_reps([q - 1 if i == j else 0 for i in range(dim)]) for j in range(dim)]
     for x in xs:
         assert slot_key(x) == _reduce(alg, _packed(alg, x), 1)
-        assert _unpack(alg, slot_key(x)) == x.reps()
+        assert tuple(_unpack(alg, slot_key(x))) == x.reps()
         assert slot_key(alg.from_reps(x.reps())) == slot_key(x)
     distinct = set(xs)
     assert len({slot_key(x) for x in distinct}) == len(distinct)
@@ -964,7 +965,7 @@ def test_random_reps_match_randrange(p, m):
     @given(seed=st.integers(0, 2 ** 64), count=st.integers(0, 300))
     def check(seed, count):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert field.random_reps(rng, count) == [
+        assert list(field.random_reps(rng, count)) == [
             oracle_rep(p, m, oracle_rng) for _ in range(count)]
         # the generator is left exactly where randrange leaves it
         assert rng.getrandbits(64) == oracle_rng.getrandbits(64)
