@@ -30,23 +30,23 @@ the next row, and a mask of each row's low n positions drops it. An
 element keeps pack(x) of all its 2n reps from its first product
 (`_packed`).
 
-Elements and `_pack` take one of two routes, which `AlgebraParams`
-chooses once from (p, m). Where m = 1 and p < 256 (the byte route) a rep
-is its own single digit byte and an element's 2n reps are one `bytes`:
-`_pack`'s `bytes(reps)` is reps itself, already the integer's
-little-endian bytes for 8-bit slots, and for wider slots one strided
-write, `buf[::W/8] = ...` into a zeroed bytearray, puts each rep in the
-low byte of its slot. An element serializes as its `bytes`, as
-`FieldParams.rep_bytes`[r] == bytes([r]) there, and `scaled_times_y`,
-which every encaps, decaps and kex runs, maps it by two `bytes.translate`
-through the 256-byte tables `lam_mul`, `neg_lam_mul`. Where m > 1 or
-p >= 256 (the join route) an element's reps are a tuple, each rep is
-looked up in `slot_bytes`, its digits in little-endian slots, and the
-positions are joined once; reps serialize by a join of
-`FieldParams.rep_bytes`. `reps()` is a tuple on both routes. On both
-routes the other maps by lambda look reps up one at a time, as a 256-byte
-table indexes like a list, negation looks them up in `FieldParams.neg`,
-and `rep_deserialize` in `FieldParams.bytes_rep`.
+An element holds its 2n reps as one `bytes` wherever q < 256 and as a
+tuple where q >= 256 (`AlgebraParams.rep_type`); `reps()` is a tuple on
+both. Where q < 256, `lam_mul` and `neg_lam_mul` are 256-byte tables, so
+`scaled_times_y`, which every encaps, decaps and kex runs, maps an
+element by two `bytes.translate` calls. Where m = 1 and p < 256 (the byte
+route, `byte_reps`) a rep is its own single digit byte: `_pack`'s
+`bytes(reps)` is reps itself, already the integer's little-endian bytes
+for 8-bit slots, and for wider slots one strided write, `buf[::W/8] =
+...` into a zeroed bytearray, puts each rep in the low byte of its slot;
+an element serializes as its `bytes`, as `FieldParams.rep_bytes`[r] ==
+bytes([r]) there. Elsewhere (the join route) `_pack` looks each rep up in
+`slot_bytes`, its digits in little-endian slots, and joins the positions
+once; reps serialize by a join of `FieldParams.rep_bytes`. The other maps
+by lambda look reps up one at a time, as a 256-byte table indexes like a
+list, and negation in `FieldParams.neg`. `rep_deserialize` checks every
+serialized digit below p at once, and reads the reps as the digits where
+m = 1, else by `FieldParams.reps_of_digits`.
 
 The kernel has two entries, and both return x*b + c. `alg_product` makes
 one row for a = a0 + a1*y: `_fold` of pack(a0) and pack(b), plus pack(c),
@@ -143,9 +143,9 @@ class AlgebraParams:
     """Field, group, and the twisting non-square lambda, bundled, with the
     route and the O(q + n) tables of the product kernel (module docstring):
     `byte_reps`, true on the byte route; `rep_type` of an element's reps,
-    `bytes` there and else `tuple`, and `zero_half`, n zero reps of it;
-    `lam_mul[rep]` and `neg_lam_mul[rep]`, the reps of lambda*rep and
-    -lambda*rep, 256-byte `bytes` on the byte route; `slot_bytes[rep]`, one
+    `bytes` where q < 256 and else `tuple`, and `zero_half`, n zero reps of
+    it; `lam_mul[rep]` and `neg_lam_mul[rep]`, the reps of lambda*rep and
+    -lambda*rep, 256-byte `bytes` where q < 256; `slot_bytes[rep]`, one
     position of rep on the join route (else None); the masks of one row of
     2n positions; `_low`, of its low n; and for slots wider than 8 bits,
     (k, M) of `slot_reciprocal`.
@@ -164,12 +164,12 @@ class AlgebraParams:
         self.n, self.dim = n, group.order
         self.lam = lam
         self.byte_reps = m == 1 and p < 256
-        self.rep_type = bytes if self.byte_reps else tuple
+        self.rep_type = bytes if field.q < 256 else tuple
         self.zero_half = self.rep_type(bytes(n))
         exp, shift = field.exp, field.log[lam.rep]  # lambda * g^k = g^(k + shift)
         lam_mul = [0] + [exp[k + shift] for k in field.log[1:]]
         tables = lam_mul, [field.neg[r] for r in lam_mul]
-        if self.byte_reps:  # `translate` takes 256 entries; those past q - 1 are never read
+        if self.rep_type is bytes:  # `translate` takes 256 entries; those past q - 1 are never read
             tables = [bytes(t).ljust(256, b"\0") for t in tables]
         self.lam_mul, self.neg_lam_mul = tables
         bits = self.slot_bits
@@ -240,14 +240,14 @@ class AlgebraParams:
 
 class AlgebraElement:
     """Immutable vector of 2n field coefficients: `coeffs` holds the reps
-    as the route's `AlgebraParams.rep_type`, so equal elements compare and
-    hash equal, and `reps()` as a tuple. The constructor trusts its reps;
-    `AlgebraParams.from_reps` checks them.
+    as `AlgebraParams.rep_type`, `bytes` where q < 256 and else a tuple,
+    so equal elements compare and hash equal, and `reps()` as a tuple. The
+    constructor trusts its reps; `AlgebraParams.from_reps` checks them.
     """
 
     __slots__ = ("params", "coeffs", "_int")
 
-    def __init__(self, params: AlgebraParams, coeffs: tuple[int, ...],
+    def __init__(self, params: AlgebraParams, coeffs: bytes | tuple[int, ...],
                  packed: Optional[int] = None):
         self.params = params
         self.coeffs = coeffs
@@ -490,7 +490,7 @@ def scaled_times_y(x: AlgebraElement, s_mul: Sequence[int]) -> AlgebraElement:
     `AlgebraParams`."""
     params, c = x.params, x.coeffs
     n, lam = params.n, params.lam_mul
-    if params.byte_reps:
+    if params.rep_type is bytes:
         return AlgebraElement(params, (c[n:].translate(lam) + c[:n]).translate(s_mul))
     lam, s = lam.__getitem__, s_mul.__getitem__
     return AlgebraElement(params, (*map(s, map(lam, c[n:])), *map(s, c[:n])))
@@ -584,14 +584,15 @@ def rep_serialize(x) -> bytes:
 
 
 def rep_deserialize(data: bytes, params: AlgebraParams) -> AlgebraElement:
-    """The element that `rep_serialize` encodes as data. Raises ValueError
-    on a wrong length or a digit >= p."""
-    field = params.field
-    chunk = len(field.rep_bytes[0])
-    expect = params.dim * chunk
+    """The element that `rep_serialize` encodes as data: its digits, a byte
+    each where p < 256, else (m = 1 under MAX_Q) one big-endian 2-byte
+    digit per rep. Raises ValueError on a wrong length or a digit >= p."""
+    field, dim = params.field, params.dim
+    expect = dim * len(field.rep_bytes[0])
     if len(data) != expect:
         raise ValueError(f"expected {expect} bytes, got {len(data)}")
-    reps = [field.bytes_rep.get(data[pos:pos + chunk]) for pos in range(0, expect, chunk)]
-    if None in reps:
+    digits = data if field.p < 256 else struct.unpack(f">{dim}H", data)
+    if max(digits) >= field.p:
         raise ValueError("digit out of range in serialized element")
+    reps = digits if field.m == 1 else field.reps_of_digits(data, 1, field.m)
     return AlgebraElement(params, params.rep_type(reps))

@@ -175,7 +175,7 @@ class FieldParams:
       needs no reduction; `log[rep]`: its inverse (None at rep 0);
     - `neg[rep]`: the rep of the negation;
     - `rep_bytes[rep]`: the canonical serialization, digits ascending, each
-      big-endian in `digit_width_bytes(p)` bytes; `bytes_rep` inverts it;
+      big-endian in `digit_width_bytes(p)` bytes;
     - where p < 256 (else None), `mod_p_bytes`, the `bytes.translate`
       table of b mod p for every byte b, and the table and deletions of
       the samplers' byte read (module docstring).
@@ -208,7 +208,6 @@ class FieldParams:
         self.neg = rep_table([[d * p ** i for d in negated] for i in range(m)])
         width = digit_width_bytes(p)
         self.rep_bytes = rep_table([[d.to_bytes(width, "big") for d in range(p)]] * m)
-        self.bytes_rep = dict(zip(self.rep_bytes, range(q)))
         self.mod_p_bytes = self._sample_bytes = None
         if p < 256:  # a sampled digit is the top byte of a word >> s, kept below p << s
             s = 8 - p.bit_length()
@@ -315,7 +314,7 @@ class FieldParams:
 
     def random_reps(self, rng: random.Random, count: int) -> Sequence[int]:
         """`count` uniform reps, as count * m `rng.randrange(p)` calls draw
-        them; `bytes` where m = 1 and p < 256 (the algebra's byte route).
+        them; `bytes` where q < 256, as the algebra's elements hold reps.
 
         randrange(p) draws one 32-bit word per attempt by the rejection rule
         of the module docstring; getrandbits(32 * k) returns k such words,
@@ -352,20 +351,20 @@ class FieldParams:
         return [d for w in struct.unpack_from(f"<{len(data) // 4}I", data)
                 if (d := w >> shift) < p]
 
-    def reps_of_digits(self, data: bytes, slot: int, step: int) -> tuple[int, ...]:
+    def reps_of_digits(self, data: bytes, slot: int, step: int) -> bytes | tuple[int, ...]:
         """The reps whose digits `data` holds, one rep every `step` bytes:
         digit d of a rep, lowest first, in the low digit_width_bytes(p)
-        bytes, little-endian, of the `slot` bytes at d * slot. The read is
-        described in the algebra.py module docstring; where q >= 256 its
-        2-byte lanes hold a rep (q <= MAX_Q), so no rep carries into the
-        next.
+        bytes, little-endian, of the `slot` bytes at d * slot; `bytes` where
+        q < 256, else a tuple. The read is described in the algebra.py
+        module docstring; where q >= 256 its 2-byte lanes hold a rep (q <=
+        MAX_Q), so no rep carries into the next.
         """
         p, m = self.p, self.m
         if self.q < 256:
             reps = int.from_bytes(data[(m - 1) * slot::step], "little")
             for d in reversed(range(m - 1)):
                 reps = reps * p + int.from_bytes(data[d * slot::step], "little")
-            return tuple(reps.to_bytes(len(data) // step, "little"))
+            return reps.to_bytes(len(data) // step, "little")
         total, reps = len(data) // step, 0
         for d in reversed(range(m)):
             lanes = bytearray(2 * total)

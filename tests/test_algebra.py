@@ -289,11 +289,12 @@ def test_secret_pair_a_phi(p, m, n):
     check()
 
 
-# An element's reps are one `bytes` on the byte route (m = 1, p < 256) and a
-# tuple elsewhere; a constructor that leaked the other type would make ==
+# An element's reps are one `bytes` wherever q < 256 and a tuple where
+# q >= 256; a constructor that leaked the other type would make ==
 # silently False against an equal element
 @pytest.mark.parametrize("p,m,n,rep_type", [
-    (3, 1, 6, bytes), (101, 1, 101, bytes), (3, 2, 9, tuple), (3, 7, 9, tuple)])
+    (3, 1, 6, bytes), (101, 1, 101, bytes), (3, 2, 9, bytes), (5, 3, 5, bytes),
+    (3, 7, 9, tuple), (257, 1, 257, tuple)])
 def test_element_representation(p, m, n, rep_type, tmp_path):
     pp = pp_at(p, m, n)
     alg, field = pp.algebra, pp.algebra.field

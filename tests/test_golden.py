@@ -51,6 +51,24 @@ GOLDEN = {
         "key_dec": "d353d9bb99aab2422e049809013446b13958069bf5129bd33ca010c4c7c46ff7",
         "kex-demo": "351b9dbdb1873ae95f28a9a1bed02636f069dc4ee773ae51b3f730815ab702f7",
     },
+    (5, 3, 5): {
+        "params": "b37561de639cd19859bfe57b360a67615a2cf40c09e26ae97f9e592aa5ebd526",
+        "pk": "da12e557259f3bcfae8b3889dcf9683abe9cd9832ea30f754fd6daaf45d14c97",
+        "sk": "756c653abb2805bff96636e8c9e47004e0875717edf34ac3babf96e634e51aec",
+        "ct": "f359012719dc91d85b7e982573c1c68d63e3539607fd41d7f0d78c43acca1362",
+        "key_enc": "a6a841c035efdf252fd7b1878e2791f6fdf3f4687a18ef5a125dfa41aef4ec7a",
+        "key_dec": "a6a841c035efdf252fd7b1878e2791f6fdf3f4687a18ef5a125dfa41aef4ec7a",
+        "kex-demo": "036173d27e76965bcfeb14212d53c516f8f7eb479663160d62c2f758ea9f9ab5",
+    },
+    (257, 1, 257): {
+        "params": "14ee1197321ff36749b9b4d77e788950d5f88466b4113a420de4bfbfd7708039",
+        "pk": "e5335358cbd07827edc284a5047f77090745153640a33fcfa6784a73b261fefd",
+        "sk": "42a03fb56bc2c716d9a8e36515f9e822397ad681c2443449b5adccbc8315b748",
+        "ct": "8cd82a3d10cf8710afb2a456ebab8ba9d0651e4eb05d9138b86b53f9ead860b1",
+        "key_enc": "98a51cb347e5fc2f2f07a9bce84c1c212cd28bdba2283ddc283c982c7539e38f",
+        "key_dec": "98a51cb347e5fc2f2f07a9bce84c1c212cd28bdba2283ddc283c982c7539e38f",
+        "kex-demo": "61a91f585dd1e39bcabae0b65e4a64b461f2481fb9e55eb9ff8d3ffef5209803",
+    },
 }
 
 
@@ -80,7 +98,7 @@ def pipeline_digests(d, p, m, n):
     return {k: hashlib.sha256(v).hexdigest() for k, v in data.items()}
 
 
-@pytest.mark.parametrize("triple", sorted(GOLDEN))
+@pytest.mark.parametrize("triple", list(GOLDEN))
 def test_cli_outputs_match_golden(tmp_path, triple):
     assert pipeline_digests(tmp_path, *triple) == GOLDEN[triple]
 

@@ -701,16 +701,29 @@ def test_serialization_matches_rep_bytes(p, m, n):
                 rep_deserialize(bad, alg)
 
 
-@pytest.mark.parametrize("p,n,byte", [(101, 101, 101), (101, 101, 255)]
-                         + [(251, 3, b) for b in range(251, 256)])
-def test_deserialize_rejects_digits_from_p(p, n, byte):
-    # on the byte route a byte is a rep only below p; p - 1 is one
-    alg = algebra_of(p, 1, n)
-    for i in (0, alg.dim - 1):
-        data = bytearray(alg.dim)
-        data[i] = p - 1
-        assert rep_deserialize(bytes(data), alg).reps()[i] == p - 1
-        data[i] = byte
+DESERIALIZE_CASES = ([(101, 1, 101, 101), (101, 1, 101, 255)]
+                     + [(251, 1, 3, d) for d in range(251, 256)]
+                     + [(3, 2, 9, 3), (3, 2, 9, 255), (5, 3, 5, 5),
+                        (257, 1, 4, 257), (257, 1, 4, 0xffff)])
+
+
+# ids leave out m where it is 1
+@pytest.mark.parametrize("p,m,n,digit", DESERIALIZE_CASES,
+                         ids=["-".join(map(str, (p, n, d) if m == 1 else (p, m, n, d)))
+                              for p, m, n, d in DESERIALIZE_CASES])
+def test_deserialize_rejects_digits_from_p(p, m, n, digit):
+    # a serialized digit, one byte where p < 256 and two big-endian bytes
+    # where p > 255, is a digit only below p; p - 1 is one, at the first
+    # and at the last digit of the element
+    alg = algebra_of(p, m, n)
+    width = 1 if p < 256 else 2
+    count = alg.dim * m
+    for i in (0, count - 1):
+        data = bytearray(count * width)
+        data[i * width:(i + 1) * width] = (p - 1).to_bytes(width, "big")
+        rep = rep_deserialize(bytes(data), alg).reps()[i // m]
+        assert digits(rep, p, m) == [p - 1 if k == i % m else 0 for k in range(m)]
+        data[i * width:(i + 1) * width] = digit.to_bytes(width, "big")
         with pytest.raises(ValueError, match="digit out of range"):
             rep_deserialize(bytes(data), alg)
 
@@ -719,15 +732,15 @@ def test_deserialize_rejects_digits_from_p(p, n, byte):
                                    (3, 2, 9)])
 def test_lambda_maps_match_field_arithmetic(p, m, n):
     # the O(n) maps by lambda, -lambda and -1 against products of
-    # polynomials: `scaled_times_y` by `translate` on the byte route, and
+    # polynomials: `scaled_times_y` by `translate` where q < 256, and
     # every map by table lookups, which a 256-byte table also serves;
     # negation reads the field's own table
     alg = algebra_of(p, m, n)
     field, lam = alg.field, alg.lam.rep
     minus = rep_of([p - 1], p)
     for table in (alg.lam_mul, alg.neg_lam_mul):
-        assert isinstance(table, bytes) == alg.byte_reps
-        assert len(table) == (256 if alg.byte_reps else field.q)
+        assert isinstance(table, bytes) == (alg.rep_type is bytes)
+        assert len(table) == (256 if alg.rep_type is bytes else field.q)
 
     def times(s, reps):
         return tuple(poly_mul_rep(field, s, r) for r in reps)
@@ -780,7 +793,7 @@ def test_field_ops_match_polynomials(p, m):
 
 
 def oracle_field_tables(p, m, modulus):
-    """exp, log, neg, rep_bytes and bytes_rep of F_{p^m} mod `modulus`,
+    """exp, log, neg and rep_bytes of F_{p^m} mod `modulus`,
     one rep at a time: the least rep g with g^((q-1)/r) != 1 for each prime
     r dividing q - 1, its powers, both by the polynomial helpers, and each
     rep's negation and bytes from its digits."""
@@ -801,7 +814,7 @@ def oracle_field_tables(p, m, modulus):
     rep_bytes = [b"".join(d.to_bytes(width, "big") for d in digits(r, p, m)) for r in range(q)]
     return {"exp": powers + powers, "log": log,
             "neg": [rep_of([-d % p for d in digits(r, p, m)], p) for r in range(q)],
-            "rep_bytes": rep_bytes, "bytes_rep": {b: r for r, b in enumerate(rep_bytes)}}
+            "rep_bytes": rep_bytes}
 
 
 # every odd prime below 600 (those test_field_accepts_exactly_the_odd_primes
